@@ -9,7 +9,7 @@ The package is organized around the pipeline
 with a CLI (``streamfem``) wiring the pieces into reproducible runs.
 """
 
-from .mesh import Mesh, DofMap, OrderingScheme, build_uniform_mesh, enumerate_dofs, constrained_dofs
+from .mesh import Mesh, DofMap, OrderingScheme, build_uniform_mesh, enumerate_dofs
 from .quadrature import QuadratureRule, rule, integrate_on_triangle
 from .argyris import ElementBasis, DofFunctional, build_element_basis, build_all_bases, eval_shape
 from .assembly import (
@@ -32,7 +32,6 @@ __all__ = [
     "OrderingScheme",
     "build_uniform_mesh",
     "enumerate_dofs",
-    "constrained_dofs",
     "QuadratureRule",
     "rule",
     "integrate_on_triangle",

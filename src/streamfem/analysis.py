@@ -146,13 +146,6 @@ def evaluate_field(
     return values
 
 
-def eval_shape_records(basis: ElementBasis, point):
-    """Per-shape value/gradient/Hessian/Laplacian records at one point."""
-    from .argyris import eval_shape
-
-    return eval_shape(basis, point)
-
-
 # --- sparsity pattern export -------------------------------------------------
 
 def export_sparsity(A: SparseMatrix, path_stem) -> dict:

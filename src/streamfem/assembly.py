@@ -86,13 +86,11 @@ class ElementTables:
                 self.dyy[t] = tab["dyy"]
             if values:
                 self.values[t] = tab["value"]
-        self.tri_dofs = None  # filled per DofMap by _dof_arrays
 
     def dof_arrays(self, dofmap: DofMap) -> np.ndarray:
-        return np.array(
-            [dofmap.triangle_dofs(self.mesh, t) for t in range(self.mesh.num_triangles)],
-            dtype=np.int64,
-        )
+        """(T, 21) global DOFs of every triangle, rows as DofMap.triangle_dofs."""
+        return np.hstack([dofmap.vertex_dofs[self.mesh.triangles].reshape(-1, 18),
+                          dofmap.edge_dofs[self.mesh.triangle_edges]])
 
 
 @dataclass(frozen=True)

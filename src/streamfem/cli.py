@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,46 +61,25 @@ _CONFIG_TYPES = {
 }
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The config file's values, converted, for the options of the chosen subcommand."""
     try:
         raw = _read_config_file(args.config)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
+    defaults = {}
     for key, val in raw.items():
         if key not in _CONFIG_TYPES:
             parser.error(f"unknown config key '{key}'")
         if not hasattr(args, key):
             continue  # key not relevant to this subcommand
-        if key not in args._explicit:
-            try:
-                setattr(args, key, _CONFIG_TYPES[key](val))
-            except ValueError:
-                parser.error(f"bad value for config key '{key}': {val!r}")
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        tokens = list(argv if argv is not None else sys.argv[1:])
-        for action in self._get_all_actions():
-            for opt in action.option_strings:
-                if any(t == opt or t.startswith(opt + "=") for t in tokens):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _get_all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
+        try:
+            defaults[key] = _CONFIG_TYPES[key](val)
+        except ValueError:
+            parser.error(f"bad value for config key '{key}': {val!r}")
+    return defaults
 
 
 def _add_common(p):
@@ -237,14 +217,9 @@ def cmd_compare_orderings(args) -> int:
     ]
     rows = []
     timing_rows = []
+    base = _config_from_args(args)
     for scheme in (1, 2, 3):
-        config = _config_from_args(args)
-        config = PicardConfig(
-            reynolds=config.reynolds, tol=config.tol, max_outer=config.max_outer,
-            n_quad_points=config.n_quad_points, ordering=OrderingScheme.from_int(scheme),
-            linear_tol=config.linear_tol, minimal_bc=config.minimal_bc,
-            flip_convention=config.flip_convention,
-        )
+        config = replace(base, ordering=OrderingScheme.from_int(scheme))
         dofmap = enumerate_dofs(mesh, scheme, minimal_bc=config.minimal_bc)
         q = quad_rule(config.n_quad_points)
         A = assemble_biharmonic(mesh, dofmap, q, config.reynolds)
@@ -268,12 +243,12 @@ def cmd_compare_orderings(args) -> int:
 
 def cmd_export_sparsity(args) -> int:
     out = _ensure_out_dir(args)
+    config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     dofmap = enumerate_dofs(mesh, args.ordering, minimal_bc=args.minimal_bc)
     q = quad_rule(args.nqp)
-    A = assemble_biharmonic(mesh, dofmap, q, args.reynolds)
+    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds)
     if args.with_convection:
-        config = _config_from_args(args)
         coeffs, _ = solve_biharmonic_problem(mesh, config)
         B = assemble_convection(mesh, dofmap, q, coeffs,
                                 flip_convention=args.flip_sign_convention)
@@ -327,50 +302,45 @@ def cmd_convergence_table(args) -> int:
     return 0
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="streamfem",
         description="Argyris stream-function solver on the unit square",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mesh-info", help="mesh and DOF numbering summary")
-    _add_common(p)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=func, command_parser=p)
+        return p
+
+    p = command("mesh-info", cmd_mesh_info, "mesh and DOF numbering summary")
     p.add_argument("--csv", action="store_true", help="also write entity CSVs to --out-dir")
-    p.set_defaults(func=cmd_mesh_info)
 
-    p = sub.add_parser("solve-biharmonic", help="solve the biharmonic problem with PCG")
-    _add_common(p)
+    p = command("solve-biharmonic", cmd_solve_biharmonic, "solve the biharmonic problem with PCG")
     p.add_argument("--load", choices=("full", "stokes", "zero"), default="full")
-    p.set_defaults(func=cmd_solve_biharmonic)
 
-    p = sub.add_parser("solve-nse", help="run the fixed-point iteration with BiCGSTAB")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve_nse)
+    command("solve-nse", cmd_solve_nse, "run the fixed-point iteration with BiCGSTAB")
+    command("compare-orderings", cmd_compare_orderings,
+            "bandwidth/ops study over the three orderings")
 
-    p = sub.add_parser("compare-orderings", help="bandwidth/ops study over the three orderings")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare_orderings)
-
-    p = sub.add_parser("export-sparsity", help="write the sparsity pattern (PBM/SVG/MatrixMarket)")
-    _add_common(p)
+    p = command("export-sparsity", cmd_export_sparsity,
+                "write the sparsity pattern (PBM/SVG/MatrixMarket)")
     p.add_argument("--with-convection", action="store_true",
                    help="pattern of the full linearized matrix instead of the viscous form")
-    p.set_defaults(func=cmd_export_sparsity)
 
-    p = sub.add_parser("export-contours", help="stream-function contours (SVG + grid CSV)")
-    _add_common(p)
+    p = command("export-contours", cmd_export_contours,
+                "stream-function contours (SVG + grid CSV)")
     p.add_argument("--problem", choices=("biharmonic", "nse"), default="nse")
     p.add_argument("--grid-size", dest="grid_size", type=int, default=64)
-    p.set_defaults(func=cmd_export_contours)
 
-    p = sub.add_parser("convergence-table", help="error/iteration tables over mesh sizes")
-    _add_common(p)
+    p = command("convergence-table", cmd_convergence_table,
+                "error/iteration tables over mesh sizes")
     p.add_argument("--problem", choices=("biharmonic", "nse"), default="biharmonic")
     p.add_argument("--mesh-sizes", dest="mesh_sizes", default="3,5,9",
                    help="comma-separated n values")
     p.add_argument("--load", choices=("full", "stokes", "zero"), default="full")
-    p.set_defaults(func=cmd_convergence_table)
 
     return parser
 
@@ -378,7 +348,11 @@ def build_parser() -> _TrackingParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    if args.config:
+        # the file's values become the subcommand's defaults and the argv is
+        # parsed again, so argparse ranks defaults < config file < flags
+        args.command_parser.set_defaults(**_config_defaults(args, parser))
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

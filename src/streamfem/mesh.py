@@ -308,11 +308,6 @@ def enumerate_dofs(
     )
 
 
-def constrained_dofs(mesh: Mesh, dofmap: DofMap) -> set[int]:
-    """Global indices of the clamped DOFs (boundary vertices and midsides)."""
-    return set(np.flatnonzero(dofmap.constrained).tolist())
-
-
 def ordering_permutation(dm_from: DofMap, dm_to: DofMap) -> np.ndarray:
     """Permutation p with p[i_from] = i_to for the same (entity, slot).
 

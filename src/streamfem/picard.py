@@ -2,10 +2,13 @@
 
 The initial guess is the solution of the biharmonic problem (convection form
 dropped, same load), solved with PCG. Each outer iteration freezes the
-convection field at the previous iterate, reassembles the convection form
-and solves the nonsymmetric system with BiCGSTAB. The iteration stops when
-both the coefficient update norm and the relative nonlinear residual fall
-below the tolerance.
+convection field at the previous iterate and solves the nonsymmetric
+system with BiCGSTAB. The iteration stops when both the coefficient update
+norm and the relative nonlinear residual fall below the tolerance.
+
+The operator A + B(psi_k) that measures the nonlinear residual of iterate
+k is the system matrix of outer iteration k + 1, so the convection form is
+assembled once before the loop and once per outer iteration.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ class PicardConfig:
     flip_convention: bool = False
 
     def __post_init__(self):
-        if self.reynolds <= 0:
-            raise ValueError("Reynolds number must be positive")
-        if self.tol <= 0 or (self.linear_tol is not None and self.linear_tol <= 0):
-            raise ValueError("tolerances must be positive")
+        if not (np.isfinite(self.reynolds) and self.reynolds > 0):
+            raise ValueError(f"Reynolds number must be positive and finite, got {self.reynolds}")
+        for name in ("tol", "linear_tol"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -186,16 +191,18 @@ def solve_linearized_nse(
         raise PicardError("initial biharmonic PCG solve did not converge", trace)
     psi_full = _expand(dofmap, x0)
 
+    def system_at(psi):
+        """A + B(psi), the linearized operator frozen at psi."""
+        if not include_convection:
+            return A.matrix
+        B = assemble_convection(
+            mesh, dofmap, q, psi, tables=tables, flip_convention=config.flip_convention,
+        )
+        return A.matrix + B.matrix
+
     free = dofmap.globals_of_free
+    system = system_at(psi_full)
     for outer in range(1, config.max_outer + 1):
-        if include_convection:
-            B = assemble_convection(
-                mesh, dofmap, q, psi_full, tables=tables,
-                flip_convention=config.flip_convention,
-            )
-            system = A.matrix + B.matrix
-        else:
-            system = A.matrix
         x, report = bicgstab(
             system, ell.vector, tol=config.inner_tol, max_iter=config.linear_max_iter
         )
@@ -209,16 +216,10 @@ def solve_linearized_nse(
         update = float(np.linalg.norm(new_full[free] - psi_full[free]))
         psi_full = new_full
 
-        # nonlinear residual of the discrete equation with the new iterate
-        if include_convection:
-            B_new = assemble_convection(
-                mesh, dofmap, q, psi_full, tables=tables,
-                flip_convention=config.flip_convention,
-            )
-            res_vec = (A.matrix + B_new.matrix).matvec(x) - ell.vector
-        else:
-            res_vec = A.matrix.matvec(x) - ell.vector
-        residual = float(np.linalg.norm(res_vec)) / scale
+        # nonlinear residual of the discrete equation with the new iterate;
+        # its operator is also the system of the next outer iteration
+        system = system_at(psi_full)
+        residual = float(np.linalg.norm(system.matvec(x) - ell.vector)) / scale
 
         trace.iterations.append(
             OuterIteration(index=outer, update_norm=update, residual=residual, report=report)

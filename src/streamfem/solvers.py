@@ -1,9 +1,9 @@
 """CSR sparse kernel and the two Krylov solvers used by the runs.
 
-The matrix wrapper keeps explicit CSR arrays (sorted, deduplicated, no
-stored zeros) together with bandwidth statistics, and instruments every
-matvec/inner product so iteration and operation counts in the reports are
-exact.
+The matrix wrapper holds one scipy CSR matrix (sorted, deduplicated, no
+stored zeros), reads its bandwidth statistics straight off the CSR arrays,
+and instruments every matvec/inner product so iteration and operation
+counts in the reports are exact.
 
 Both solvers carry a diagonal preconditioner of l1 type (row sums of
 absolute values) rather than the plain matrix diagonal: the plain diagonal
@@ -43,14 +43,32 @@ class FlopCounter:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Square CSR matrix with bandwidth statistics and a symmetry flag."""
+    """Square CSR matrix with bandwidth statistics and a symmetry flag.
 
-    dimension: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    The one copy of the entries is the wrapped scipy CSR matrix (sorted,
+    deduplicated, no stored zeros); ``indptr``, ``indices`` and ``data`` are
+    views of its arrays, not copies. Build it with ``finalize_csr`` or
+    ``from_coo``.
+    """
+
+    _csr: sp.csr_matrix = field(repr=False)
     is_symmetric: bool = False
-    _csr: sp.csr_matrix = field(repr=False, compare=False, default=None)
+
+    @property
+    def dimension(self) -> int:
+        return self._csr.shape[0]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._csr.data
 
     @property
     def nnz(self) -> int:
@@ -66,25 +84,22 @@ class SparseMatrix:
     @property
     def profile(self) -> int:
         """Sum over rows of (row index - smallest column index in the row)."""
-        total = 0
-        for i in range(self.dimension):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            if hi > lo:
-                total += max(0, i - int(self.indices[lo]))
-        return total
+        rows = np.flatnonzero(np.diff(self.indptr))  # empty rows add nothing
+        first = self.indices[self.indptr[rows]]
+        return int(np.maximum(rows - first, 0).sum())
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
 
     def l1_diagonal(self) -> np.ndarray:
-        """Row sums of absolute values (the l1 smoothing diagonal)."""
-        out = np.zeros(self.dimension)
-        np.add.at(
-            out,
-            np.repeat(np.arange(self.dimension), np.diff(self.indptr)),
-            np.abs(self.data),
-        )
-        return out
+        """Row sums of absolute values (the l1 smoothing diagonal).
+
+        The product with a ones vector adds each row's entries one by one in
+        storage order. Keep that order: the solvers' iteration counts depend
+        on these sums to the last bit, and a pairwise ``sum(axis=1)`` or
+        ``np.add.reduceat`` rounds differently.
+        """
+        return abs(self._csr) @ np.ones(self.dimension)
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """CSR product A @ x; counts 2 nnz flops and one matvec."""
@@ -102,16 +117,6 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def scaled(self, factor: float) -> "SparseMatrix":
-        return SparseMatrix(
-            dimension=self.dimension,
-            indptr=self.indptr,
-            indices=self.indices,
-            data=self.data * factor,
-            is_symmetric=self.is_symmetric,
-            _csr=self._csr * factor,
-        )
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch in matrix sum")
@@ -127,23 +132,12 @@ def finalize_csr(matrix, is_symmetric: bool = False) -> SparseMatrix:
     n, m = csr.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {n}x{m}")
-    return SparseMatrix(
-        dimension=n,
-        indptr=csr.indptr.copy(),
-        indices=csr.indices.copy(),
-        data=csr.data.copy(),
-        is_symmetric=is_symmetric,
-        _csr=csr,
-    )
+    return SparseMatrix(csr, is_symmetric=is_symmetric)
 
 
 def from_coo(dimension: int, rows, cols, values, is_symmetric: bool = False) -> SparseMatrix:
     coo = sp.coo_matrix((values, (rows, cols)), shape=(dimension, dimension))
     return finalize_csr(coo, is_symmetric=is_symmetric)
-
-
-def matvec(A: SparseMatrix, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    return A.matvec(x, counter)
 
 
 def bandwidth_stats(A: SparseMatrix) -> dict:

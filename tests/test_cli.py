@@ -110,11 +110,40 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "4 vertices" in out
 
 
+@pytest.mark.parametrize("flag", [["--ord", "2"], ["--ordering", "2"], ["--ordering=2"]])
+def test_config_file_loses_to_every_flag_spelling(tmp_path, capsys, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ordering = 3\n")
+    assert run_cli(["mesh-info", "--config", str(cfg), *flag]) == 0
+    assert "ordering scheme 2 " in capsys.readouterr().out
+    # with no flag the file's value applies
+    assert run_cli(["mesh-info", "--config", str(cfg)]) == 0
+    assert "ordering scheme 3 " in capsys.readouterr().out
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["mesh-info", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["n = three\n", "n\n"])
+def test_config_file_bad_value_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["mesh-info", "--config", str(cfg), "--n", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option", ["--re", "--tol", "--linear-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, option, value):
+    code = run_cli(["solve-nse", "--n", "2", f"{option}={value}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_invalid_arguments_exit_nonzero(capsys):

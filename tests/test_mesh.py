@@ -4,7 +4,6 @@ import pytest
 from streamfem.mesh import (
     OrderingScheme,
     build_uniform_mesh,
-    constrained_dofs,
     enumerate_dofs,
     export_mesh_csv,
     free_permutation,
@@ -93,7 +92,7 @@ def test_numbering_is_bijection(n, scheme):
 
 
 def test_constrained_counts_n3(mesh3, dofmap3):
-    constrained = constrained_dofs(mesh3, dofmap3)
+    constrained = np.flatnonzero(dofmap3.constrained)
     assert len(constrained) == 12 * 6 + 12 == 84
     assert dofmap3.num_free == 45
 
@@ -103,7 +102,7 @@ def test_constrained_counts_n1():
     # interior (shared by both triangles), so its midside DOF stays free
     mesh = build_uniform_mesh(1)
     dm = enumerate_dofs(mesh, 1)
-    assert len(constrained_dofs(mesh, dm)) == 4 * 6 + 4 == 28
+    assert len(np.flatnonzero(dm.constrained)) == 4 * 6 + 4 == 28
     assert dm.num_free == 1
 
 

@@ -57,6 +57,23 @@ def test_picard_converges_and_updates_decrease(mesh3):
     assert all(b < a for a, b in zip(updates, updates[1:]))
 
 
+def test_one_convection_assembly_per_outer_iteration(mesh3, monkeypatch):
+    """The residual's operator A + B(psi_k) is reused as the next system, so
+    the form is assembled once up front and once per outer iteration."""
+    import streamfem.picard
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble_convection(*args, **kwargs)
+
+    monkeypatch.setattr(streamfem.picard, "assemble_convection", counting)
+    _, trace = solve_linearized_nse(mesh3, PicardConfig(n_quad_points=6))
+    assert len(trace.iterations) >= 2
+    assert len(calls) == len(trace.iterations) + 1
+
+
 def test_converged_fixed_point_residual(mesh3, dofmap3):
     """The converged iterate satisfies the discrete equation to 10x tol."""
     config = PicardConfig(n_quad_points=6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from streamfem.assembly import ElementTables, assemble_biharmonic, assemble_load, manufactured_rhs
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
@@ -11,7 +12,6 @@ from streamfem.solvers import (
     bicgstab,
     finalize_csr,
     from_coo,
-    matvec,
     pcg,
     read_matrix_market,
     write_matrix_market,
@@ -61,7 +61,7 @@ def test_matvec_deterministic(biharmonic_system):
 def test_matvec_flop_counting(biharmonic_system):
     A, b = biharmonic_system
     counter = FlopCounter()
-    matvec(A, b, counter)
+    A.matvec(b, counter)
     assert counter.flops == 2 * A.nnz
     assert counter.matvecs == 1
 
@@ -82,6 +82,54 @@ def test_bandwidth_stats_basics():
     assert stats["bandwidth"] == 1
     assert stats["nnz"] == 10
     assert stats["profile"] == 3
+
+
+def _loop_stats(A):
+    """Bandwidth, profile, nnz and l1 diagonal by the per-entry loops the
+    vectorized properties replaced; the reference they must reproduce."""
+    rows = np.repeat(np.arange(A.dimension), np.diff(A.indptr))
+    bandwidth = int(np.abs(rows - A.indices).max()) if len(A.data) else 0
+    profile = 0
+    for i in range(A.dimension):
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        if hi > lo:
+            profile += max(0, i - int(A.indices[lo]))
+    l1 = np.zeros(A.dimension)
+    np.add.at(l1, rows, np.abs(A.data))
+    return bandwidth, profile, len(A.data), l1
+
+
+# few distinct values, so duplicate entries often cancel to exact zeros
+_entry_values = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.1, -0.1, 2.5, -2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _entry_values), max_size=40,
+    ))
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return from_coo(n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                    np.array(vals, dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices(), _square_matrices())
+def test_matrix_statistics_match_loop_formulas(A, B):
+    assert A.data is A._csr.data and A.indices is A._csr.indices  # one copy
+    for M in (A, B):
+        bandwidth, profile, nnz, l1 = _loop_stats(M)
+        assert (M.bandwidth, M.profile, M.nnz) == (bandwidth, profile, nnz)
+        assert np.array_equal(M.l1_diagonal(), l1)  # bitwise, not approximately
+    if A.dimension == B.dimension:
+        S = A + B
+        assert np.array_equal(S.toarray(), A.toarray() + B.toarray())
+        assert np.all(S.data != 0.0)
+        assert S.nnz == np.count_nonzero(A.toarray() + B.toarray())
 
 
 def test_bandwidth_ordering1_vs_ordering3():
