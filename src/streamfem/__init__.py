@@ -11,7 +11,7 @@ with a CLI (``streamfem``) wiring the pieces into reproducible runs.
 
 from .mesh import Mesh, DofMap, OrderingScheme, build_uniform_mesh, enumerate_dofs
 from .quadrature import QuadratureRule, rule, integrate_on_triangle
-from .argyris import ElementBasis, DofFunctional, build_element_basis, build_all_bases, eval_shape
+from .argyris import ElementBasis, ElementBases, DofFunctional, build_element_basis, build_all_bases, eval_shape
 from .assembly import (
     BilinearFormMatrix,
     LoadVector,
@@ -36,6 +36,7 @@ __all__ = [
     "rule",
     "integrate_on_triangle",
     "ElementBasis",
+    "ElementBases",
     "DofFunctional",
     "build_element_basis",
     "build_all_bases",

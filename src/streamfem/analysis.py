@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .argyris import ElementBasis, build_all_bases
+from .argyris import ElementBases, build_all_bases
 from .assembly import ElementTables
 from .mesh import DofMap, Mesh
 from .quadrature import rule as quad_rule
@@ -118,7 +118,7 @@ def evaluate_field(
     dofmap: DofMap,
     coefficients: np.ndarray,
     points,
-    bases: list[ElementBasis] | None = None,
+    bases: ElementBases | None = None,
     gradient: bool = False,
 ):
     """Evaluate the Argyris field (optionally its gradient) at given points.
@@ -287,7 +287,7 @@ def export_contours(
     path_stem,
     levels=None,
     grid_size: int = 64,
-    bases: list[ElementBasis] | None = None,
+    bases: ElementBases | None = None,
 ) -> dict:
     """Sample the field on a uniform grid and write contour SVG + grid CSV.
 

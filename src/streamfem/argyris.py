@@ -2,11 +2,17 @@
 
 Each triangle carries 21 degrees of freedom: value, gradient and Hessian at
 the three vertices plus the normal derivative at the three edge midpoints.
-The shape functions are constructed per physical triangle by solving the
-21 x 21 dual system (functionals applied to monomials); no reference-element
-mapping is used because the element is not affine-equivalent. Monomials are
-centered at the centroid and scaled by the triangle diameter to keep the
-system well conditioned.
+The shape functions of a physical triangle come from its own 21 x 21 dual
+system (functionals applied to monomials); no reference-element mapping is
+used because the element is not affine-equivalent. Monomials are centered
+at the centroid and scaled by the triangle diameter to keep the system well
+conditioned.
+
+The dual systems are built and solved in blocks of ``BLOCK`` triangles: one
+(B, 21, 21) array and one batched ``np.linalg.solve`` per block. Each batched
+step applies, per triangle, the floating-point operations of a one-triangle
+build in the same order, so a basis does not depend on the block it was
+built in; blocks only bound the size of the temporaries.
 
 The midside normal is global: the edge runs from the lower to the higher
 global vertex index and the normal is that direction rotated by +90 degrees.
@@ -16,6 +22,8 @@ the midside DOF single-valued and the global field C1.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +31,9 @@ import numpy as np
 from .mesh import Mesh
 
 DUALITY_TOL = 1e-8
+
+# triangles per batched dual solve and per batched table evaluation
+BLOCK = 256
 
 # monomial exponents (i, j) with i + j <= 5, by total degree
 MONOMIAL_EXPONENTS = np.array(
@@ -34,6 +45,17 @@ for _i in range(6):
     _FALLING[_i, 0] = 1.0
     _FALLING[_i, 1] = _i
     _FALLING[_i, 2] = _i * (_i - 1)
+
+_POWERS = np.arange(6)
+_EYE = np.eye(21)
+
+
+_I, _J = MONOMIAL_EXPONENTS.T
+# falling-factorial coefficients and reduced exponents of each (ax, ay) derivative
+_MONOMIAL_FACTORS = {
+    (ax, ay): (_FALLING[_I, ax] * _FALLING[_J, ay], np.maximum(_I - ax, 0), np.maximum(_J - ay, 0))
+    for ax in range(3) for ay in range(3 - ax)
+}
 
 
 class ElementConstructionError(RuntimeError):
@@ -53,32 +75,67 @@ class DofFunctional:
     normal: np.ndarray | None = None
 
 
+def _unit_normals(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """(..., 2) unit vectors from tail to head, rotated by +90 degrees.
+
+    ``sqrt(vecdot(d, d))`` is the float64 ``np.linalg.norm`` of each d.
+    """
+    d = head - tail
+    d = d / np.sqrt(np.vecdot(d, d))[..., None]
+    return np.stack([-d[..., 1], d[..., 0]], axis=-1)
+
+
 def edge_normal(mesh: Mesh, e: int) -> np.ndarray:
     """Unit normal of edge e under the global lower-to-higher +90 convention."""
     a, b = mesh.edges[e]
-    d = mesh.vertices[b] - mesh.vertices[a]
-    d = d / np.linalg.norm(d)
-    return np.array([-d[1], d[0]])
+    return _unit_normals(mesh.vertices[a], mesh.vertices[b])
 
 
-def _monomial_matrix(local_pts: np.ndarray, ax: int, ay: int, inv_d: float) -> np.ndarray:
-    """Design matrix of the (ax, ay) derivative of all monomials.
+def _inverse_powers(diameter) -> np.ndarray:
+    """(..., 3) array of (1 / diameter) ** k for k = 0, 1, 2.
 
-    local_pts are centered/scaled coordinates; the inv_d factors convert
-    local derivatives back to physical ones.
+    The powers are Python float powers (C ``pow``); numpy's vectorized
+    power rounds differently in the last bit for some arguments.
     """
-    xi = local_pts[:, 0][:, None]
-    eta = local_pts[:, 1][:, None]
-    I = MONOMIAL_EXPONENTS[:, 0][None, :]
-    J = MONOMIAL_EXPONENTS[:, 1][None, :]
-    ci = _FALLING[MONOMIAL_EXPONENTS[:, 0], ax][None, :]
-    cj = _FALLING[MONOMIAL_EXPONENTS[:, 1], ay][None, :]
-    pi = np.maximum(I - ax, 0)
-    pj = np.maximum(J - ay, 0)
+    inv_d = 1.0 / np.asarray(diameter, dtype=float)
+    powers = [[v ** k for k in range(3)] for v in inv_d.ravel().tolist()]
+    return np.array(powers).reshape(*inv_d.shape, 3)
+
+
+def _powers(local_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x ** p and y ** p for p = 0..5 at local points (..., P, 2), each (..., P, 6).
+
+    Each power is one ``np.power``, as a direct evaluation of the monomials
+    takes it; building powers by repeated multiplication changes the last bits.
+    0 ** 0 is 1; the terms it enters in a derivative have zero coefficient.
+    """
     with np.errstate(invalid="ignore"):
-        m = ci * cj * (xi ** pi) * (eta ** pj)
-    # 0^0 handled by numpy as 1; dropped terms already have zero coefficient
-    return m * inv_d ** (ax + ay)
+        return local_pts[..., 0, None] ** _POWERS, local_pts[..., 1, None] ** _POWERS
+
+
+def _monomials(powers, ax: int, ay: int, scale: np.ndarray) -> np.ndarray:
+    """Design matrix (..., P, 21) of the (ax, ay) derivative of all monomials.
+
+    ``powers`` is :func:`_powers` of centered/scaled local points and
+    ``scale`` is :func:`_inverse_powers` of the diameter, whose factors
+    convert local derivatives back to physical ones.
+    """
+    c, pi, pj = _MONOMIAL_FACTORS[ax, ay]
+    xp, yp = powers
+    m = c * xp[..., pi] * yp[..., pj]
+    return m * scale[..., ax + ay, None, None]
+
+
+def _evaluate(local_pts, scale, coeffs, orders, out=None) -> dict[str, np.ndarray]:
+    """Derivative tables (..., P, 21) of shapes with coefficients (..., 21, 21).
+
+    ``out`` may map a name to the array its table is written into.
+    """
+    powers = _powers(local_pts)
+    coeffs_t = np.swapaxes(coeffs, -1, -2)
+    out = out or {}
+    return {name: np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
+            for name, (ax, ay) in orders}
 
 
 _DERIV_ORDERS = {
@@ -91,6 +148,51 @@ _DERIV_ORDERS = {
 }
 
 
+def _dual_matrices(coords, centroid, diameter, midpoints, normals) -> np.ndarray:
+    """(B, 21, 21) dual matrices: F[t, j, k] is functional j of triangle t
+    applied to monomial k.
+
+    coords (B, 3, 2) are the vertices, centroid (B, 2), diameter (B,), and
+    midpoints and normals (B, 3, 2) the anchors and unit normals of the
+    midside functionals.
+    """
+    F = np.empty((len(coords), 21, 21))
+    inv_d = (1.0 / diameter)[:, None, None]
+    scale = _inverse_powers(diameter)
+    powers = _powers((coords - centroid[:, None, :]) * inv_d)
+    for k, (ax, ay) in enumerate(_DERIV_ORDERS.values()):
+        F[:, k:18:6] = _monomials(powers, ax, ay, scale)
+    powers = _powers((midpoints - centroid[:, None, :]) * inv_d)
+    F[:, 18:] = (normals[..., 0, None] * _monomials(powers, 1, 0, scale)
+                 + normals[..., 1, None] * _monomials(powers, 0, 1, scale))
+    return F
+
+
+def _solve_duals(F: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve F X = I for a block; return X (B, 21, 21) and the duality residuals (B,)."""
+    try:
+        X = np.linalg.solve(F, _EYE)
+    except np.linalg.LinAlgError as exc:
+        for t, f in zip(triangles, F):
+            try:
+                np.linalg.solve(f, _EYE)
+            except np.linalg.LinAlgError:
+                raise ElementConstructionError(
+                    f"dual system of triangle {t} is singular "
+                    f"(condition estimate {np.linalg.cond(f):.3e})"
+                ) from exc
+        raise
+    residual = np.abs(F @ X - _EYE).max(axis=(1, 2))
+    bad = np.flatnonzero(residual > DUALITY_TOL)
+    if bad.size:
+        k = bad[0]
+        raise ElementConstructionError(
+            f"duality residual {residual[k]:.3e} exceeds {DUALITY_TOL:g} on triangle "
+            f"{triangles[k]} (condition estimate {np.linalg.cond(F[k]):.3e})"
+        )
+    return X, residual
+
+
 @dataclass(frozen=True)
 class ElementBasis:
     """The 21 dual shape functions of one physical triangle.
@@ -98,7 +200,8 @@ class ElementBasis:
     coeffs[i, k] is the coefficient of monomial k (in centered/scaled local
     coordinates) of shape function i. Local DOF order: six slots per vertex
     (value, dx, dy, dxx, dxy, dyy) for vertices 0, 1, 2, then the midside
-    normal DOFs of edges (v0,v1), (v1,v2), (v2,v0).
+    normal DOFs of edges (v0,v1), (v1,v2), (v2,v0), anchored at ``midpoints``
+    with normals ``edge_normals``.
     """
 
     triangle: int
@@ -106,9 +209,17 @@ class ElementBasis:
     centroid: np.ndarray
     diameter: float
     coeffs: np.ndarray
-    functionals: tuple[DofFunctional, ...]
+    midpoints: np.ndarray
     edge_normals: np.ndarray
     duality_residual: float
+
+    @property
+    def functionals(self) -> tuple[DofFunctional, ...]:
+        """The 21 nodal functionals in local DOF order."""
+        vertex = (DofFunctional(kind=kind, anchor=a) for a in self.coords for kind in _DERIV_ORDERS)
+        normal = (DofFunctional(kind="normal", anchor=m, normal=n)
+                  for m, n in zip(self.midpoints, self.edge_normals))
+        return (*vertex, *normal)
 
     def local_coords(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -120,13 +231,8 @@ class ElementBasis:
         Returns a dict name -> (npoints, 21) array for each requested
         (name, (ax, ay)) pair.
         """
-        loc = self.local_coords(points)
-        inv_d = 1.0 / self.diameter
-        out = {}
-        for name, (ax, ay) in orders:
-            m = _monomial_matrix(loc, ax, ay, inv_d)
-            out[name] = m @ self.coeffs.T
-        return out
+        return _evaluate(self.local_coords(points), _inverse_powers(self.diameter),
+                         self.coeffs, orders)
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         def cross2(u, v):
@@ -141,18 +247,95 @@ class ElementBasis:
         return bool(min(l1, l2, l3) >= -tol)
 
 
-def _triangle_functionals(mesh: Mesh, t: int) -> tuple[list[DofFunctional], np.ndarray]:
-    coords = mesh.triangle_coords(t)
-    fns: list[DofFunctional] = []
-    for v in range(3):
-        for kind in _DERIV_ORDERS:
-            fns.append(DofFunctional(kind=kind, anchor=coords[v]))
-    normals = np.empty((3, 2))
-    for m, e in enumerate(mesh.triangle_edges[t]):
-        n = edge_normal(mesh, e)
-        normals[m] = n
-        fns.append(DofFunctional(kind="normal", anchor=mesh.edge_midpoints[e].copy(), normal=n))
-    return fns, normals
+@dataclass(frozen=True)
+class ElementBases(Sequence):
+    """Element bases of a set of triangles, stored as stacked arrays.
+
+    Item k is the :class:`ElementBasis` of triangle ``triangles[k]``, a view
+    into the arrays: coords, midpoints and edge_normals (T, 3, 2), centroid
+    (T, 2), diameter and duality_residual (T,), coeffs (T, 21, 21).
+    """
+
+    triangles: np.ndarray
+    coords: np.ndarray
+    centroid: np.ndarray
+    diameter: np.ndarray
+    coeffs: np.ndarray
+    midpoints: np.ndarray
+    edge_normals: np.ndarray
+    duality_residual: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.triangles)
+
+    def __getitem__(self, k) -> ElementBasis:
+        k = range(len(self))[operator.index(k)]
+        return ElementBasis(
+            triangle=int(self.triangles[k]),
+            coords=self.coords[k],
+            centroid=self.centroid[k],
+            diameter=float(self.diameter[k]),
+            coeffs=self.coeffs[k],
+            midpoints=self.midpoints[k],
+            edge_normals=self.edge_normals[k],
+            duality_residual=float(self.duality_residual[k]),
+        )
+
+    def evaluate(self, points, orders, block=slice(None), out=None) -> dict[str, np.ndarray]:
+        """Derivative tables of the triangles in ``block`` at their own points.
+
+        ``points`` is (B, P, 2) for the B triangles of the block; returns
+        name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``, written
+        into ``out[name]`` where ``out`` names an array.
+        """
+        local = (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
+        return _evaluate(local, _inverse_powers(self.diameter[block]), self.coeffs[block],
+                         orders, out)
+
+
+def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None = None) -> ElementBases:
+    """Bases of the given triangles, ``BLOCK`` dual systems per solve.
+
+    The triangles are checked in this order: any degenerate or misoriented
+    one, then per block any singular dual system, then any duality residual
+    above ``DUALITY_TOL``; the first triangle failing a check is named.
+    """
+    coords = mesh.vertices[mesh.triangles[triangles]]
+    u, v = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    area2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    bad = np.flatnonzero(area2 <= 0.0)
+    if bad.size:
+        k = bad[0]
+        raise ElementConstructionError(
+            f"triangle {triangles[k]} is degenerate or misoriented (2*area = {area2[k]:g})"
+        )
+
+    edges = mesh.triangle_edges[triangles]
+    if normals is None:
+        ends = mesh.vertices[mesh.edges[edges]]
+        normals = _unit_normals(ends[..., 0, :], ends[..., 1, :])
+    midpoints = mesh.edge_midpoints[edges]
+    centroid = coords.mean(axis=1)
+    chords = coords[:, (0, 0, 1)] - coords[:, (1, 2, 2)]
+    diameter = np.sqrt(np.vecdot(chords, chords)).max(axis=1)
+
+    X = np.empty((len(triangles), 21, 21))
+    residual = np.empty(len(triangles))
+    for lo in range(0, len(triangles), BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        F = _dual_matrices(coords[blk], centroid[blk], diameter[blk], midpoints[blk], normals[blk])
+        X[blk], residual[blk] = _solve_duals(F, triangles[blk])
+
+    return ElementBases(
+        triangles=triangles,
+        coords=coords,
+        centroid=centroid,
+        diameter=diameter,
+        coeffs=X.transpose(0, 2, 1),
+        midpoints=midpoints,
+        edge_normals=normals,
+        duality_residual=residual,
+    )
 
 
 def build_element_basis(mesh: Mesh, triangle_index: int, edge_normal_convention=None) -> ElementBasis:
@@ -162,78 +345,18 @@ def build_element_basis(mesh: Mesh, triangle_index: int, edge_normal_convention=
     to override the global convention (used in tests); the default is the
     shared lower-to-higher +90 convention required for C1 assembly.
     """
-    coords = mesh.triangle_coords(triangle_index)
-    u, v = coords[1] - coords[0], coords[2] - coords[0]
-    area2 = float(u[0] * v[1] - u[1] * v[0])
-    if area2 <= 0.0:
-        raise ElementConstructionError(
-            f"triangle {triangle_index} is degenerate or misoriented (2*area = {area2:g})"
-        )
-
-    fns, normals = _triangle_functionals(mesh, triangle_index)
+    normals = None
     if edge_normal_convention is not None:
         normals = np.array(
-            [edge_normal_convention(mesh, e) for e in mesh.triangle_edges[triangle_index]]
+            [[edge_normal_convention(mesh, e) for e in mesh.triangle_edges[triangle_index]]],
+            dtype=float,
         )
-        fns = [
-            DofFunctional(kind=f.kind, anchor=f.anchor, normal=normals[i - 18])
-            if f.kind == "normal"
-            else f
-            for i, f in enumerate(fns)
-        ]
-
-    centroid = coords.mean(axis=0)
-    diameter = max(
-        float(np.linalg.norm(coords[i] - coords[j])) for i in range(3) for j in range(i + 1, 3)
-    )
-    inv_d = 1.0 / diameter
-
-    F = np.empty((21, 21))
-    row = 0
-    for v in range(3):
-        loc = (coords[v] - centroid)[None, :] * inv_d
-        for kind in _DERIV_ORDERS:
-            ax, ay = _DERIV_ORDERS[kind]
-            F[row] = _monomial_matrix(loc, ax, ay, inv_d)[0]
-            row += 1
-    for m in range(3):
-        f = fns[18 + m]
-        loc = ((f.anchor - centroid) * inv_d)[None, :]
-        gx = _monomial_matrix(loc, 1, 0, inv_d)[0]
-        gy = _monomial_matrix(loc, 0, 1, inv_d)[0]
-        F[row] = f.normal[0] * gx + f.normal[1] * gy
-        row += 1
-
-    try:
-        coeffs = np.linalg.solve(F, np.eye(21)).T
-    except np.linalg.LinAlgError as exc:
-        raise ElementConstructionError(
-            f"dual system of triangle {triangle_index} is singular "
-            f"(condition estimate {np.linalg.cond(F):.3e})"
-        ) from exc
-
-    residual = float(np.abs(F @ coeffs.T - np.eye(21)).max())
-    if residual > DUALITY_TOL:
-        raise ElementConstructionError(
-            f"duality residual {residual:.3e} exceeds {DUALITY_TOL:g} on triangle "
-            f"{triangle_index} (condition estimate {np.linalg.cond(F):.3e})"
-        )
-
-    return ElementBasis(
-        triangle=int(triangle_index),
-        coords=coords,
-        centroid=centroid,
-        diameter=diameter,
-        coeffs=coeffs,
-        functionals=tuple(fns),
-        edge_normals=normals,
-        duality_residual=residual,
-    )
+    return _build_bases(mesh, np.array([triangle_index]), normals)[0]
 
 
-def build_all_bases(mesh: Mesh) -> list[ElementBasis]:
+def build_all_bases(mesh: Mesh) -> ElementBases:
     """Element bases for every triangle of the mesh."""
-    return [build_element_basis(mesh, t) for t in range(mesh.num_triangles)]
+    return _build_bases(mesh, np.arange(mesh.num_triangles))
 
 
 EVAL_ORDERS = (
@@ -282,27 +405,15 @@ def interpolate_field(mesh: Mesh, dofmap, derivatives: dict) -> np.ndarray:
     mx, my = mesh.edge_midpoints[:, 0], mesh.edge_midpoints[:, 1]
     gx = derivatives["dx"](mx, my)
     gy = derivatives["dy"](mx, my)
-    for e in range(mesh.num_edges):
-        n = edge_normal(mesh, e)
-        coeffs[dofmap.edge_dofs[e]] = n[0] * gx[e] + n[1] * gy[e]
+    n = _unit_normals(mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]])
+    coeffs[dofmap.edge_dofs] = n[:, 0] * gx + n[:, 1] * gy
     return coeffs
 
 
 def dump_duality_csv(basis: ElementBasis, path) -> None:
     """Write the 21 x 21 duality matrix F_j(phi_i) of one element as CSV."""
-    inv_d = 1.0 / basis.diameter
-    F = np.empty((21, 21))
-    row = 0
-    for f in basis.functionals:
-        loc = ((f.anchor - basis.centroid) * inv_d)[None, :]
-        if f.kind == "normal":
-            gx = _monomial_matrix(loc, 1, 0, inv_d)[0]
-            gy = _monomial_matrix(loc, 0, 1, inv_d)[0]
-            F[row] = f.normal[0] * gx + f.normal[1] * gy
-        else:
-            ax, ay = _DERIV_ORDERS[f.kind]
-            F[row] = _monomial_matrix(loc, ax, ay, inv_d)[0]
-        row += 1
+    F = _dual_matrices(basis.coords[None], basis.centroid[None], np.array([basis.diameter]),
+                       basis.midpoints[None], basis.edge_normals[None])[0]
     duality = F @ basis.coeffs.T
     with open(path, "w") as fh:
         fh.write(",".join(f"shape_{i}" for i in range(21)) + "\n")

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .argyris import ElementBasis, build_all_bases
+from .argyris import BLOCK, ElementBases, build_all_bases
 from .mesh import DofMap, Mesh
 from .quadrature import QuadratureRule, map_to_triangle, rule as quad_rule
 from .solvers import SparseMatrix, from_coo
@@ -46,11 +46,14 @@ class ElementTables:
 
     Arrays are (T, nq, 21) for dx, dy, lap (plus dxx, dxy, dyy when
     ``second_derivatives`` is set), (T, nq, 2) physical points and (T, nq)
-    area-scaled weights. Building this once and reusing it across assemblies
-    is what makes the fixed-point iteration cheap.
+    area-scaled weights. They are filled ``BLOCK`` triangles at a time: one
+    batched ``map_to_triangle`` and one batched matmul per derivative table,
+    written straight into the arrays, with the same per-triangle arithmetic
+    as ``ElementBasis.evaluate``. Building this once and reusing it across
+    assemblies is what makes the fixed-point iteration cheap.
     """
 
-    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: list[ElementBasis] | None = None,
+    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases | None = None,
                  second_derivatives: bool = False, values: bool = False):
         if bases is None:
             bases = build_all_bases(mesh)
@@ -64,28 +67,23 @@ class ElementTables:
         self.dy = np.empty((nt, nq, 21))
         self.lap = np.empty((nt, nq, 21))
         orders = [("dx", (1, 0)), ("dy", (0, 1)), ("dxx", (2, 0)), ("dyy", (0, 2))]
+        kept = {"dx": self.dx, "dy": self.dy}
         if second_derivatives:
             orders.append(("dxy", (1, 1)))
             self.dxx = np.empty((nt, nq, 21))
             self.dxy = np.empty((nt, nq, 21))
             self.dyy = np.empty((nt, nq, 21))
+            kept.update(dxx=self.dxx, dxy=self.dxy, dyy=self.dyy)
         if values:
             orders.append(("value", (0, 0)))
             self.values = np.empty((nt, nq, 21))
-        for t, basis in enumerate(bases):
-            pts, wts = map_to_triangle(rule, basis.coords)
-            self.points[t] = pts
-            self.weights[t] = wts
-            tab = basis.evaluate(pts, orders)
-            self.dx[t] = tab["dx"]
-            self.dy[t] = tab["dy"]
-            self.lap[t] = tab["dxx"] + tab["dyy"]
-            if second_derivatives:
-                self.dxx[t] = tab["dxx"]
-                self.dxy[t] = tab["dxy"]
-                self.dyy[t] = tab["dyy"]
-            if values:
-                self.values[t] = tab["value"]
+            kept["value"] = self.values
+        for lo in range(0, nt, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            self.points[blk], self.weights[blk] = map_to_triangle(rule, bases.coords[blk])
+            tab = bases.evaluate(self.points[blk], orders, blk,
+                                 out={name: table[blk] for name, table in kept.items()})
+            np.add(tab["dxx"], tab["dyy"], out=self.lap[blk])
 
     def dof_arrays(self, dofmap: DofMap) -> np.ndarray:
         """(T, 21) global DOFs of every triangle, rows as DofMap.triangle_dofs."""

@@ -25,7 +25,7 @@ from .analysis import (
     format_table,
     write_csv,
 )
-from .assembly import assemble_biharmonic, assemble_convection, manufactured_rhs
+from .assembly import ElementTables, assemble_biharmonic, assemble_convection, manufactured_rhs
 from .mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs, export_mesh_csv
 from .picard import PicardConfig, PicardError, solve_biharmonic_problem, solve_linearized_nse
 from .quadrature import SUPPORTED_POINT_COUNTS, rule as quad_rule
@@ -218,11 +218,12 @@ def cmd_compare_orderings(args) -> int:
     rows = []
     timing_rows = []
     base = _config_from_args(args)
+    q = quad_rule(base.n_quad_points)
+    tables = ElementTables(mesh, q)
     for scheme in (1, 2, 3):
         config = replace(base, ordering=OrderingScheme.from_int(scheme))
         dofmap = enumerate_dofs(mesh, scheme, minimal_bc=config.minimal_bc)
-        q = quad_rule(config.n_quad_points)
-        A = assemble_biharmonic(mesh, dofmap, q, config.reynolds)
+        A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
         stats = bandwidth_stats(A.matrix)
         t0 = time.perf_counter()
         coeffs, trace = solve_linearized_nse(mesh, config)

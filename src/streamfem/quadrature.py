@@ -140,24 +140,23 @@ def rule(n_points: int) -> QuadratureRule:
 
 
 def map_to_triangle(q: QuadratureRule, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map reference points/weights to a physical triangle.
+    """Map reference points/weights to a physical triangle or a stack of them.
 
     Parameters
     ----------
-    coords : (3, 2) array
-        Physical vertex coordinates.
+    coords : (..., 3, 2) array
+        Physical vertex coordinates of one triangle, or of a stack of them.
 
     Returns
     -------
-    points : (nq, 2) physical quadrature points
-    weights : (nq,) weights scaled by |area| so that sum(w f) ~ integral
+    points : (..., nq, 2) physical quadrature points
+    weights : (..., nq) weights scaled by |area| so that sum(w f) ~ integral
     """
-    a, b, c = coords
-    x = q.points[:, 0]
-    y = q.points[:, 1]
-    pts = a[None, :] + np.outer(x, b - a) + np.outer(y, c - a)
-    u, v = b - a, c - a
-    area = 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
+    coords = np.asarray(coords, dtype=float)
+    a = coords[..., 0, None, :]
+    u, v = coords[..., 1, None, :] - a, coords[..., 2, None, :] - a
+    pts = a + q.points[:, 0, None] * u + q.points[:, 1, None] * v
+    area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     return pts, q.weights * area
 
 
