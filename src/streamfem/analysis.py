@@ -4,9 +4,11 @@ Error norms are always integrated with the degree-10 verification rule so
 that reported errors measure the discretization, not the assembly
 quadrature. The H2 seminorm uses the multi-index convention
 (e_xx^2 + e_xy^2 + e_yy^2). Sparsity patterns are written as bit-exact PBM
-plus annotated SVG; stream-function contours come from marching squares on
-a uniform sampling grid and are written as SVG plus a full-precision CSV of
-the grid.
+plus annotated SVG; the PBM is streamed by blocks of ``ROW_BLOCK`` matrix
+rows, so no N x N grid is held in memory. Stream-function contours come
+from marching squares, one vectorized pass over all cells of a uniform
+sampling grid, and are written as SVG plus a full-precision CSV of the
+grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .argyris import ElementBases, build_all_bases
 from .assembly import ElementTables
 from .mesh import DofMap, Mesh
 from .quadrature import rule as quad_rule
-from .solvers import SparseMatrix
+from .solvers import WRITE_CHUNK, SparseMatrix
 
 VERIFICATION_RULE_POINTS = 25
 
@@ -148,6 +150,9 @@ def evaluate_field(
 
 # --- sparsity pattern export -------------------------------------------------
 
+ROW_BLOCK = 256  # matrix rows per PBM write
+
+
 def export_sparsity(A: SparseMatrix, path_stem) -> dict:
     """Write the nonzero pattern as <stem>.pbm and <stem>.svg.
 
@@ -159,17 +164,19 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
 
     stats = bandwidth_stats(A)
     n = A.dimension
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    cols = A.indices
+    indptr, cols = A.indptr, A.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
 
     pbm_path = f"{path_stem}.pbm"
-    grid = np.zeros((n, n), dtype=np.uint8)
-    grid[rows, cols] = 1
-    with open(pbm_path, "w") as f:
-        f.write("P1\n")
-        f.write(f"{n} {n}\n")
-        for r in range(n):
-            f.write("".join("1" if v else "0" for v in grid[r]) + "\n")
+    with open(pbm_path, "wb") as f:
+        f.write(f"P1\n{n} {n}\n".encode())
+        for r0 in range(0, n, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, n)
+            block = np.full((r1 - r0, n + 1), ord("0"), dtype=np.uint8)
+            block[:, n] = ord("\n")
+            lo, hi = indptr[r0], indptr[r1]
+            block[rows[lo:hi] - r0, cols[lo:hi]] = ord("1")
+            f.write(block.tobytes())
 
     svg_path = f"{path_stem}.svg"
     cell = max(1, 600 // n)
@@ -182,11 +189,13 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             f'viewBox="0 0 {size} {size + margin}">\n'
         )
         f.write(f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n')
-        for r, c in zip(rows, cols):
-            f.write(
-                f'<rect x="{int(c) * cell}" y="{int(r) * cell}" '
-                f'width="{cell}" height="{cell}" fill="black"/>\n'
-            )
+        for k in range(0, len(cols), WRITE_CHUNK):
+            xs = (cols[k:k + WRITE_CHUNK] * cell).tolist()
+            ys = (rows[k:k + WRITE_CHUNK] * cell).tolist()
+            f.write("".join(
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="black"/>\n'
+                for x, y in zip(xs, ys)
+            ))
         f.write(
             f'<text x="4" y="{size + margin - 8}" font-size="14" font-family="monospace">'
             f'n={n} nnz={stats["nnz"]} bandwidth={stats["bandwidth"]} '
@@ -199,46 +208,47 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
 
 # --- contour extraction ------------------------------------------------------
 
+# corner k of cell (j, i) is grid[j + CORNER_DJ[k], i + CORNER_DI[k]]; edge e
+# runs from corner e to corner (e + 1) % 4
+CORNER_DJ = np.array([0, 0, 1, 1])
+CORNER_DI = np.array([0, 1, 1, 0])
+# (edge, edge) pairs per case code; saddles 5 and 10 are listed for a centre
+# value <= level and swap codes (5 <-> 10) when the centre lies above it
+CASE_PAIRS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 5: [(3, 0), (1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)], 10: [(0, 1), (2, 3)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+PAIR_COUNT = np.array([len(CASE_PAIRS.get(c, ())) for c in range(16)])
+PAIR_EDGES = np.zeros((16, 2, 2), dtype=np.int64)  # [case, pair, end]
+for _case, _pairs in CASE_PAIRS.items():
+    PAIR_EDGES[_case, :len(_pairs)] = _pairs
+
+
 def _marching_squares(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: float):
-    """Segment soup of the iso-line ``grid == level`` (grid indexed [j, i])."""
-    segments = []
-    nj, ni = grid.shape
+    """Segment soup of the iso-line ``grid == level`` (grid indexed [j, i]).
 
-    def interp(pa, pb, va, vb):
-        t = (level - va) / (vb - va)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    Cells are visited row-major and each crossed edge is interpolated as
+    ``p_a + t (p_b - p_a)`` with ``t = (level - v_a) / (v_b - v_a)``.
+    """
+    v = [grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]]  # corners 0-3
+    case = sum((v[k] > level).astype(np.int64) << k for k in range(4))
+    saddle = (case == 5) | (case == 10)
+    centre = 0.25 * (((v[0][saddle] + v[1][saddle]) + v[2][saddle]) + v[3][saddle])
+    case[saddle] = np.where(centre <= level, case[saddle], 15 - case[saddle])
 
-    for j in range(nj - 1):
-        for i in range(ni - 1):
-            v = [grid[j, i], grid[j, i + 1], grid[j + 1, i + 1], grid[j + 1, i]]
-            p = [(xs[i], ys[j]), (xs[i + 1], ys[j]), (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            case = sum(1 << k for k in range(4) if v[k] > level)
-            if case in (0, 15):
-                continue
-            edges = {
-                0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 0),
-            }
-
-            def pt(edge):
-                a, b = edges[edge]
-                return interp(p[a], p[b], v[a], v[b])
-
-            table = {
-                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-            }
-            if case in (5, 10):
-                center = 0.25 * sum(v)
-                if case == 5:
-                    pairs = [(3, 0), (1, 2)] if center <= level else [(0, 1), (2, 3)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center <= level else [(3, 0), (1, 2)]
-            else:
-                pairs = table[case]
-            for ea, eb in pairs:
-                segments.append((pt(ea), pt(eb)))
-    return segments
+    case = case.ravel()
+    # each cell has two pair slots; keep the used ones in cell, then pair order
+    seg_cell, seg_pair = np.divmod(np.flatnonzero(np.arange(2) < PAIR_COUNT[case][:, None]), 2)
+    edge = PAIR_EDGES[case[seg_cell], seg_pair]  # (segments, 2)
+    j, i = np.divmod(seg_cell, grid.shape[1] - 1)
+    ja, ia = j[:, None] + CORNER_DJ[edge], i[:, None] + CORNER_DI[edge]
+    jb, ib = j[:, None] + CORNER_DJ[(edge + 1) % 4], i[:, None] + CORNER_DI[(edge + 1) % 4]
+    va, vb = grid[ja, ia], grid[jb, ib]
+    t = (level - va) / (vb - va)
+    px = (xs[ia] + t * (xs[ib] - xs[ia])).tolist()
+    py = (ys[ja] + t * (ys[jb] - ys[ja])).tolist()
+    return [((xa, ya), (xb, yb)) for (xa, xb), (ya, yb) in zip(px, py)]
 
 
 def _chain_segments(segments, tol=1e-9):
@@ -311,9 +321,9 @@ def export_contours(
     csv_path = f"{path_stem}.csv"
     with open(csv_path, "w") as f:
         f.write("x,y,psi\n")
-        for j in range(grid_size):
-            for i in range(grid_size):
-                f.write(f"{float(xs[i])!r},{float(ys[j])!r},{float(grid[j, i])!r}\n")
+        x_text = [repr(x) for x in xs.tolist()]
+        for y, row in zip(ys.tolist(), grid):
+            f.write("".join(f"{x},{y!r},{psi!r}\n" for x, psi in zip(x_text, row.tolist())))
 
     per_level = {}
     for level in levels:

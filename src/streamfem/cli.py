@@ -248,15 +248,18 @@ def cmd_export_sparsity(args) -> int:
     mesh = build_uniform_mesh(args.n)
     dofmap = enumerate_dofs(mesh, args.ordering, minimal_bc=args.minimal_bc)
     q = quad_rule(args.nqp)
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds)
     if args.with_convection:
+        # solve first, so the solve's own tables are freed before the shared
+        # ones are built; both forms then use one set of bases and tables
         coeffs, _ = solve_biharmonic_problem(mesh, config)
-        B = assemble_convection(mesh, dofmap, q, coeffs,
+        tables = ElementTables(mesh, q)
+        A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
+        B = assemble_convection(mesh, dofmap, q, coeffs, tables=tables,
                                 flip_convention=args.flip_sign_convention)
         matrix = A.matrix + B.matrix
         stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
-        matrix = A.matrix
+        matrix = assemble_biharmonic(mesh, dofmap, q, config.reynolds).matrix
         stem = out / f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
     result = export_sparsity(matrix, stem)
     write_matrix_market(matrix, f"{stem}.mtx")

@@ -428,6 +428,9 @@ def _bitwise_symmetric(csr) -> bool:
     )
 
 
+WRITE_CHUNK = 1024  # entries formatted per write; larger chunks raised peak RSS
+
+
 def write_matrix_market(A: SparseMatrix, path) -> None:
     """Write the matrix in Matrix Market coordinate format (1-based).
 
@@ -447,8 +450,15 @@ def write_matrix_market(A: SparseMatrix, path) -> None:
             rows, cols, data = coo.row, coo.col, coo.data
         order = np.lexsort((rows, cols))
         f.write(f"{A.dimension} {A.dimension} {len(data)}\n")
-        for k in order:
-            f.write(f"{rows[k] + 1} {cols[k] + 1} {float(data[k])!r}\n")
+        for k in range(0, len(order), WRITE_CHUNK):
+            chunk = order[k:k + WRITE_CHUNK]
+            f.write("".join(
+                f"{r} {c} {v!r}\n" for r, c, v in
+                zip((rows[chunk] + 1).tolist(), (cols[chunk] + 1).tolist(), data[chunk].tolist())
+            ))
+
+
+MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", float)])
 
 
 def read_matrix_market(path) -> SparseMatrix:
@@ -464,12 +474,15 @@ def read_matrix_market(path) -> SparseMatrix:
         n, m, nnz = (int(v) for v in line.split())
         if n != m:
             raise ValueError("only square matrices are supported")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            a, b, v = f.readline().split()
-            rows[k], cols[k], vals[k] = int(a) - 1, int(b) - 1, float(v)
+        # one C-level pass that makes no Python object per entry
+        entries = np.empty(0, MM_ENTRY)
+        if nnz:  # loadtxt warns when it reads no data
+            entries = np.loadtxt(f, dtype=MM_ENTRY, max_rows=nnz, ndmin=1)
+    if len(entries) < nnz:
+        raise ValueError(
+            f"{path}: the header declares {nnz} entries but the body holds {len(entries)}"
+        )
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["value"]
     if symmetric:
         off = rows != cols
         rows, cols, vals = (
