@@ -12,16 +12,16 @@ with a CLI (``streamfem``) wiring the pieces into reproducible runs.
 from .mesh import Mesh, DofMap, OrderingScheme, build_uniform_mesh, enumerate_dofs
 from .quadrature import QuadratureRule, rule, integrate_on_triangle
 from .argyris import ElementBasis, ElementBases, DofFunctional, build_element_basis, build_all_bases, eval_shape
-from .assembly import (
-    BilinearFormMatrix,
-    LoadVector,
-    assemble_biharmonic,
-    assemble_convection,
-    assemble_load,
-    manufactured_rhs,
-)
+from .assembly import assemble_biharmonic, assemble_convection, assemble_load, manufactured_rhs
 from .solvers import SparseMatrix, SolveReport, pcg, bicgstab, bandwidth_stats
-from .picard import PicardConfig, PicardTrace, solve_biharmonic_problem, solve_linearized_nse
+from .picard import (
+    Discretization,
+    PicardConfig,
+    PicardTrace,
+    discretize,
+    solve_biharmonic_problem,
+    solve_linearized_nse,
+)
 from .analysis import ErrorReport, compute_errors, evaluate_field, export_sparsity, export_contours
 
 __version__ = "0.1.0"
@@ -41,8 +41,6 @@ __all__ = [
     "build_element_basis",
     "build_all_bases",
     "eval_shape",
-    "BilinearFormMatrix",
-    "LoadVector",
     "assemble_biharmonic",
     "assemble_convection",
     "assemble_load",
@@ -52,8 +50,10 @@ __all__ = [
     "pcg",
     "bicgstab",
     "bandwidth_stats",
+    "Discretization",
     "PicardConfig",
     "PicardTrace",
+    "discretize",
     "solve_biharmonic_problem",
     "solve_linearized_nse",
     "ErrorReport",

@@ -385,35 +385,30 @@ def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
     """
     import time as _time
 
-    from .picard import PicardError, solve_biharmonic_problem, solve_linearized_nse
+    from .picard import PicardError, discretize, solve_biharmonic_problem, solve_linearized_nse
 
     if problem not in ("biharmonic", "nse"):
         raise ValueError(f"unknown problem '{problem}'")
     headers = BIHARMONIC_TABLE_HEADERS if problem == "biharmonic" else NSE_TABLE_HEADERS
     rows = []
     for mesh, config in configs:
-        dofmap = None
         t0 = _time.perf_counter()
         scheme = config.ordering if isinstance(config.ordering, int) else config.ordering.value
         base = [f"1/{mesh.n}", config.n_quad_points, scheme]
+        disc = discretize(mesh, config)
         try:
             if problem == "biharmonic":
-                coeffs, report = solve_biharmonic_problem(mesh, config, load=load)
+                coeffs, report = solve_biharmonic_problem(disc, load=load)
                 status = "ok" if report.converged else "not-converged"
             else:
-                coeffs, trace = solve_linearized_nse(mesh, config)
+                coeffs, trace = solve_linearized_nse(disc)
                 status = "ok" if trace.converged else "not-converged"
         except PicardError as exc:
             rows.append(base + [f"failed: {exc}"] + [""] * (len(headers) - 5)
                         + [_time.perf_counter() - t0])
             continue
         elapsed = _time.perf_counter() - t0
-        from .assembly import manufactured_rhs
-        from .mesh import enumerate_dofs
-
-        dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
-        ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
-        errors = compute_errors(mesh, dofmap, coeffs, ms)
+        errors = compute_errors(mesh, disc.dofmap, coeffs, disc.ms)
         if problem == "biharmonic":
             rows.append(base + [status, report.flops, errors.nodal_max, errors.l2,
                                 report.iterations, elapsed])

@@ -91,29 +91,6 @@ class ElementTables:
                           dofmap.edge_dofs[self.mesh.triangle_edges]])
 
 
-@dataclass(frozen=True)
-class BilinearFormMatrix:
-    """Assembled form over free DOFs plus its defining data."""
-
-    matrix: SparseMatrix
-    form: str                      # 'biharmonic' or 'convection'
-    reynolds: float | None = None
-    xi: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class LoadVector:
-    vector: np.ndarray
-    source: str = "zero"
-
-    def export_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(f"# source = {self.source}\n")
-            f.write("index,value\n")
-            for i, v in enumerate(self.vector):
-                f.write(f"{i},{float(v)!r}\n")
-
-
 def _scatter(mesh, dofmap, tri_dofs, local_blocks, is_symmetric, reduced):
     """Accumulate (T, 21, 21) local matrices into the global CSR matrix."""
     nt = mesh.num_triangles
@@ -147,7 +124,7 @@ def assemble_biharmonic(
     reynolds: float = 1.0,
     tables: ElementTables | None = None,
     reduced: bool = True,
-) -> BilinearFormMatrix:
+) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi).
 
     The integration rule is promoted to one exact for the degree-6
@@ -161,8 +138,7 @@ def assemble_biharmonic(
     local = np.einsum("tq,tqi,tqj->tij", tables.weights, tables.lap, tables.lap)
     local /= reynolds
     tri_dofs = tables.dof_arrays(dofmap)
-    matrix = _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=True, reduced=reduced)
-    return BilinearFormMatrix(matrix=matrix, form="biharmonic", reynolds=reynolds)
+    return _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=True, reduced=reduced)
 
 
 def assemble_convection(
@@ -173,7 +149,7 @@ def assemble_convection(
     tables: ElementTables | None = None,
     flip_convention: bool = False,
     reduced: bool = True,
-) -> BilinearFormMatrix:
+) -> SparseMatrix:
     """Assemble the linearized convection form with frozen field xi.
 
     xi is a full-DOF coefficient vector (constrained entries zero). The
@@ -195,8 +171,7 @@ def assemble_convection(
     local = cross - np.transpose(cross, (0, 2, 1))
     if flip_convention:
         local = -local
-    matrix = _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=False, reduced=reduced)
-    return BilinearFormMatrix(matrix=matrix, form="convection", xi=xi)
+    return _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=False, reduced=reduced)
 
 
 def assemble_load(
@@ -205,9 +180,8 @@ def assemble_load(
     rule: QuadratureRule,
     f: Callable,
     tables: ElementTables | None = None,
-    source: str = "manufactured",
     reduced: bool = True,
-) -> LoadVector:
+) -> np.ndarray:
     """Assemble l[i] = int f . (dphi_i/dy, -dphi_i/dx) over free DOFs.
 
     ``f(x, y)`` takes coordinate arrays and returns (f1, f2) arrays.
@@ -225,13 +199,13 @@ def assemble_load(
     if not reduced:
         vec = np.zeros(dofmap.total_dofs)
         np.add.at(vec, tri_dofs.ravel(), local.ravel())
-        return LoadVector(vector=vec, source=source)
+        return vec
     vec = np.zeros(dofmap.num_free)
     free = dofmap.free_of_global
     r = free[tri_dofs.ravel()]
     keep = r >= 0
     np.add.at(vec, r[keep], local.ravel()[keep])
-    return LoadVector(vector=vec, source=source)
+    return vec
 
 
 # --- manufactured solution -------------------------------------------------
@@ -277,18 +251,8 @@ class ManufacturedSolution:
     def exact_dyy(self, x, y):
         return _g(x) * _d2g(y)
 
-    def exact_laplacian(self, x, y):
-        return self.exact_dxx(x, y) + self.exact_dyy(x, y)
-
     def exact_gradient(self, x, y):
         return self.exact_dx(x, y), self.exact_dy(x, y)
-
-    def velocity(self, x, y):
-        s = -1.0 if self.flip_convention else 1.0
-        return s * self.exact_dy(x, y), -s * self.exact_dx(x, y)
-
-    def pressure(self, x, y):
-        return x ** 3 + y ** 3 - 0.5
 
     def forcing(self, x, y):
         """f = -Re^-1 lap(u) + (u.grad)u + grad p, componentwise.

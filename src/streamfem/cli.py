@@ -3,7 +3,8 @@
 Subcommands: mesh-info, solve-biharmonic, solve-nse, compare-orderings,
 export-sparsity, export-contours, convergence-table. All file outputs land
 under --out-dir with deterministic names; wall-clock times are isolated in
-timings.csv so every other file is bitwise reproducible.
+timings.csv so every other file is bitwise reproducible. A command whose
+solve does not converge says so on stderr and exits 1; bad input exits 2.
 
 Options may also come from a config file of key=value lines (--config);
 precedence is defaults < config file < command-line flags.
@@ -25,11 +26,20 @@ from .analysis import (
     format_table,
     write_csv,
 )
-from .assembly import ElementTables, assemble_biharmonic, assemble_convection, manufactured_rhs
+from .assembly import assemble_biharmonic, assemble_convection
 from .mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs, export_mesh_csv
-from .picard import PicardConfig, PicardError, solve_biharmonic_problem, solve_linearized_nse
+from .picard import (
+    PicardConfig,
+    PicardError,
+    discretize,
+    solve_biharmonic_problem,
+    solve_linearized_nse,
+)
 from .quadrature import SUPPORTED_POINT_COUNTS, rule as quad_rule
 from .solvers import bandwidth_stats, write_matrix_market
+
+PCG_FAILED = "PCG did not converge"
+PICARD_FAILED = "fixed-point iteration did not converge"
 
 
 def _read_config_file(path) -> dict:
@@ -142,30 +152,30 @@ def cmd_mesh_info(args) -> int:
     return 0
 
 
+def _fail(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def cmd_solve_biharmonic(args) -> int:
     out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     t0 = time.perf_counter()
-    coeffs, report = solve_biharmonic_problem(mesh, config, load=args.load)
+    disc = discretize(mesh, config)
+    coeffs, report = solve_biharmonic_problem(disc, load=args.load)
     elapsed = time.perf_counter() - t0
-
-    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
-    ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
+    dofmap, ms = disc.dofmap, disc.ms
+    del disc  # free its tables and A before the error pass builds its own tables
     errors = compute_errors(mesh, dofmap, coeffs, ms)
 
-    (out / "solve_report.txt").write_text(
-        report.as_text().replace(f"wall_time_s = {report.wall_time:.6f}\n", "")
-    )
+    (out / "solve_report.txt").write_text(report.as_text())
     (out / "error_report.txt").write_text(errors.as_text())
     np.save(out / "coefficients.npy", coeffs)
     _write_timings(out, [["solve", elapsed]])
     print(f"pcg iterations = {report.iterations:g}, converged = {report.converged}")
     print(errors.as_text(), end="")
-    if not report.converged:
-        print("error: PCG did not converge", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if report.converged else _fail(PCG_FAILED)
 
 
 def cmd_solve_nse(args) -> int:
@@ -173,18 +183,17 @@ def cmd_solve_nse(args) -> int:
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     t0 = time.perf_counter()
+    disc = discretize(mesh, config)
     try:
-        coeffs, trace = solve_linearized_nse(mesh, config)
+        coeffs, trace = solve_linearized_nse(disc)
     except PicardError as exc:
         elapsed = time.perf_counter() - t0
         exc.trace.export_csv(out / "picard_trace.csv")
         _write_timings(out, [["solve", elapsed]])
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     elapsed = time.perf_counter() - t0
-
-    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
-    ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
+    dofmap, ms = disc.dofmap, disc.ms
+    del disc  # free its tables and A before the error pass builds its own tables
     errors = compute_errors(mesh, dofmap, coeffs, ms)
 
     trace.export_csv(out / "picard_trace.csv")
@@ -202,10 +211,7 @@ def cmd_solve_nse(args) -> int:
     _write_timings(out, [["solve", elapsed]])
     print(summary, end="")
     print(errors.as_text(), end="")
-    if not trace.converged:
-        print("error: fixed-point iteration did not converge", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if trace.converged else _fail(PICARD_FAILED)
 
 
 def cmd_compare_orderings(args) -> int:
@@ -217,17 +223,23 @@ def cmd_compare_orderings(args) -> int:
     ]
     rows = []
     timing_rows = []
+    failures = []
     base = _config_from_args(args)
-    q = quad_rule(base.n_quad_points)
-    tables = ElementTables(mesh, q)
+    tables = None  # the element tables do not depend on the ordering: built once
     for scheme in (1, 2, 3):
-        config = replace(base, ordering=OrderingScheme.from_int(scheme))
-        dofmap = enumerate_dofs(mesh, scheme, minimal_bc=config.minimal_bc)
-        A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
-        stats = bandwidth_stats(A.matrix)
         t0 = time.perf_counter()
-        coeffs, trace = solve_linearized_nse(mesh, config)
+        disc = discretize(mesh, replace(base, ordering=OrderingScheme.from_int(scheme)),
+                          tables=tables)
+        tables = disc.tables
+        try:
+            _, trace = solve_linearized_nse(disc)
+            if not trace.converged:
+                failures.append(f"ordering {scheme}: {PICARD_FAILED}")
+        except PicardError as exc:
+            trace = exc.trace
+            failures.append(f"ordering {scheme}: {exc}")
         elapsed = time.perf_counter() - t0
+        stats = bandwidth_stats(disc.A)
         rows.append([
             scheme, stats["bandwidth"], stats["profile"], stats["nnz"],
             trace.total_flops, trace.mean_inner_iterations,
@@ -239,27 +251,29 @@ def cmd_compare_orderings(args) -> int:
     write_csv(out / "ordering_study.csv", headers, rows)
     _write_timings(out, timing_rows)
     print(table, end="")
-    return 0
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_export_sparsity(args) -> int:
     out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
-    dofmap = enumerate_dofs(mesh, args.ordering, minimal_bc=args.minimal_bc)
-    q = quad_rule(args.nqp)
     if args.with_convection:
-        # solve first, so the solve's own tables are freed before the shared
-        # ones are built; both forms then use one set of bases and tables
-        coeffs, _ = solve_biharmonic_problem(mesh, config)
-        tables = ElementTables(mesh, q)
-        A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
-        B = assemble_convection(mesh, dofmap, q, coeffs, tables=tables,
-                                flip_convention=args.flip_sign_convention)
-        matrix = A.matrix + B.matrix
+        disc = discretize(mesh, config)
+        coeffs, report = solve_biharmonic_problem(disc)
+        if not report.converged:
+            return _fail(PCG_FAILED)
+        matrix = disc.A + assemble_convection(mesh, disc.dofmap, disc.q, coeffs,
+                                              tables=disc.tables,
+                                              flip_convention=config.flip_convention)
         stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
-        matrix = assemble_biharmonic(mesh, dofmap, q, config.reynolds).matrix
+        # only A is needed: no n.q.p. tables, which would add to this op's peak memory
+        dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
+        matrix = assemble_biharmonic(mesh, dofmap, quad_rule(config.n_quad_points),
+                                     config.reynolds)
         stem = out / f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
     result = export_sparsity(matrix, stem)
     write_matrix_market(matrix, f"{stem}.mtx")
@@ -274,20 +288,21 @@ def cmd_export_contours(args) -> int:
     out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
+    disc = discretize(mesh, config)
     if args.problem == "nse":
         try:
-            coeffs, _ = solve_linearized_nse(mesh, config)
+            coeffs, trace = solve_linearized_nse(disc)
         except PicardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
+        if not trace.converged:
+            return _fail(PICARD_FAILED)
     else:
-        coeffs, report = solve_biharmonic_problem(mesh, config)
+        coeffs, report = solve_biharmonic_problem(disc)
         if not report.converged:
-            print("error: PCG did not converge", file=sys.stderr)
-            return 1
-    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
+            return _fail(PCG_FAILED)
     stem = out / f"contours_{args.problem}_n{args.n}"
-    result = export_contours(mesh, dofmap, coeffs, stem, grid_size=args.grid_size)
+    result = export_contours(mesh, disc.dofmap, coeffs, stem, grid_size=args.grid_size,
+                             bases=disc.tables.bases)
     print(f"wrote {result['svg']} and {result['csv']} ({len(result['levels'])} levels)")
     return 0
 
@@ -303,7 +318,8 @@ def cmd_convergence_table(args) -> int:
     (out / f"{name}.txt").write_text(result["text"])
     write_csv(out / f"{name}.csv", result["headers"], result["rows"])
     print(result["text"], end="")
-    return 0
+    failed = [row[0] for row in result["rows"] if row[3] != "ok"]
+    return _fail(f"no converged solve at h = {', '.join(failed)}") if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -220,14 +220,6 @@ class DofMap:
     def num_free(self) -> int:
         return len(self.globals_of_free)
 
-    def vertex_dof(self, v: int, slot: int | str) -> int:
-        if isinstance(slot, str):
-            slot = SLOT_INDEX[slot]
-        return int(self.vertex_dofs[v, slot])
-
-    def edge_dof(self, e: int) -> int:
-        return int(self.edge_dofs[e])
-
     def triangle_dofs(self, mesh: Mesh, t: int) -> np.ndarray:
         """The 21 global DOFs of triangle t in local order: the six slots of
         each vertex, then the three midside DOFs of edges (v0,v1), (v1,v2),

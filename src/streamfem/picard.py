@@ -9,6 +9,10 @@ norm and the relative nonlinear residual fall below the tolerance.
 The operator A + B(psi_k) that measures the nonlinear residual of iterate
 k is the system matrix of outer iteration k + 1, so the convection form is
 assembled once before the loop and once per outer iteration.
+
+Both solves take a :class:`Discretization`: the DOF map, element tables,
+manufactured solution and viscous matrix of one config, built once by
+:func:`discretize` and shared with whatever else the run does with them.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ import numpy as np
 
 from .assembly import (
     ElementTables,
+    ManufacturedSolution,
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
     manufactured_rhs,
 )
-from .mesh import Mesh, OrderingScheme, enumerate_dofs
-from .quadrature import rule as quad_rule
-from .solvers import SolveReport, bicgstab, pcg
+from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
+from .quadrature import QuadratureRule, rule as quad_rule
+from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class OuterIteration:
 class PicardTrace:
     iterations: list[OuterIteration] = field(default_factory=list)
     converged: bool = False
-    coefficients: np.ndarray | None = None
     initial_report: SolveReport | None = None
 
     @property
@@ -120,11 +124,48 @@ class PicardError(RuntimeError):
         self.trace = trace
 
 
-def _setup(mesh: Mesh, config: PicardConfig):
-    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
+@dataclass(frozen=True)
+class Discretization:
+    """One discretization of the unit square: everything a solve, the
+    ordering study and the exports share, built once by :func:`discretize`.
+
+    ``tables`` are the n.q.p. tables of the load and convection forms and
+    carry the element bases; ``A`` is the assembled viscous matrix over the
+    free DOFs of ``dofmap``.
+    """
+
+    config: PicardConfig
+    dofmap: DofMap
+    tables: ElementTables
+    ms: ManufacturedSolution
+    A: SparseMatrix
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.tables.mesh
+
+    @property
+    def q(self) -> QuadratureRule:
+        return self.tables.rule
+
+
+def discretize(mesh: Mesh, config: PicardConfig,
+               tables: ElementTables | None = None) -> Discretization:
+    """Number the DOFs, tabulate the elements and assemble A for ``config``.
+
+    ``tables`` reuses the element tables of another discretization of the
+    same mesh and rule, e.g. under a different ordering: the tables do not
+    depend on the DOF numbering.
+    """
     q = quad_rule(config.n_quad_points)
-    tables = ElementTables(mesh, q)
-    return dofmap, q, tables
+    if tables is None:
+        tables = ElementTables(mesh, q)
+    elif tables.mesh is not mesh or tables.rule is not q:
+        raise ValueError("shared element tables must be over the same mesh and rule")
+    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
+    ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
+    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
+    return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, A=A)
 
 
 def _expand(dofmap, reduced: np.ndarray) -> np.ndarray:
@@ -133,11 +174,7 @@ def _expand(dofmap, reduced: np.ndarray) -> np.ndarray:
     return full
 
 
-def solve_biharmonic_problem(
-    mesh: Mesh,
-    config: PicardConfig,
-    load: str = "full",
-):
+def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
     """Solve the biharmonic problem A psi = l with PCG.
 
     ``load`` selects the manufactured forcing: 'full' keeps the convective
@@ -147,45 +184,35 @@ def solve_biharmonic_problem(
 
     Returns (full-DOF coefficients, SolveReport).
     """
-    dofmap, q, tables = _setup(mesh, config)
-    ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
     if load == "full":
-        f = ms.forcing
+        f = disc.ms.forcing
     elif load == "stokes":
-        f = ms.forcing_linear
+        f = disc.ms.forcing_linear
     elif load == "zero":
         f = lambda x, y: (np.zeros_like(x), np.zeros_like(y))
     else:
         raise ValueError(f"unknown load '{load}'")
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
-    ell = assemble_load(mesh, dofmap, q, f, tables=tables, source=load)
-    x, report = pcg(A.matrix, ell.vector, tol=config.biharmonic_tol,
-                    max_iter=config.linear_max_iter)
-    return _expand(dofmap, x), report
+    ell = assemble_load(disc.mesh, disc.dofmap, disc.q, f, tables=disc.tables)
+    x, report = pcg(disc.A, ell, tol=disc.config.biharmonic_tol,
+                    max_iter=disc.config.linear_max_iter)
+    return _expand(disc.dofmap, x), report
 
 
-def solve_linearized_nse(
-    mesh: Mesh,
-    config: PicardConfig,
-    include_convection: bool = True,
-):
+def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
     """Run the fixed-point iteration for the linearized problem.
 
     Returns (full-DOF coefficients, PicardTrace). ``include_convection=False``
     degenerates to the biharmonic problem solved iteratively (a consistency
     check: the result must match solve_biharmonic_problem).
     """
-    dofmap, q, tables = _setup(mesh, config)
-
-    ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
-    ell = assemble_load(mesh, dofmap, q, ms.forcing, tables=tables, source="manufactured")
-    norm_ell = float(np.linalg.norm(ell.vector))
+    mesh, dofmap, q, tables, config, A = (
+        disc.mesh, disc.dofmap, disc.q, disc.tables, disc.config, disc.A)
+    ell = assemble_load(mesh, dofmap, q, disc.ms.forcing, tables=tables)
+    norm_ell = float(np.linalg.norm(ell))
     scale = norm_ell if norm_ell > 0 else 1.0
 
     trace = PicardTrace()
-    x0, init_report = pcg(A.matrix, ell.vector, tol=config.inner_tol,
-                          max_iter=config.linear_max_iter)
+    x0, init_report = pcg(A, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
     trace.initial_report = init_report
     if not init_report.converged:
         raise PicardError("initial biharmonic PCG solve did not converge", trace)
@@ -194,18 +221,15 @@ def solve_linearized_nse(
     def system_at(psi):
         """A + B(psi), the linearized operator frozen at psi."""
         if not include_convection:
-            return A.matrix
-        B = assemble_convection(
+            return A
+        return A + assemble_convection(
             mesh, dofmap, q, psi, tables=tables, flip_convention=config.flip_convention,
         )
-        return A.matrix + B.matrix
 
     free = dofmap.globals_of_free
     system = system_at(psi_full)
     for outer in range(1, config.max_outer + 1):
-        x, report = bicgstab(
-            system, ell.vector, tol=config.inner_tol, max_iter=config.linear_max_iter
-        )
+        x, report = bicgstab(system, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
         if report.breakdown is not None:
             trace.iterations.append(
                 OuterIteration(index=outer, update_norm=np.nan, residual=np.nan, report=report)
@@ -219,7 +243,7 @@ def solve_linearized_nse(
         # nonlinear residual of the discrete equation with the new iterate;
         # its operator is also the system of the next outer iteration
         system = system_at(psi_full)
-        residual = float(np.linalg.norm(system.matvec(x) - ell.vector)) / scale
+        residual = float(np.linalg.norm(system.matvec(x) - ell)) / scale
 
         trace.iterations.append(
             OuterIteration(index=outer, update_norm=update, residual=residual, report=report)
@@ -228,5 +252,4 @@ def solve_linearized_nse(
             trace.converged = True
             break
 
-    trace.coefficients = psi_full
     return psi_full, trace

@@ -20,7 +20,6 @@ and vector updates (2 n each); diagonal scaling counts n.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +152,6 @@ class SolveReport:
     iterations: float
     final_residual: float
     flops: int
-    wall_time: float
     converged: bool
     breakdown: str | None = None
     residual_history: list = field(default_factory=list)
@@ -172,7 +170,6 @@ class SolveReport:
         ]
         if self.breakdown:
             lines.append(f"breakdown = {self.breakdown}")
-        lines.append(f"wall_time_s = {self.wall_time:.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -204,7 +201,6 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
         raise ValueError("tolerance must be positive")
     b = np.asarray(b, dtype=float)
     counter = FlopCounter()
-    t0 = time.perf_counter()
     n = A.dimension
 
     if np.any(A.diagonal() <= 0):
@@ -218,7 +214,7 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
     if norm_b == 0.0:
         return x, SolveReport(
             method="pcg", iterations=0, final_residual=0.0, flops=counter.flops,
-            wall_time=time.perf_counter() - t0, converged=True,
+            converged=True,
             residual_history=[0.0], matvecs=counter.matvecs,
             inner_products=counter.inner_products,
         )
@@ -274,7 +270,6 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
         iterations=iterations,
         final_residual=final,
         flops=counter.flops,
-        wall_time=time.perf_counter() - t0,
         converged=bool(final <= tol),
         residual_history=history,
         matvecs=counter.matvecs,
@@ -303,7 +298,6 @@ def bicgstab(
         raise ValueError("tolerance must be positive")
     b = np.asarray(b, dtype=float)
     counter = FlopCounter()
-    t0 = time.perf_counter()
     n = A.dimension
 
     if precondition:
@@ -327,7 +321,7 @@ def bicgstab(
     if norm_b == 0.0:
         return x, SolveReport(
             method="bicgstab", iterations=0, final_residual=0.0, flops=counter.flops,
-            wall_time=time.perf_counter() - t0, converged=True,
+            converged=True,
             residual_history=[0.0], matvecs=counter.matvecs,
             inner_products=counter.inner_products,
         )
@@ -409,7 +403,6 @@ def bicgstab(
         iterations=iterations,
         final_residual=final,
         flops=counter.flops,
-        wall_time=time.perf_counter() - t0,
         converged=bool(final <= tol),
         breakdown=breakdown,
         residual_history=history,

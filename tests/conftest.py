@@ -42,5 +42,22 @@ def exact_solution():
 
 
 @pytest.fixture
+def bases_builds(monkeypatch):
+    """The mesh size of every element-bases build, counted at both lookup sites."""
+    from streamfem import analysis, assembly
+
+    calls = []
+    build = assembly.build_all_bases
+
+    def counting(mesh):
+        calls.append(mesh.n)
+        return build(mesh)
+
+    monkeypatch.setattr(assembly, "build_all_bases", counting)
+    monkeypatch.setattr(analysis, "build_all_bases", counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

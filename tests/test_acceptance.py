@@ -23,7 +23,12 @@ from streamfem.assembly import (
     manufactured_rhs,
 )
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
-from streamfem.picard import PicardConfig, solve_biharmonic_problem, solve_linearized_nse
+from streamfem.picard import (
+    PicardConfig,
+    discretize,
+    solve_biharmonic_problem,
+    solve_linearized_nse,
+)
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats
 
@@ -56,7 +61,7 @@ def test_criterion_1_biharmonic_table(exact):
     for n in (3, 5, 9):
         mesh = build_uniform_mesh(n)
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=4, ordering=1)
-        coeffs, report = solve_biharmonic_problem(mesh, config)
+        coeffs, report = solve_biharmonic_problem(discretize(mesh, config))
         dm = enumerate_dofs(mesh, 1)
         errors = compute_errors(mesh, dm, coeffs, exact)
         results[n] = (errors.nodal_max, report.iterations, report.converged)
@@ -90,7 +95,7 @@ def test_criterion_2_linearized_table(exact):
     for n in (3, 5, 9):
         mesh = build_uniform_mesh(n)
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=6, ordering=1)
-        coeffs, trace = solve_linearized_nse(mesh, config)
+        coeffs, trace = solve_linearized_nse(discretize(mesh, config))
         dm = enumerate_dofs(mesh, 1)
         errors = compute_errors(mesh, dm, coeffs, exact)
         measured[n] = (errors.l2, errors.h1_semi, errors.h2_semi, trace.converged)
@@ -122,9 +127,9 @@ def test_criterion_3_ordering_study():
     for scheme in (1, 2, 3):
         dm = enumerate_dofs(mesh, scheme)
         A = assemble_biharmonic(mesh, dm, rule(6), 1.0)
-        bw[scheme] = bandwidth_stats(A.matrix)["bandwidth"]
+        bw[scheme] = bandwidth_stats(A)["bandwidth"]
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=6, ordering=scheme)
-        _, trace = solve_linearized_nse(mesh, config)
+        _, trace = solve_linearized_nse(discretize(mesh, config))
         assert trace.converged
         nco[scheme] = trace.total_flops
     bw_ok = bw[1] < bw[2] and bw[1] < bw[3]
@@ -245,12 +250,12 @@ def test_criterion_4e_form_structure(exact):
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
     tab = ElementTables(mesh, rule(6))
-    A = assemble_biharmonic(mesh, dm, rule(6), 1.0, tables=tab).matrix.toarray()
+    A = assemble_biharmonic(mesh, dm, rule(6), 1.0, tables=tab).toarray()
     sym = np.abs(A - A.T).max() / np.abs(A).max()
     rng = np.random.default_rng(3)
     xi = np.zeros(dm.total_dofs)
     xi[dm.globals_of_free] = rng.standard_normal(dm.num_free)
-    B = assemble_convection(mesh, dm, rule(6), xi, tables=tab).matrix
+    B = assemble_convection(mesh, dm, rule(6), xi, tables=tab)
     Bd = B.toarray()
     anti = np.abs(Bd + Bd.T).max() / np.abs(Bd).max()
     psi = rng.standard_normal(dm.num_free)
@@ -265,7 +270,7 @@ def test_criterion_4f_gradient_load(exact):
     tab = ElementTables(mesh, rule(25))
     grad_p = assemble_load(mesh, dm, rule(25), lambda x, y: (3 * x ** 2, 3 * y ** 2), tables=tab)
     full = assemble_load(mesh, dm, rule(25), exact.forcing, tables=tab)
-    ratio = np.abs(grad_p.vector).max() / np.abs(full.vector).max()
+    ratio = np.abs(grad_p).max() / np.abs(full).max()
     check("4f", ratio <= 1e-8, f"gradient load / manufactured load = {ratio:.2e}")
 
 
@@ -275,10 +280,10 @@ def test_criterion_4g_ordering_invariance(exact):
     ok = True
     details = []
     # matrix equivariance
-    A1 = assemble_biharmonic(mesh, dm1, rule(6), 1.0).matrix.toarray()
+    A1 = assemble_biharmonic(mesh, dm1, rule(6), 1.0).toarray()
     for scheme in (2, 3):
         dm2 = enumerate_dofs(mesh, scheme)
-        A2 = assemble_biharmonic(mesh, dm2, rule(6), 1.0).matrix.toarray()
+        A2 = assemble_biharmonic(mesh, dm2, rule(6), 1.0).toarray()
         p = free_permutation(dm1, dm2)
         permuted = np.zeros_like(A1)
         permuted[np.ix_(p, p)] = A1
@@ -292,7 +297,7 @@ def test_criterion_4g_ordering_invariance(exact):
     fields = []
     for scheme in (1, 2, 3):
         cfg = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=6, ordering=scheme)
-        coeffs, trace = solve_linearized_nse(mesh, cfg)
+        coeffs, trace = solve_linearized_nse(discretize(mesh, cfg))
         assert trace.converged
         dm = enumerate_dofs(mesh, scheme)
         fields.append(evaluate_field(mesh, dm, coeffs, pts))
@@ -308,7 +313,7 @@ def test_criterion_4h_energy_oracle(exact):
     dm = enumerate_dofs(mesh, 1)
     coeffs = interpolate_field(mesh, dm, exact.interpolation_data())
     A = assemble_biharmonic(mesh, dm, rule(25), 1.0, reduced=False)
-    energy = float(coeffs @ A.matrix.matvec(coeffs))
+    energy = float(coeffs @ A.matvec(coeffs))
     target = 4.0 / 1225.0
     check("4h", abs(energy - target) <= 1e-5,
           f"interpolant energy {energy:.8f} vs 4/1225 = {target:.8f} (diff {abs(energy - target):.2e})")
@@ -328,7 +333,7 @@ def test_criterion_5_convergence(exact):
         tab = ElementTables(mesh, rule(25))
         A = assemble_biharmonic(mesh, dm, rule(25), 1.0, tables=tab)
         ell = assemble_load(mesh, dm, rule(25), exact.forcing_linear, tables=tab)
-        x = spl.spsolve(A.matrix._csr.tocsc(), ell.vector)
+        x = spl.spsolve(A._csr.tocsc(), ell)
         full = np.zeros(dm.total_dofs)
         full[dm.globals_of_free] = x
         errs[n] = compute_errors(mesh, dm, full, exact).l2

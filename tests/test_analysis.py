@@ -52,9 +52,9 @@ def test_errors_reject_wrong_length(mesh3, dofmap3, exact_solution):
 
 
 def test_evaluate_field_clamped_corner(mesh3, dofmap3, exact_solution):
-    from streamfem.picard import PicardConfig, solve_biharmonic_problem
+    from streamfem.picard import PicardConfig, discretize, solve_biharmonic_problem
 
-    coeffs, _ = solve_biharmonic_problem(mesh3, PicardConfig(n_quad_points=6))
+    coeffs, _ = solve_biharmonic_problem(discretize(mesh3, PicardConfig(n_quad_points=6)))
     for corner in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         assert evaluate_field(mesh3, dofmap3, coeffs, [corner])[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -111,8 +111,8 @@ def test_export_sparsity_identity(tmp_path):
 def test_export_sparsity_annotation_matches_stats(tmp_path, mesh5):
     dm = enumerate_dofs(mesh5, 1)
     A = assemble_biharmonic(mesh5, dm, rule(6), 1.0)
-    stats = bandwidth_stats(A.matrix)
-    result = export_sparsity(A.matrix, tmp_path / "bih")
+    stats = bandwidth_stats(A)
+    result = export_sparsity(A, tmp_path / "bih")
     assert result["bandwidth"] == stats["bandwidth"]
     svg = open(result["svg"]).read()
     assert f"bandwidth={stats['bandwidth']}" in svg
@@ -123,7 +123,7 @@ def test_export_sparsity_ordering_comparison(tmp_path, mesh5):
     for scheme in (1, 2):
         dm = enumerate_dofs(mesh5, scheme)
         A = assemble_biharmonic(mesh5, dm, rule(6), 1.0)
-        result = export_sparsity(A.matrix, tmp_path / f"ord{scheme}")
+        result = export_sparsity(A, tmp_path / f"ord{scheme}")
         bws[scheme] = result["bandwidth"]
     assert bws[2] > bws[1]
 
@@ -235,27 +235,16 @@ def test_run_tables_marks_failed_rows():
     assert result["rows"][1][3] == "ok"
 
 
-def test_load_vector_csv(tmp_path, mesh3, dofmap3, exact_solution):
-    from streamfem.assembly import assemble_load
-
-    ell = assemble_load(mesh3, dofmap3, rule(6), exact_solution.forcing)
-    path = tmp_path / "load.csv"
-    ell.export_csv(path)
-    lines = open(path).read().splitlines()
-    assert lines[0].startswith("# source")
-    assert len(lines) == dofmap3.num_free + 2
-
-
 def test_error_norms_insensitive_to_evaluation_rule(exact_solution):
     """Error norms move <= 0.1% when the degree-10 evaluation is replaced
     by the same rule composited over the 4-fold midpoint subdivision of
     every triangle (doubled integration precision)."""
     from streamfem.argyris import build_all_bases
-    from streamfem.picard import PicardConfig, solve_biharmonic_problem
+    from streamfem.picard import PicardConfig, discretize, solve_biharmonic_problem
 
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
-    coeffs, report = solve_biharmonic_problem(mesh, PicardConfig(n_quad_points=6))
+    coeffs, report = solve_biharmonic_problem(discretize(mesh, PicardConfig(n_quad_points=6)))
     assert report.converged
     base = compute_errors(mesh, dm, coeffs, exact_solution)
 

@@ -21,22 +21,22 @@ def tables25(mesh3, bases3):
 
 def test_biharmonic_symmetry(mesh3, dofmap3, tables25):
     A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
-    dense = A.matrix.toarray()
+    dense = A.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
-    assert A.matrix.is_symmetric
+    assert A.is_symmetric
 
 
 def test_biharmonic_positive_definite(mesh3, dofmap3, tables25):
     A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
-    eigs = np.linalg.eigvalsh(A.matrix.toarray())
+    eigs = np.linalg.eigvalsh(A.toarray())
     assert eigs.min() > 0
 
 
 def test_reynolds_scaling(mesh3, dofmap3, tables25):
     A1 = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
     A2 = assemble_biharmonic(mesh3, dofmap3, rule(25), 2.0, tables=tables25)
-    assert np.array_equal(A1.matrix.indices, A2.matrix.indices)
-    assert np.array_equal(A1.matrix.data, 2.0 * A2.matrix.data)
+    assert np.array_equal(A1.indices, A2.indices)
+    assert np.array_equal(A1.data, 2.0 * A2.data)
 
 
 def test_reynolds_must_be_positive(mesh3, dofmap3):
@@ -56,23 +56,23 @@ def test_energy_quadratic_form_matches_exact_integral(exact_solution):
         dm = enumerate_dofs(mesh, 1)
         coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
         A = assemble_biharmonic(mesh, dm, rule(25), 1.0, reduced=False)
-        energy = float(coeffs @ A.matrix.matvec(coeffs))
+        energy = float(coeffs @ A.matvec(coeffs))
         assert energy == pytest.approx(target, abs=tol)
 
 
 def test_convection_zero_field(mesh3, dofmap3):
     B = assemble_convection(mesh3, dofmap3, rule(6), np.zeros(dofmap3.total_dofs))
-    assert B.matrix.nnz == 0
+    assert B.nnz == 0
 
 
 def test_convection_antisymmetry(mesh3, dofmap3, rng):
     xi = np.zeros(dofmap3.total_dofs)
     xi[dofmap3.globals_of_free] = rng.standard_normal(dofmap3.num_free)
     B = assemble_convection(mesh3, dofmap3, rule(6), xi)
-    dense = B.matrix.toarray()
+    dense = B.toarray()
     assert np.abs(dense + dense.T).max() <= 1e-10 * np.abs(dense).max()
     psi = rng.standard_normal(dofmap3.num_free)
-    quad = abs(psi @ B.matrix.matvec(psi))
+    quad = abs(psi @ B.matvec(psi))
     scale = np.abs(dense).max() * float(psi @ psi)
     assert quad <= 1e-10 * scale
 
@@ -82,7 +82,7 @@ def test_convection_flip_negates(mesh3, dofmap3, rng):
     xi[dofmap3.globals_of_free] = rng.standard_normal(dofmap3.num_free)
     B1 = assemble_convection(mesh3, dofmap3, rule(6), xi)
     B2 = assemble_convection(mesh3, dofmap3, rule(6), xi, flip_convention=True)
-    assert np.abs(B1.matrix.toarray() + B2.matrix.toarray()).max() == 0.0
+    assert np.abs(B1.toarray() + B2.toarray()).max() == 0.0
 
 
 def test_convection_length_mismatch(mesh3, dofmap3):
@@ -93,7 +93,7 @@ def test_convection_length_mismatch(mesh3, dofmap3):
 def test_zero_load(mesh3, dofmap3):
     ell = assemble_load(mesh3, dofmap3, rule(6),
                         lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
-    assert np.all(ell.vector == 0.0)
+    assert np.all(ell == 0.0)
 
 
 def test_gradient_load_vanishes(mesh3, dofmap3, tables25, exact_solution):
@@ -102,8 +102,8 @@ def test_gradient_load_vanishes(mesh3, dofmap3, tables25, exact_solution):
     grad_p = assemble_load(mesh3, dofmap3, rule(25),
                            lambda x, y: (3 * x ** 2, 3 * y ** 2), tables=tables25)
     full = assemble_load(mesh3, dofmap3, rule(25), exact_solution.forcing, tables=tables25)
-    scale = np.abs(full.vector).max()
-    assert np.abs(grad_p.vector).max() <= 1e-8 * scale
+    scale = np.abs(full).max()
+    assert np.abs(grad_p).max() <= 1e-8 * scale
 
 
 def test_manufactured_forcing_against_finite_differences(exact_solution):
@@ -157,8 +157,8 @@ def test_ordering_equivariance(mesh3, other_scheme):
     A1 = assemble_biharmonic(mesh3, dm1, rule(6), 1.0)
     A2 = assemble_biharmonic(mesh3, dm2, rule(6), 1.0)
     p = free_permutation(dm1, dm2)
-    d1 = A1.matrix.toarray()
-    d2 = A2.matrix.toarray()
+    d1 = A1.toarray()
+    d2 = A2.toarray()
     permuted = np.zeros_like(d1)
     permuted[np.ix_(p, p)] = d1
     assert np.abs(permuted - d2).max() <= 1e-12 * np.abs(d1).max()
@@ -168,10 +168,10 @@ def test_galerkin_orthogonality(mesh3, dofmap3, tables25, exact_solution):
     A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
     ell = assemble_load(mesh3, dofmap3, rule(25), exact_solution.forcing, tables=tables25)
     tol = 1e-9
-    x, report = pcg(A.matrix, ell.vector, tol=tol)
+    x, report = pcg(A, ell, tol=tol)
     assert report.converged
-    residual = A.matrix.matvec(x) - ell.vector
-    assert np.abs(residual).max() <= tol * np.linalg.norm(ell.vector)
+    residual = A.matvec(x) - ell
+    assert np.abs(residual).max() <= tol * np.linalg.norm(ell)
 
 
 def test_sparsity_respects_interaction_stencil(mesh3, dofmap3):
@@ -181,12 +181,12 @@ def test_sparsity_respects_interaction_stencil(mesh3, dofmap3):
         reduced = dofmap3.free_of_global[dofmap3.triangle_dofs(mesh3, t)]
         reduced = reduced[reduced >= 0]
         allowed[np.ix_(reduced, reduced)] = True
-    rows = np.repeat(np.arange(A.matrix.dimension), np.diff(A.matrix.indptr))
-    assert np.all(allowed[rows, A.matrix.indices])
+    rows = np.repeat(np.arange(A.dimension), np.diff(A.indptr))
+    assert np.all(allowed[rows, A.indices])
 
 
 def test_viscous_rule_promotion(mesh3, dofmap3):
     """Low-order requested rules must not degrade the viscous form."""
     A4 = assemble_biharmonic(mesh3, dofmap3, rule(4), 1.0)
     A12 = assemble_biharmonic(mesh3, dofmap3, rule(12), 1.0)
-    assert np.abs(A4.matrix.toarray() - A12.matrix.toarray()).max() == 0.0
+    assert np.abs(A4.toarray() - A12.toarray()).max() == 0.0

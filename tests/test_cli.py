@@ -1,8 +1,15 @@
+import csv
 import os
 
 import pytest
 
+from streamfem import cli
+from streamfem.assembly import assemble_biharmonic
 from streamfem.cli import main
+from streamfem.mesh import build_uniform_mesh, enumerate_dofs
+from streamfem.picard import PicardError, PicardTrace
+from streamfem.quadrature import rule
+from streamfem.solvers import bandwidth_stats
 
 
 def run_cli(args):
@@ -60,6 +67,85 @@ def test_compare_orderings_structure(tmp_path, capsys):
     rows = (tmp_path / "ordering_study.csv").read_text().splitlines()
     assert len(rows) == 4
     assert rows[0].startswith("ordering,bandwidth,profile,nnz,nco")
+
+
+def test_compare_orderings_builds_bases_once(tmp_path, bases_builds):
+    assert run_cli(["compare-orderings", "--n", "3", "--out-dir", str(tmp_path)]) == 0
+    # orderings 2 and 3 reuse the element tables of ordering 1
+    assert bases_builds == [3]
+
+
+def test_ordering_study_matches_separate_assemblies(tmp_path):
+    assert run_cli(["compare-orderings", "--n", "3", "--nqp", "6", "--out-dir", str(tmp_path)]) == 0
+    mesh = build_uniform_mesh(3)
+    with open(tmp_path / "ordering_study.csv") as f:
+        rows = list(csv.DictReader(f))
+    for scheme, row in zip((1, 2, 3), rows):
+        A = assemble_biharmonic(mesh, enumerate_dofs(mesh, scheme), rule(6), 1.0)
+        stats = bandwidth_stats(A)
+        assert row["ordering"] == str(scheme)
+        assert {k: int(row[k]) for k in stats} == stats
+
+
+def test_solve_nse_builds_bases_twice(tmp_path, bases_builds):
+    argv = ["solve-nse", "--n", "3", "--nqp", "6", "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 0
+    # the discretization's, then compute_errors' own: the benchmark pins two
+    # builds per solve (bases_built == 2 * triangles and bases_per_op == 2.0
+    # in perfbench/tests/test_harness.py), so the error pass does not share them
+    assert bases_builds == [3, 3]
+
+
+def test_compare_orderings_nonconvergence_exits_1(tmp_path, capsys):
+    argv = ["compare-orderings", "--n", "3", "--max-outer", "1", "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    # the table is still written, then every failed ordering is named
+    assert len((tmp_path / "ordering_study.csv").read_text().splitlines()) == 4
+    err = capsys.readouterr().err
+    for scheme in (1, 2, 3):
+        assert f"error: ordering {scheme}: fixed-point iteration did not converge" in err
+
+
+def test_compare_orderings_reports_picard_error(tmp_path, capsys, monkeypatch):
+    solve = cli.solve_linearized_nse
+
+    def failing_for_ordering_2(disc):
+        if disc.config.ordering.value == 2:
+            raise PicardError("initial biharmonic PCG solve did not converge", PicardTrace())
+        return solve(disc)
+
+    monkeypatch.setattr(cli, "solve_linearized_nse", failing_for_ordering_2)
+    assert run_cli(["compare-orderings", "--n", "3", "--out-dir", str(tmp_path)]) == 1
+    rows = (tmp_path / "ordering_study.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
+    assert rows[2].split(",")[4:] == ["0", "0.0", "0", "0"]  # no work recorded
+    err = capsys.readouterr().err
+    assert err == "error: ordering 2: initial biharmonic PCG solve did not converge\n"
+
+
+def test_export_contours_nonconvergence_exits_1(tmp_path, capsys):
+    argv = ["export-contours", "--n", "3", "--problem", "nse", "--max-outer", "1",
+            "--grid-size", "16", "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: fixed-point iteration did not converge\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_export_sparsity_nonconvergence_exits_1(tmp_path, capsys):
+    argv = ["export-sparsity", "--n", "2", "--with-convection", "--linear-tol", "1e-30",
+            "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: PCG did not converge\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_convergence_table_nonconvergence_exits_1(tmp_path, capsys):
+    argv = ["convergence-table", "--problem", "nse", "--mesh-sizes", "2,3", "--max-outer", "1",
+            "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    rows = (tmp_path / "table_nse_nqp6.csv").read_text().splitlines()
+    assert [r.split(",")[3] for r in rows[1:]] == ["ok", "not-converged"]
+    assert capsys.readouterr().err == "error: no converged solve at h = 1/3\n"
 
 
 def test_export_sparsity_files(tmp_path, capsys):

@@ -232,7 +232,7 @@ def test_sparsity_empty_matrix(tmp_path):
 
 
 def test_sparsity_assembled_matrix(tmp_path, mesh5):
-    A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, 2), rule(6)).matrix
+    A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, 2), rule(6))
     sparsity_files_equal(tmp_path, A)
 
 
@@ -388,17 +388,17 @@ def test_contour_files_match_reference(tmp_path, mesh5, dofmap5, bases5, monkeyp
 
 # --- shared element tables ---------------------------------------------------
 
-def test_export_sparsity_with_convection_builds_bases_twice(tmp_path, monkeypatch):
-    calls = []
-    build = assembly.build_all_bases
-
-    def counting(mesh):
-        calls.append(mesh.n)
-        return build(mesh)
-
-    monkeypatch.setattr(assembly, "build_all_bases", counting)
-    monkeypatch.setattr(analysis, "build_all_bases", counting)
+def test_export_sparsity_with_convection_builds_bases_once(tmp_path, bases_builds):
     argv = ["export-sparsity", "--n", "4", "--with-convection", "--out-dir", str(tmp_path)]
     assert cli_main(argv) == 0
-    # one for the shared viscous/convection tables, one inside the Stokes solve
-    assert calls == [4, 4]
+    # the Stokes solve and both forms share one discretization
+    assert bases_builds == [4]
+
+
+@pytest.mark.parametrize("problem", ["nse", "biharmonic"])
+def test_export_contours_builds_bases_once(tmp_path, bases_builds, problem):
+    argv = ["export-contours", "--n", "3", "--problem", problem, "--grid-size", "16",
+            "--out-dir", str(tmp_path)]
+    assert cli_main(argv) == 0
+    # the solve and the field evaluation share the bases
+    assert bases_builds == [3]

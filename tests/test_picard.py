@@ -4,7 +4,12 @@ import pytest
 from streamfem.analysis import evaluate_field
 from streamfem.assembly import assemble_biharmonic, assemble_convection, assemble_load, manufactured_rhs
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
-from streamfem.picard import PicardConfig, solve_biharmonic_problem, solve_linearized_nse
+from streamfem.picard import (
+    PicardConfig,
+    discretize,
+    solve_biharmonic_problem,
+    solve_linearized_nse,
+)
 from streamfem.quadrature import rule
 
 
@@ -17,14 +22,29 @@ def test_config_validation():
         PicardConfig(max_outer=0)
 
 
+def test_discretize_shares_tables_across_orderings(mesh3):
+    first = discretize(mesh3, PicardConfig(n_quad_points=6))
+    assert first.mesh is mesh3 and first.q is rule(6)
+    config = PicardConfig(n_quad_points=6, ordering=3)
+    shared = discretize(mesh3, config, tables=first.tables)
+    fresh = discretize(mesh3, config)
+    assert shared.tables is first.tables and shared.dofmap.scheme.value == 3
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(shared.A, name), getattr(fresh.A, name))
+    with pytest.raises(ValueError, match="same mesh and rule"):
+        discretize(mesh3, PicardConfig(n_quad_points=12), tables=first.tables)
+    with pytest.raises(ValueError, match="same mesh and rule"):
+        discretize(build_uniform_mesh(3), PicardConfig(n_quad_points=6), tables=first.tables)
+
+
 def test_zero_load_gives_zero_solution(mesh3):
-    coeffs, report = solve_biharmonic_problem(mesh3, PicardConfig(), load="zero")
+    coeffs, report = solve_biharmonic_problem(discretize(mesh3, PicardConfig()), load="zero")
     assert report.converged
     assert np.all(coeffs == 0.0)
 
 
 def test_biharmonic_constrained_entries_zero(mesh3, dofmap3):
-    coeffs, report = solve_biharmonic_problem(mesh3, PicardConfig(n_quad_points=4))
+    coeffs, report = solve_biharmonic_problem(discretize(mesh3, PicardConfig(n_quad_points=4)))
     assert report.converged
     assert np.all(coeffs[dofmap3.constrained] == 0.0)
 
@@ -34,23 +54,23 @@ def test_nse_without_convection_matches_biharmonic(mesh3, dofmap3):
     direct biharmonic solve agree to solver tolerance: both residuals meet
     the tolerance, so their difference does in the residual norm."""
     config = PicardConfig(n_quad_points=6, linear_tol=1e-8)
-    direct, report = solve_biharmonic_problem(mesh3, config)
-    via_picard, trace = solve_linearized_nse(mesh3, config, include_convection=False)
+    direct, report = solve_biharmonic_problem(discretize(mesh3, config))
+    via_picard, trace = solve_linearized_nse(discretize(mesh3, config), include_convection=False)
     assert report.converged and trace.converged
     q = rule(6)
     ms = manufactured_rhs(1.0)
     A = assemble_biharmonic(mesh3, dofmap3, q, 1.0)
     ell = assemble_load(mesh3, dofmap3, q, ms.forcing)
     free = dofmap3.globals_of_free
-    residual_gap = np.linalg.norm(A.matrix.matvec(via_picard[free] - direct[free]))
-    assert residual_gap <= 2 * config.inner_tol * np.linalg.norm(ell.vector)
+    residual_gap = np.linalg.norm(A.matvec(via_picard[free] - direct[free]))
+    assert residual_gap <= 2 * config.inner_tol * np.linalg.norm(ell)
     scale = np.linalg.norm(direct[free])
     assert np.linalg.norm(via_picard - direct) <= 1e-4 * scale
 
 
 def test_picard_converges_and_updates_decrease(mesh3):
     config = PicardConfig(n_quad_points=6)
-    coeffs, trace = solve_linearized_nse(mesh3, config)
+    coeffs, trace = solve_linearized_nse(discretize(mesh3, config))
     assert trace.converged
     assert 1 <= len(trace.iterations) <= 5
     updates = [it.update_norm for it in trace.iterations]
@@ -69,7 +89,7 @@ def test_one_convection_assembly_per_outer_iteration(mesh3, monkeypatch):
         return assemble_convection(*args, **kwargs)
 
     monkeypatch.setattr(streamfem.picard, "assemble_convection", counting)
-    _, trace = solve_linearized_nse(mesh3, PicardConfig(n_quad_points=6))
+    _, trace = solve_linearized_nse(discretize(mesh3, PicardConfig(n_quad_points=6)))
     assert len(trace.iterations) >= 2
     assert len(calls) == len(trace.iterations) + 1
 
@@ -77,7 +97,7 @@ def test_one_convection_assembly_per_outer_iteration(mesh3, monkeypatch):
 def test_converged_fixed_point_residual(mesh3, dofmap3):
     """The converged iterate satisfies the discrete equation to 10x tol."""
     config = PicardConfig(n_quad_points=6)
-    coeffs, trace = solve_linearized_nse(mesh3, config)
+    coeffs, trace = solve_linearized_nse(discretize(mesh3, config))
     assert trace.converged
     q = rule(6)
     ms = manufactured_rhs(1.0)
@@ -85,8 +105,8 @@ def test_converged_fixed_point_residual(mesh3, dofmap3):
     B = assemble_convection(mesh3, dofmap3, q, coeffs)
     ell = assemble_load(mesh3, dofmap3, q, ms.forcing)
     x = coeffs[dofmap3.globals_of_free]
-    res = (A.matrix + B.matrix).matvec(x) - ell.vector
-    assert np.linalg.norm(res) <= 10 * config.tol * np.linalg.norm(ell.vector)
+    res = (A + B).matvec(x) - ell
+    assert np.linalg.norm(res) <= 10 * config.tol * np.linalg.norm(ell)
     assert trace.iterations[-1].residual <= config.tol
 
 
@@ -95,7 +115,7 @@ def test_solution_invariant_across_orderings(mesh3, rng):
     pts = rng.random((25, 2))
     for scheme in (1, 2, 3):
         config = PicardConfig(n_quad_points=6, ordering=scheme)
-        coeffs, trace = solve_linearized_nse(mesh3, config)
+        coeffs, trace = solve_linearized_nse(discretize(mesh3, config))
         assert trace.converged
         dm = enumerate_dofs(mesh3, scheme)
         fields.append(evaluate_field(mesh3, dm, coeffs, pts))
@@ -107,7 +127,7 @@ def test_solution_invariant_across_orderings(mesh3, rng):
 def test_nonconvergence_flagged():
     mesh = build_uniform_mesh(3)
     config = PicardConfig(n_quad_points=6, tol=1e-14, linear_tol=1e-13, max_outer=2)
-    coeffs, trace = solve_linearized_nse(mesh, config)
+    coeffs, trace = solve_linearized_nse(discretize(mesh, config))
     assert not trace.converged
     assert len(trace.iterations) == 2
 
@@ -116,8 +136,8 @@ def test_flip_convention_leaves_field_unchanged(mesh3, dofmap3, rng):
     """Negating the convection form and the convective forcing together
     must reproduce the same stream function."""
     pts = rng.random((30, 2))
-    c1, t1 = solve_linearized_nse(mesh3, PicardConfig(n_quad_points=6))
-    c2, t2 = solve_linearized_nse(mesh3, PicardConfig(n_quad_points=6, flip_convention=True))
+    c1, t1 = solve_linearized_nse(discretize(mesh3, PicardConfig(n_quad_points=6)))
+    c2, t2 = solve_linearized_nse(discretize(mesh3, PicardConfig(n_quad_points=6, flip_convention=True)))
     assert t1.converged and t2.converged
     v1 = evaluate_field(mesh3, dofmap3, c1, pts)
     v2 = evaluate_field(mesh3, dofmap3, c2, pts)
@@ -127,7 +147,7 @@ def test_flip_convention_leaves_field_unchanged(mesh3, dofmap3, rng):
 
 def test_trace_export(tmp_path, mesh3):
     config = PicardConfig(n_quad_points=6)
-    _, trace = solve_linearized_nse(mesh3, config)
+    _, trace = solve_linearized_nse(discretize(mesh3, config))
     path = tmp_path / "trace.csv"
     trace.export_csv(path)
     lines = open(path).read().splitlines()
@@ -143,7 +163,7 @@ def test_minimal_bc_reduces_error(exact_solution):
     errs = {}
     for minimal in (False, True):
         config = PicardConfig(n_quad_points=25, minimal_bc=minimal, linear_tol=1e-10)
-        coeffs, report = solve_biharmonic_problem(mesh, config, load="stokes")
+        coeffs, report = solve_biharmonic_problem(discretize(mesh, config), load="stokes")
         assert report.converged
         dm = enumerate_dofs(mesh, 1, minimal_bc=minimal)
         errs[minimal] = compute_errors(mesh, dm, coeffs, exact_solution).h2_semi

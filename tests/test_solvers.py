@@ -31,7 +31,7 @@ def biharmonic_system():
     ms = manufactured_rhs(1.0)
     ell = assemble_load(mesh, dm, rule(4), ms.forcing,
                         tables=ElementTables(mesh, rule(4), bases=tab.bases))
-    return A.matrix, ell.vector
+    return A, ell
 
 
 def test_matvec_identity():
@@ -138,7 +138,7 @@ def test_bandwidth_ordering1_vs_ordering3():
     for scheme in (1, 3):
         dm = enumerate_dofs(mesh, scheme)
         A = assemble_biharmonic(mesh, dm, rule(6), 1.0)
-        stats[scheme] = bandwidth_stats(A.matrix)["bandwidth"]
+        stats[scheme] = bandwidth_stats(A)["bandwidth"]
     assert stats[1] < stats[3]
 
 

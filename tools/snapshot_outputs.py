@@ -1,0 +1,61 @@
+"""Run the benchmark's CLI argvs and keep every output, for a bitwise diff.
+
+    python tools/snapshot_outputs.py OUT_DIR
+
+Runs every argv of ``perfbench.workloads.Workload(name, 1).base`` for the
+four workloads, plus ``compare-orderings --n 5 --nqp 6`` (43 runs), through
+``streamfem.cli.main`` of this checkout. Each run writes into its own
+directory ``OUT_DIR/NN-<command>``, named by a relative path so the printed
+paths do not depend on where OUT_DIR lives; its stdout goes to
+``stdout.txt`` and its exit code to ``exit_code.txt`` in that directory.
+
+Snapshot two checkouts and compare them with
+
+    diff -r -x timings.csv before/ after/
+
+``timings.csv`` holds the only wall-clock times, so a change that keeps the
+outputs bitwise identical prints nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
+from streamfem.cli import main  # noqa: E402
+
+EXTRA = [["compare-orderings", "--n", "5", "--nqp", "6"]]
+
+
+def argv_lists() -> list[list[str]]:
+    return [argv for name in WORKLOADS for argv in Workload(name, 1).base] + EXTRA
+
+
+def snapshot(out_dir: Path) -> int:
+    """Run every argv into ``out_dir``; return how many runs exited nonzero."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    failed = 0
+    for k, argv in enumerate(argv_lists()):
+        run_dir = f"{k:02d}-{argv[0]}"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--out-dir", run_dir])
+        Path(run_dir, "stdout.txt").write_text(stdout.getvalue())
+        Path(run_dir, "exit_code.txt").write_text(f"{code}\n")
+        failed += code != 0
+        print(f"{run_dir}: exit {code}: {' '.join(argv)}", flush=True)
+    return failed
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(1 if snapshot(Path(sys.argv[1]).resolve()) else 0)
