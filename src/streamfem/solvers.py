@@ -1,9 +1,9 @@
 """CSR sparse kernel and the two Krylov solvers used by the runs.
 
 The matrix wrapper holds one scipy CSR matrix (sorted, deduplicated, no
-stored zeros), reads its bandwidth statistics straight off the CSR arrays,
-and instruments every matvec/inner product so iteration and operation
-counts in the reports are exact.
+stored zeros) and reads its bandwidth statistics straight off the CSR
+arrays. The solvers tally every matvec, inner product and flop, so
+iteration and operation counts in the reports are exact.
 
 Both solvers carry a diagonal preconditioner of l1 type (row sums of
 absolute values) rather than the plain matrix diagonal: the plain diagonal
@@ -16,28 +16,60 @@ iteration, which is how fractional iteration counts arise.
 
 Multiply-adds count as 2 flops in matvecs (2 nnz), inner products, norms
 and vector updates (2 n each); diagonal scaling counts n.
+
+The iterates, residual histories and counts are reproducible to the last
+bit (the paper's iteration counts and the ordering study rest on them), and
+the loops allocate nothing per iteration. Four rules keep both true:
+
+- One kernel path. Every product with A, in the solvers and in
+  ``SparseMatrix.matvec``, is ``_csr_matvec``: scipy's ``csr_matvec``
+  kernel, the one ``csr @ x`` runs, writing into a caller-owned buffer.
+- Operand order kept. Each vector update is split into in-place ufunc
+  calls on work vectors allocated once per solve, in the order the plain
+  expression evaluates: ``x += alpha*p_hat + omega*s_hat`` is two products
+  into two buffers, their sum, then the add into ``x``.
+- No fused multiply-add. Never BLAS ``axpy`` or anything else that may
+  contract a multiply and an add: that rounds once where the update rounds
+  twice.
+- A 2-norm is ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes
+  for a contiguous 1-D float64 vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 
-class FlopCounter:
-    """Mutable tally of arithmetic work and instrumented op counts."""
+def _csr_matvec(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = csr @ x, bitwise, into the contiguous float64 buffer ``out``."""
+    # private scipy kernel: `csr @ x` adds ~3-7 us of dispatch per call at n = 3-16
+    out.fill(0.0)  # the kernel adds each row's sum into out
+    csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data, x, out)
+    return out
 
-    __slots__ = ("flops", "matvecs", "inner_products")
 
-    def __init__(self):
-        self.flops = 0
-        self.matvecs = 0
-        self.inner_products = 0
+def _residual(csr: sp.csr_matrix, b: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = b - csr @ x."""
+    return np.subtract(b, _csr_matvec(csr, x, out), out=out)
 
-    def add(self, n: int) -> None:
-        self.flops += int(n)
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v))
+
+
+def _rhs(A: "SparseMatrix", b) -> np.ndarray:
+    """b as a contiguous float64 vector of A's dimension (contiguous, so its
+    norm sums in the order ``np.linalg.norm`` does)."""
+    b = np.ascontiguousarray(b, dtype=float)
+    if b.shape != (A.dimension,):
+        raise ValueError(f"dimension mismatch: matrix is {A.dimension}x{A.dimension}, "
+                         f"right-hand side has shape {b.shape}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -100,18 +132,15 @@ class SparseMatrix:
         """
         return abs(self._csr) @ np.ones(self.dimension)
 
-    def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        """CSR product A @ x; counts 2 nnz flops and one matvec."""
-        x = np.asarray(x, dtype=float)
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """CSR product A @ x, as a new vector."""
+        x = np.ascontiguousarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(
                 f"dimension mismatch: matrix is {self.dimension}x{self.dimension}, "
                 f"vector has shape {x.shape}"
             )
-        if counter is not None:
-            counter.add(2 * self.nnz)
-            counter.matvecs += 1
-        return self._csr.dot(x)
+        return _csr_matvec(self._csr, x, np.empty(self.dimension))
 
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
@@ -173,18 +202,6 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-def _dot(a: np.ndarray, b: np.ndarray, counter: FlopCounter) -> float:
-    counter.add(2 * len(a))
-    counter.inner_products += 1
-    return float(np.dot(a, b))
-
-
-def _norm(a: np.ndarray, counter: FlopCounter) -> float:
-    # norms are counted as flops but not as algorithmic inner products
-    counter.add(2 * len(a))
-    return float(np.linalg.norm(a))
-
-
 def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000,
         callback=None):
     """Diagonally preconditioned conjugate gradients for SPD systems.
@@ -193,15 +210,16 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
     residual and confirmed against the recomputed true residual; the
     recurrence residual is refreshed from the true one every 10 iterations
     to guard against drift. Nonconvergence is reported, not raised.
-    ``callback(iteration, x)`` runs after every iteration; the iterates are
-    monotone in the energy norm of the error, which is what tests track
-    (the residual 2-norm itself oscillates, as it does for any CG).
+    ``callback(iteration, x)`` runs after every iteration and receives the
+    solver's live iterate buffer, which later iterations overwrite in
+    place: copy it to keep it. The iterates are monotone in the energy norm
+    of the error, which is what tests track (the residual 2-norm itself
+    oscillates, as it does for any CG).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    b = np.asarray(b, dtype=float)
-    counter = FlopCounter()
-    n = A.dimension
+    b = _rhs(A, b)
+    n, csr, mv = A.dimension, A._csr, 2 * A.nnz
 
     if np.any(A.diagonal() <= 0):
         raise ValueError("PCG requires a positive diagonal (SPD matrix)")
@@ -209,84 +227,83 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
 
     x = np.zeros(n)
     r = b.copy()
-    norm_b = _norm(b, counter)
+    norm_b = _norm(b)
+    flops, matvecs, inner_products = 2 * n, 0, 0
     history = []
     if norm_b == 0.0:
         return x, SolveReport(
-            method="pcg", iterations=0, final_residual=0.0, flops=counter.flops,
-            converged=True,
-            residual_history=[0.0], matvecs=counter.matvecs,
-            inner_products=counter.inner_products,
+            method="pcg", iterations=0, final_residual=0.0, flops=flops,
+            converged=True, residual_history=[0.0],
         )
 
     z = inv_diag * r
-    counter.add(n)
     p = z.copy()
-    rz = _dot(r, z, counter)
-    rel = _norm(r, counter) / norm_b
+    Ap, tmp = np.empty(n), np.empty(n)
+    rz = float(r.dot(z))
+    rel = _norm(r) / norm_b
+    flops += 5 * n
+    inner_products += 1
     history.append(rel)
     iterations = 0
     converged = rel <= tol
 
     while not converged and iterations < max_iter:
-        Ap = A.matvec(p, counter)
-        alpha = rz / _dot(p, Ap, counter)
-        x += alpha * p
-        counter.add(2 * n)
+        _csr_matvec(csr, p, Ap)
+        alpha = rz / float(p.dot(Ap))
+        x += np.multiply(alpha, p, out=tmp)
+        flops += mv + 4 * n
+        matvecs += 1
+        inner_products += 1
         iterations += 1
         if iterations % 10 == 0:
-            r = b - A.matvec(x, counter)
-            counter.add(n)
+            _residual(csr, b, x, r)
+            flops += mv + n
+            matvecs += 1
         else:
-            r -= alpha * Ap
-            counter.add(2 * n)
+            r -= np.multiply(alpha, Ap, out=tmp)
+            flops += 2 * n
         if callback is not None:
             callback(iterations, x)
-        rel = _norm(r, counter) / norm_b
+        rel = _norm(r) / norm_b
+        flops += 2 * n
         history.append(rel)
-        if not np.isfinite(rel) or rel > 1e8:
+        if not math.isfinite(rel) or rel > 1e8:
             break  # diverged; report nonconvergence below
         if rel <= tol:
-            true_rel = _norm(b - A.matvec(x, counter), counter) / norm_b
-            counter.add(n)
+            true_rel = _norm(_residual(csr, b, x, tmp)) / norm_b
+            flops += mv + 3 * n
+            matvecs += 1
             if true_rel <= tol:
-                rel = true_rel
                 converged = True
             else:
-                r = b - A.matvec(x, counter)
-                counter.add(n)
-        z = inv_diag * r
-        counter.add(n)
-        rz_new = _dot(r, z, counter)
+                _residual(csr, b, x, r)
+                flops += mv + n
+                matvecs += 1
+        np.multiply(inv_diag, r, out=z)
+        rz_new = float(r.dot(z))
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
-        counter.add(2 * n)
+        np.add(z, np.multiply(beta, p, out=tmp), out=p)
+        flops += 5 * n
+        inner_products += 1
 
-    final = _norm(b - A.matvec(x, counter), counter) / norm_b
-    counter.add(n)
+    final = _norm(_residual(csr, b, x, tmp)) / norm_b
     return x, SolveReport(
         method="pcg",
         iterations=iterations,
         final_residual=final,
-        flops=counter.flops,
+        flops=flops + mv + 3 * n,
         converged=bool(final <= tol),
         residual_history=history,
-        matvecs=counter.matvecs,
-        inner_products=counter.inner_products,
+        matvecs=matvecs + 1,
+        inner_products=inner_products,
     )
 
 
 BREAKDOWN_EPS = 1e-30
 
 
-def bicgstab(
-    A: SparseMatrix,
-    b: np.ndarray,
-    tol: float = 1e-5,
-    max_iter: int = 10000,
-    precondition: bool = True,
-):
+def bicgstab(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000):
     """Right-preconditioned BiCGSTAB (van der Vorst) with half-step counts.
 
     Each full iteration performs exactly 2 matvecs and 4 inner products;
@@ -296,72 +313,67 @@ def bicgstab(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    b = np.asarray(b, dtype=float)
-    counter = FlopCounter()
-    n = A.dimension
+    b = _rhs(A, b)
+    n, csr, mv = A.dimension, A._csr, 2 * A.nnz
 
-    if precondition:
-        diag = A.l1_diagonal()
-        if np.any(diag == 0):
-            raise ValueError("diagonal preconditioning requires nonempty rows")
-        inv_diag = 1.0 / diag
-    else:
-        inv_diag = None
-
-    def precond(v):
-        if inv_diag is None:
-            return v
-        counter.add(n)
-        return inv_diag * v
+    diag = A.l1_diagonal()
+    if np.any(diag == 0):
+        raise ValueError("diagonal preconditioning requires nonempty rows")
+    inv_diag = 1.0 / diag
 
     x = np.zeros(n)
     r = b.copy()
-    norm_b = _norm(b, counter)
+    norm_b = _norm(b)
+    flops, matvecs, inner_products = 2 * n, 0, 0
     history = []
     if norm_b == 0.0:
         return x, SolveReport(
-            method="bicgstab", iterations=0, final_residual=0.0, flops=counter.flops,
-            converged=True,
-            residual_history=[0.0], matvecs=counter.matvecs,
-            inner_products=counter.inner_products,
+            method="bicgstab", iterations=0, final_residual=0.0, flops=flops,
+            converged=True, residual_history=[0.0],
         )
     r_hat = r.copy()
-    rel = _norm(r, counter) / norm_b
+    rel = _norm(r) / norm_b
+    flops += 2 * n
     history.append(rel)
 
     iterations = 0.0
     converged = rel <= tol
     breakdown = None
     rho_old = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    p, p_hat, v, s, s_hat, t, tmp, tmp2 = (np.empty(n) for _ in range(8))
 
     while not converged and breakdown is None and iterations < max_iter:
-        rho = _dot(r_hat, r, counter)
+        rho = float(r_hat.dot(r))
+        flops += 2 * n
+        inner_products += 1
         if abs(rho) < BREAKDOWN_EPS * norm_b * norm_b:
             breakdown = "rho breakdown"
             break
         if iterations == 0.0:
-            p = r.copy()
+            np.copyto(p, r)
         else:
             beta = (rho / rho_old) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-            counter.add(4 * n)
-        p_hat = precond(p)
-        v = A.matvec(p_hat, counter)
-        rhv = _dot(r_hat, v, counter)
+            np.subtract(p, np.multiply(omega, v, out=tmp), out=tmp)
+            np.add(r, np.multiply(beta, tmp, out=tmp), out=p)
+            flops += 4 * n
+        np.multiply(inv_diag, p, out=p_hat)
+        _csr_matvec(csr, p_hat, v)
+        rhv = float(r_hat.dot(v))
+        flops += n + mv + 2 * n
+        matvecs += 1
+        inner_products += 1
         if abs(rhv) < BREAKDOWN_EPS * norm_b * norm_b:
             breakdown = "alpha breakdown"
             break
         alpha = rho / rhv
-        s = r - alpha * v
-        counter.add(2 * n)
-        rel = _norm(s, counter) / norm_b
+        np.subtract(r, np.multiply(alpha, v, out=s), out=s)
+        rel = _norm(s) / norm_b
+        flops += 4 * n
         if rel <= tol:
-            x_half = x + alpha * p_hat
-            counter.add(2 * n)
-            true_rel = _norm(b - A.matvec(x_half, counter), counter) / norm_b
-            counter.add(n)
+            x_half = np.add(x, np.multiply(alpha, p_hat, out=tmp2), out=tmp2)
+            true_rel = _norm(_residual(csr, b, x_half, tmp)) / norm_b
+            flops += 2 * n + mv + 3 * n
+            matvecs += 1
             if true_rel <= tol:
                 x = x_half
                 iterations += 0.5
@@ -369,45 +381,51 @@ def bicgstab(
                 converged = True
                 break
             # provisional convergence rejected; continue the full step
-        s_hat = precond(s)
-        t = A.matvec(s_hat, counter)
-        tt = _dot(t, t, counter)
+        np.multiply(inv_diag, s, out=s_hat)
+        _csr_matvec(csr, s_hat, t)
+        tt = float(t.dot(t))
+        flops += n + mv + 2 * n
+        matvecs += 1
+        inner_products += 1
         if tt == 0.0:
             breakdown = "omega breakdown"
             break
-        omega = _dot(t, s, counter) / tt
+        omega = float(t.dot(s)) / tt
+        flops += 2 * n
+        inner_products += 1
         if abs(omega) < BREAKDOWN_EPS:
             breakdown = "omega breakdown"
             break
-        x += alpha * p_hat + omega * s_hat
-        counter.add(4 * n)
-        r = s - omega * t
-        counter.add(2 * n)
+        np.add(np.multiply(alpha, p_hat, out=tmp), np.multiply(omega, s_hat, out=tmp2), out=tmp)
+        x += tmp
+        np.subtract(s, np.multiply(omega, t, out=r), out=r)
         iterations += 1.0
-        rel = _norm(r, counter) / norm_b
+        rel = _norm(r) / norm_b
+        flops += 4 * n + 2 * n + 2 * n
         history.append(rel)
         if rel <= tol:
-            true_rel = _norm(b - A.matvec(x, counter), counter) / norm_b
-            counter.add(n)
+            true_rel = _norm(_residual(csr, b, x, tmp)) / norm_b
+            flops += mv + 3 * n
+            matvecs += 1
             if true_rel <= tol:
                 converged = True
             else:
-                r = b - A.matvec(x, counter)
-                counter.add(n)
+                _residual(csr, b, x, r)
+                flops += mv + n
+                matvecs += 1
         rho_old = rho
 
-    final = _norm(b - A.matvec(x, counter), counter) / norm_b
-    counter.add(n)
+    final = _norm(_residual(csr, b, x, tmp)) / norm_b
     return x, SolveReport(
         method="bicgstab",
         iterations=iterations,
         final_residual=final,
-        flops=counter.flops,
+        flops=flops + mv + 3 * n,
         converged=bool(final <= tol),
         breakdown=breakdown,
         residual_history=history,
-        matvecs=counter.matvecs,
-        inner_products=counter.inner_products,
+        matvecs=matvecs + 1,
+        inner_products=inner_products,
     )
 
 
