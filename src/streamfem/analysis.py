@@ -14,6 +14,7 @@ grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -157,7 +158,13 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
     """Write the nonzero pattern as <stem>.pbm and <stem>.svg.
 
     The PBM has one pixel per matrix entry (1 = stored nonzero) and is
-    bit-exact reproducible; the SVG carries a bandwidth annotation.
+    bit-exact reproducible; the SVG has one ``<rect>`` per stored entry and
+    a bandwidth annotation. Both files are byte for byte what the per-entry
+    reference writers in the tests write. The PBM is written one block of
+    ROW_BLOCK rows at a time. Each SVG row is its columns' ``<rect x=".."
+    y="`` heads, formatted once per column, joined with the row's y and
+    size text, at most WRITE_CHUNK entries per write. Memory therefore
+    grows with the dimension, not with nnz.
     Returns the written paths and the bandwidth statistics.
     """
     from .solvers import bandwidth_stats
@@ -165,18 +172,19 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
     stats = bandwidth_stats(A)
     n = A.dimension
     indptr, cols = A.indptr, A.indices
-    rows = np.repeat(np.arange(n), np.diff(indptr))
 
     pbm_path = f"{path_stem}.pbm"
     with open(pbm_path, "wb") as f:
         f.write(f"P1\n{n} {n}\n".encode())
+        buffer = np.empty((min(n, ROW_BLOCK), n + 1), dtype=np.uint8)  # reused per block
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
-            block = np.full((r1 - r0, n + 1), ord("0"), dtype=np.uint8)
+            block = buffer[:r1 - r0]
+            block[:, :n] = ord("0")
             block[:, n] = ord("\n")
-            lo, hi = indptr[r0], indptr[r1]
-            block[rows[lo:hi] - r0, cols[lo:hi]] = ord("1")
-            f.write(block.tobytes())
+            block_rows = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+            block[block_rows, cols[indptr[r0]:indptr[r1]]] = ord("1")
+            f.write(block)
 
     svg_path = f"{path_stem}.svg"
     cell = max(1, 600 // n)
@@ -189,13 +197,15 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             f'viewBox="0 0 {size} {size + margin}">\n'
         )
         f.write(f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n')
-        for k in range(0, len(cols), WRITE_CHUNK):
-            xs = (cols[k:k + WRITE_CHUNK] * cell).tolist()
-            ys = (rows[k:k + WRITE_CHUNK] * cell).tolist()
-            f.write("".join(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="black"/>\n'
-                for x, y in zip(xs, ys)
-            ))
+        # a row's <rect> lines differ only in x: join the per-column heads
+        # with the row's tail, at most WRITE_CHUNK entries per write
+        heads = [f'<rect x="{c * cell}" y="' for c in range(n)]
+        bounds = indptr.tolist()
+        for r in range(n):
+            tail = f'{r * cell}" width="{cell}" height="{cell}" fill="black"/>\n'
+            for lo in range(bounds[r], bounds[r + 1], WRITE_CHUNK):
+                hi = min(lo + WRITE_CHUNK, bounds[r + 1])
+                f.write(tail.join(map(heads.__getitem__, cols[lo:hi].tolist())) + tail)
         f.write(
             f'<text x="4" y="{size + margin - 8}" font-size="14" font-family="monospace">'
             f'n={n} nnz={stats["nnz"]} bandwidth={stats["bandwidth"]} '
@@ -290,6 +300,15 @@ def _chain_segments(segments, tol=1e-9):
     return polylines
 
 
+MIN_GRID_SIZE = 16
+
+
+def check_grid_size(grid_size: int) -> None:
+    """Reject a contour sampling grid too coarse to trace the levels."""
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"contour sampling grid must be at least {MIN_GRID_SIZE} x {MIN_GRID_SIZE}")
+
+
 def export_contours(
     mesh: Mesh,
     dofmap: DofMap,
@@ -303,9 +322,13 @@ def export_contours(
 
     ``levels=None`` picks 8 equally spaced levels between 0 and the sampled
     maximum. Returns paths and the polylines per level.
+
+    The CSV has one ``x,y,psi`` line per grid point with every float as its
+    ``repr``, byte for byte what the per-point reference writer in the tests
+    writes. The x texts are formatted once, each grid row's ``,y,`` text
+    once per row, and each grid row is one write.
     """
-    if grid_size < 16:
-        raise ValueError("contour sampling grid must be at least 16 x 16")
+    check_grid_size(grid_size)
     xs = np.linspace(0.0, 1.0, grid_size)
     ys = np.linspace(0.0, 1.0, grid_size)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
@@ -323,7 +346,9 @@ def export_contours(
         f.write("x,y,psi\n")
         x_text = [repr(x) for x in xs.tolist()]
         for y, row in zip(ys.tolist(), grid):
-            f.write("".join(f"{x},{y!r},{psi!r}\n" for x, psi in zip(x_text, row.tolist())))
+            # lines "x,y,psi": x from its table, the row's ",y," text once
+            f.write("".join(chain.from_iterable(zip(
+                x_text, repeat(f",{y!r},"), map(repr, row.tolist()), repeat("\n")))))
 
     per_level = {}
     for level in levels:

@@ -13,6 +13,7 @@ precedence is defaults < config file < command-line flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -20,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
+    check_grid_size,
     compute_errors,
     export_contours,
     export_sparsity,
@@ -40,6 +42,16 @@ from .solvers import bandwidth_stats, write_matrix_market
 
 PCG_FAILED = "PCG did not converge"
 PICARD_FAILED = "fixed-point iteration did not converge"
+
+# Size bounds: a run's largest allocation stays within MEMORY_BUDGET (see
+# the README). For a mesh of n x n cells that is the error pass's 25-point
+# tables, seven float64 arrays of shape (2 n^2, 25, 21): 58,800 n^2 bytes,
+# 241 MB at n = 64. For a G x G contour grid it is the field sampling, which
+# peaked at 84-95 bytes per grid point (tracemalloc, G = 128 to 1024),
+# taken as 96.
+MEMORY_BUDGET = 2**30
+MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
+MAX_GRID_SIZE = math.isqrt(MEMORY_BUDGET // 96)
 
 
 def _read_config_file(path) -> dict:
@@ -121,6 +133,24 @@ def _config_from_args(args) -> PicardConfig:
         minimal_bc=args.minimal_bc,
         flip_convention=args.flip_sign_convention,
     )
+
+
+def _mesh_sizes(args) -> list[int]:
+    return [int(s) for s in args.mesh_sizes.split(",")]
+
+
+def _check_sizes(args) -> None:
+    """Reject a size out of its bounds before any mesh, table or grid exists."""
+    sizes = [("--n", args.n, MAX_N)]
+    if hasattr(args, "mesh_sizes"):
+        sizes += [("--mesh-sizes", n, MAX_N) for n in _mesh_sizes(args)]
+    if hasattr(args, "grid_size"):
+        check_grid_size(args.grid_size)
+        sizes.append(("--grid-size", args.grid_size, MAX_GRID_SIZE))
+    for option, value, limit in sizes:
+        if value > limit:
+            raise ValueError(f"{option} {value} is above the limit {limit} "
+                             f"(memory budget {MEMORY_BUDGET // 2**20} MiB)")
 
 
 def _ensure_out_dir(args) -> "pathlib.Path":
@@ -311,8 +341,7 @@ def cmd_convergence_table(args) -> int:
     from .analysis import run_tables
 
     out = _ensure_out_dir(args)
-    ns = [int(s) for s in args.mesh_sizes.split(",")]
-    configs = [(build_uniform_mesh(n), _config_from_args(args)) for n in ns]
+    configs = [(build_uniform_mesh(n), _config_from_args(args)) for n in _mesh_sizes(args)]
     result = run_tables(configs, problem=args.problem, load=args.load)
     name = f"table_{args.problem}_nqp{args.nqp}"
     (out / f"{name}.txt").write_text(result["text"])
@@ -374,6 +403,7 @@ def main(argv=None) -> int:
         args.command_parser.set_defaults(**_config_defaults(args, parser))
         args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

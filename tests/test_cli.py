@@ -270,3 +270,53 @@ def test_outputs_confined_to_out_dir(tmp_path, monkeypatch):
     assert run_cli(["solve-nse", "--n", "2", "--nqp", "6", "--out-dir", str(outdir)]) == 0
     assert os.listdir(workdir) == []
     assert (outdir / "error_report.txt").exists()
+
+
+class _MeshBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Make any mesh build raise, so a rejected size is seen to allocate nothing."""
+    def build(n):
+        raise _MeshBuilt(n)
+
+    monkeypatch.setattr(cli, "build_uniform_mesh", build)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["solve-nse", "--n", str(cli.MAX_N + 1)], cli.MAX_N),
+    (["mesh-info", "--n", str(cli.MAX_N + 1)], cli.MAX_N),
+    (["convergence-table", "--mesh-sizes", f"3,{cli.MAX_N + 1}"], cli.MAX_N),
+    (["export-contours", "--n", "3", "--grid-size", str(cli.MAX_GRID_SIZE + 1)],
+     cli.MAX_GRID_SIZE),
+])
+def test_sizes_above_their_bound_exit_2_before_any_mesh(tmp_path, capsys, no_mesh, argv, limit):
+    assert run_cli([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert f"above the limit {limit} (memory budget 1024 MiB)" in capsys.readouterr().err
+
+
+def test_grid_below_16_exits_2_before_any_mesh(tmp_path, capsys, no_mesh):
+    assert run_cli(["export-contours", "--grid-size", "15", "--out-dir", str(tmp_path)]) == 2
+    assert "at least 16 x 16" in capsys.readouterr().err
+
+
+def test_sizes_at_their_bound_reach_the_mesh(tmp_path, no_mesh):
+    for argv in (["solve-nse", "--n", str(cli.MAX_N)],
+                 ["export-contours", "--n", "3", "--grid-size", str(cli.MAX_GRID_SIZE)]):
+        with pytest.raises(_MeshBuilt):
+            run_cli([*argv, "--out-dir", str(tmp_path)])
+
+
+def test_size_bounds_follow_the_memory_budget():
+    error_tables = 7 * (2 * cli.MAX_N**2) * 25 * 21 * 8  # seven (2 n^2, 25, 21) float64 arrays
+    assert error_tables <= cli.MEMORY_BUDGET < 7 * (2 * (cli.MAX_N + 1)**2) * 25 * 21 * 8
+    assert (cli.MAX_N, cli.MAX_GRID_SIZE) == (135, 3344)
+
+
+def test_size_bound_applies_to_config_file_values(tmp_path, capsys, no_mesh):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = {cli.MAX_N + 1}\n")
+    assert run_cli(["solve-biharmonic", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"--n {cli.MAX_N + 1} is above the limit" in capsys.readouterr().err

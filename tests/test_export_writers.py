@@ -4,8 +4,10 @@ The reference below is the per-entry export code: a PBM written one
 character per matrix entry from a dense N x N grid, one SVG ``<rect>`` and
 one MatrixMarket line per stored entry, a contour CSV written one grid
 point at a time, and marching squares visiting one cell at a time. The
-row-block and chunked writers must reproduce their bytes exactly, and the
-vectorized marching squares their segment lists bit for bit.
+row-block and table-driven writers must reproduce their bytes exactly, for
+every float including -0.0, NaN and inf, and the vectorized marching
+squares their segment lists bit for bit. The ``ref_*`` writers are never
+edited to follow the package.
 """
 
 import tracemalloc
@@ -24,7 +26,7 @@ from streamfem.analysis import (
     export_sparsity,
 )
 from streamfem.cli import main as cli_main
-from streamfem.mesh import enumerate_dofs
+from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import (
     SparseMatrix,
@@ -150,9 +152,13 @@ def ref_marching_squares(grid, xs, ys, level):
 
 # --- matrices ----------------------------------------------------------------
 
+# quiet NaNs: the default one, a negative one and one with a payload; all
+# print as "nan", but the writers key values by bit pattern
+NANS = tuple(np.array([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_0BAD],
+                      dtype=np.uint64).view(float).tolist())
 EXTREME_VALUES = (
     -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1.7976931348623157e308,
-    1.0, -1.5, 0.1, 1e-5, 1e16, 123456789.125,
+    1.0, -1.5, 0.1, 1e-5, 1e16, 123456789.125, float("inf"), float("-inf"), *NANS,
 )
 
 
@@ -171,16 +177,26 @@ def stored_matrix(n, entries, is_symmetric=False):
     return SparseMatrix(sp.csr_matrix((data, cols, indptr), shape=(n, n)), is_symmetric)
 
 
-values = st.one_of(
-    st.sampled_from(EXTREME_VALUES),
-    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+# "nan" carries no sign or payload, so only non-NaN values round-trip bitwise
+round_trip_values = st.one_of(
+    st.sampled_from([v for v in EXTREME_VALUES if not np.isnan(v)]),
+    st.floats(allow_nan=False, allow_subnormal=True),
 )
+values = st.one_of(st.sampled_from(EXTREME_VALUES), st.floats(allow_subnormal=True))
 
 
 @st.composite
-def sparse_entries(draw, max_n=2 * ROW_BLOCK + 20, symmetric=False):
+def sparse_entries(draw, max_n=2 * ROW_BLOCK + 20, symmetric=False, values=values, pool=False):
+    """(n, {(row, col): value}); up to 3 n entries, so up to 1,596 (more
+    than one WRITE_CHUNK) at the default size. With ``pool`` the values come
+    from a few drawn ones, ±0.0 among them half the time, that most entries
+    repeat: the MatrixMarket writer formats each distinct value of a chunk
+    once."""
     n = draw(st.integers(1, max_n))
     index = st.integers(0, n - 1)
+    if pool:
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=6))
+                                 + draw(st.sampled_from([[], [0.0, -0.0]])))
     entries = draw(st.dictionaries(st.tuples(index, index), values, max_size=3 * n))
     if symmetric:
         entries = {(max(r, c), min(r, c)): v for (r, c), v in entries.items()}
@@ -227,6 +243,15 @@ def test_sparsity_block_seams_and_empty_rows(tmp_path, n):
     sparsity_files_equal(tmp_path, stored_matrix(n, entries))
 
 
+@settings(max_examples=60, deadline=None)
+@given(sparse_entries())
+def test_bandwidth_matches_per_entry_formula(case):
+    # the SVG annotation's bandwidth, read per row from the first and last entry
+    n, entries = case
+    A = stored_matrix(n, entries)
+    assert A.bandwidth == max((abs(r - c) for r, c in entries), default=0)
+
+
 def test_sparsity_empty_matrix(tmp_path):
     sparsity_files_equal(tmp_path, stored_matrix(5, {}))
 
@@ -251,6 +276,43 @@ def test_sparsity_memory_has_no_dense_grid(tmp_path):
     assert all(line.find(b"1") == r and line.count(b"1") == 1 for r, line in enumerate(pbm[2:-1]))
 
 
+@pytest.fixture(scope="module", params=[16, 24], ids=["n16", "n24"])
+def assembled(request):
+    mesh = build_uniform_mesh(request.param)
+    return assembly.assemble_biharmonic(mesh, enumerate_dofs(mesh, 1), rule(6))
+
+
+def traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The bounds below grow with the dimension N (tables of N strings, one PBM
+# block) but not with nnz: text is built and written WRITE_CHUNK entries or
+# one row at a time. A Python str or int per entry of the whole matrix would
+# add >= 36 bytes an entry (3.2 MB at n = 16) and fail them.
+
+def test_sparsity_memory_does_not_grow_with_nnz(tmp_path, assembled):
+    n = assembled.dimension
+    peak = traced_peak(lambda: export_sparsity(assembled, tmp_path / "a"))
+    # one PBM block, plus the SVG's per-column heads and the row bounds
+    bound = ROW_BLOCK * (n + 1) + 160 * n + 2**17
+    assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B (nnz {assembled.nnz})"
+
+
+def test_matrix_market_memory_grows_with_nnz_only_by_its_sort(tmp_path, assembled):
+    n = assembled.dimension
+    peak = traced_peak(lambda: write_matrix_market(assembled, tmp_path / "a.mtx"))
+    # the column-major sort holds a row index (4 B) and a sort index (8 B) per
+    # entry, plus lexsort's scratch; the index text table holds N strings
+    bound = 16 * assembled.nnz + 128 * n + 2**17
+    assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B (nnz {assembled.nnz})"
+
+
 # --- MatrixMarket ------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -260,8 +322,35 @@ def test_matrix_market_matches_reference(tmp_path_factory, case, is_symmetric):
     mtx_files_equal(tmp_path_factory.mktemp("mm"), stored_matrix(n, entries, is_symmetric))
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_entries(pool=True), st.booleans())
+def test_matrix_market_repeated_values_match_reference(tmp_path_factory, case, is_symmetric):
+    n, entries = case
+    mtx_files_equal(tmp_path_factory.mktemp("mmp"), stored_matrix(n, entries, is_symmetric))
+
+
+def test_matrix_market_keeps_signed_zeros_and_nans_apart(tmp_path):
+    # one chunk holding every special value twice: keyed by value instead of
+    # bit pattern, 0.0 and -0.0 would share one text
+    special = [0.0, -0.0, *NANS, float("inf"), float("-inf")]
+    entries = {(k % 7, k // 7): special[k % len(special)] for k in range(2 * len(special))}
+    A = stored_matrix(7, entries)
+    mtx_files_equal(tmp_path, A)
+    lines = (tmp_path / "new.mtx").read_text().splitlines()[2:]
+    assert sorted({line.split()[2] for line in lines}) == ["-0.0", "-inf", "0.0", "inf", "nan"]
+
+
+def test_matrix_market_prints_integer_and_float32_entries_as_python_does(tmp_path):
+    # int and float32 data print as tolist() gives them, as the writer always has
+    for data, want in (([1, -2], ["2 1 -2", "1 2 1"]),
+                       (np.array([0.1, -0.0], np.float32), ["2 1 -0.0", "1 2 0.10000000149011612"])):
+        csr = sp.csr_matrix((np.asarray(data), [1, 0], [0, 1, 2]), shape=(2, 2))
+        write_matrix_market(SparseMatrix(csr), tmp_path / "m.mtx")
+        assert (tmp_path / "m.mtx").read_text().splitlines()[2:] == want
+
+
 @settings(max_examples=30, deadline=None)
-@given(sparse_entries(max_n=40, symmetric=True))
+@given(sparse_entries(max_n=40, symmetric=True, values=round_trip_values))
 def test_matrix_market_symmetric_matches_reference_and_round_trips(tmp_path_factory, case):
     n, entries = case
     tmp = tmp_path_factory.mktemp("mms")
@@ -276,7 +365,7 @@ def test_matrix_market_symmetric_matches_reference_and_round_trips(tmp_path_fact
 
 
 @settings(max_examples=30, deadline=None)
-@given(sparse_entries(max_n=60))
+@given(sparse_entries(max_n=60, values=round_trip_values))
 def test_matrix_market_general_round_trip_is_bitwise(tmp_path_factory, case):
     n, entries = case
     path = tmp_path_factory.mktemp("mmg") / "g.mtx"

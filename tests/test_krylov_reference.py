@@ -4,7 +4,9 @@
 ``solvers.bicgstab`` ran before the solvers moved to one CSR kernel call per
 matvec into reused buffers. Their bodies are kept verbatim; the one
 adaptation is ``_CountedMatrix``, which gives them the matrix interface they
-were written against (``matvec(x, counter)`` returning ``csr.dot(x)``).
+were written against (``matvec(x, counter)`` returning ``csr.dot(x)``), and
+the one later change is BiCGSTAB's divergence stop, made in both loops at
+once so that the comparison keeps covering every branch.
 The rewrite must return the same iterate, byte for byte, and the same
 ``SolveReport`` in every field, residual history included, on every branch
 of the loops: the paper's iteration and operation counts rest on this.
@@ -165,7 +167,8 @@ def ref_bicgstab(
     max_iter: int = 10000,
     precondition: bool = True,
 ):
-    """The parent loop of ``solvers.bicgstab``, verbatim."""
+    """The parent loop of ``solvers.bicgstab``, verbatim but for the
+    divergence stop after the full step, which both loops gained together."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     b = np.asarray(b, dtype=float)
@@ -258,6 +261,8 @@ def ref_bicgstab(
         iterations += 1.0
         rel = _norm(r, counter) / norm_b
         history.append(rel)
+        if not np.isfinite(rel) or rel > 1e8:
+            break  # the divergence stop, added to both loops together
         if rel <= tol:
             true_rel = _norm(b - A.matvec(x, counter), counter) / norm_b
             counter.add(n)
@@ -367,9 +372,9 @@ def branches(b, tol, max_iter, report) -> set:
         taken.add("half step")
     if report.iterations == max_iter and tol < h[-1] <= 1e8:
         taken.add("max_iter")
+    if not np.isfinite(h[-1]) or h[-1] > 1e8:
+        taken.add("divergence")
     if report.method == "pcg":
-        if not np.isfinite(h[-1]) or h[-1] > 1e8:
-            taken.add("divergence")
         if report.converged and report.iterations and report.iterations % 10 == 0 and h[-1] <= tol:
             taken.add("refresh convergence")
     return taken
@@ -394,6 +399,7 @@ BICGSTAB_CASES = {
     "rho breakdown": (small_system([[-3, 3, -2], [1, -3, 0], [0, 0, 1]], [0, 0, -2]), 1e-12, 50),
     "alpha breakdown": (small_system([[0, 1], [-1, 0]], [1, 0]), 1e-12, 50),
     "omega breakdown": (small_system([[0, -1], [2, 3]], [0, 1]), 1e-12, 50),
+    "divergence": (small_system([[2, -2, -1], [-3, 3, 3], [-3, 3, 2]], [2, -1, 2]), 1e-8, 200),
 }
 # PCG on a singular system: p . Ap = 0 raises ZeroDivisionError in both loops
 SINGULAR = (small_system([[1, -1], [-1, 1]], [0, 2]), 1e-12, 50)

@@ -267,6 +267,24 @@ def test_bicgstab_nonconvergence_distinct_from_breakdown(biharmonic_system):
     assert report.breakdown is None
 
 
+def test_bicgstab_stops_at_the_first_residual_above_1e8():
+    # without the stop this system ran 129 iterations, the residual climbing
+    # to 6.0e12, until a rho breakdown ended it
+    A = finalize_csr(sp.csr_matrix(np.array([[2, -2, -1], [-3, 3, 3], [-3, 3, 2]], float)))
+    x, report = bicgstab(A, np.array([2.0, -1.0, 2.0]), tol=1e-8, max_iter=20000)
+    history = report.residual_history
+    assert history[-1] > 1e8 and max(history[:-1]) <= 1e8
+    assert report.iterations == len(history) - 1 == 23
+    assert not report.converged
+    assert report.breakdown is None  # divergence is nonconvergence, not a breakdown
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bicgstab_stops_on_a_non_finite_residual(bad):
+    x, report = bicgstab(identity(3), np.array([1.0, bad, 0.0]), tol=1e-8)
+    assert report.iterations <= 1 and not report.converged
+
+
 def test_solver_determinism(biharmonic_system):
     A, b = biharmonic_system
     x1, r1 = pcg(A, b, tol=1e-6)

@@ -14,12 +14,20 @@ Snapshot two checkouts and compare them with
     diff -r -x timings.csv before/ after/
 
 ``timings.csv`` holds the only wall-clock times, so a change that keeps the
-outputs bitwise identical prints nothing.
+outputs bitwise identical prints nothing. The script also writes
+``OUT_DIR/SHA256SUMS``: the SHA-256 of every output but ``timings.csv``, in
+sorted relative-path order, in the format of ``sha256sum``, and prints that
+file's own SHA-256 last. Equal outputs give equal digests, and
+
+    cd OUT_DIR && sha256sum -c SHA256SUMS
+
+re-checks a snapshot against its list.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -55,7 +63,23 @@ def snapshot(out_dir: Path) -> int:
     return failed
 
 
+def write_digests(out_dir: Path) -> str:
+    """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file."""
+    paths = sorted(
+        path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*")
+        if path.is_file() and path.name != "timings.csv" and path != out_dir / "SHA256SUMS"
+    )
+    sums = "".join(
+        f"{hashlib.sha256((out_dir / path).read_bytes()).hexdigest()}  {path}\n" for path in paths
+    )
+    (out_dir / "SHA256SUMS").write_text(sums)
+    return hashlib.sha256(sums.encode()).hexdigest()
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    sys.exit(1 if snapshot(Path(sys.argv[1]).resolve()) else 0)
+    out_dir = Path(sys.argv[1]).resolve()
+    failed = snapshot(out_dir)
+    print(f"SHA256SUMS: {write_digests(out_dir)}")
+    sys.exit(1 if failed else 0)
