@@ -18,8 +18,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .argyris import ElementBases, build_all_bases
-from .assembly import ElementTables
+from .argyris import EVAL_ORDERS, ElementBases, build_all_bases
+from .assembly import dof_arrays, element_blocks
 from .mesh import DofMap, Mesh
 from .quadrature import rule as quad_rule
 from .solvers import WRITE_CHUNK, SparseMatrix
@@ -52,12 +52,15 @@ def compute_errors(
     dofmap: DofMap,
     coefficients: np.ndarray,
     exact,
-    tables: ElementTables | None = None,
 ) -> ErrorReport:
     """Integrate (psi_h - psi)^2 and derivative differences elementwise.
 
     ``exact`` provides exact, exact_dx, ..., exact_dyy callables (the
     manufactured-solution object or anything with the same attributes).
+    The differences at the verification rule's points are formed
+    ``BLOCK`` triangles and one derivative table at a time, so only the six
+    (T, nq) differences and the weights are held for the whole mesh; the
+    norms then sum over those arrays.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (dofmap.total_dofs,):
@@ -65,40 +68,31 @@ def compute_errors(
             f"coefficient vector must have length {dofmap.total_dofs}, "
             f"got {coefficients.shape}"
         )
-    if tables is None:
-        tables = ElementTables(
-            mesh, quad_rule(VERIFICATION_RULE_POINTS), second_derivatives=True, values=True
-        )
-    if not hasattr(tables, "values") or not hasattr(tables, "dxy"):
-        raise ValueError("error integration needs tables with values and second derivatives")
+    q = quad_rule(VERIFICATION_RULE_POINTS)
+    local = coefficients[dof_arrays(mesh, dofmap)]  # (T, 21)
+    shape = (mesh.num_triangles, q.n_points)
+    w = np.empty(shape)
+    err = {name: np.empty(shape) for name, _ in EVAL_ORDERS}
+    exact_of = {name: getattr(exact, "exact" if name == "value" else f"exact_{name}")
+                for name, _ in EVAL_ORDERS}
+    bases = build_all_bases(mesh)
+    for blk, points, weights in element_blocks(q, bases):
+        w[blk] = weights
+        x, y = points[:, :, 0], points[:, :, 1]
+        for name, table in bases.tables(points, EVAL_ORDERS, blk):  # one table at a time
+            np.subtract(np.einsum("tqk,tk->tq", table, local[blk]), exact_of[name](x, y),
+                        out=err[name][blk])
 
-    tri_dofs = tables.dof_arrays(dofmap)
-    local = coefficients[tri_dofs]  # (T, 21)
-
-    x = tables.points[:, :, 0]
-    y = tables.points[:, :, 1]
-    w = tables.weights
-
-    def field(tab):
-        return np.einsum("tqk,tk->tq", tab, local)
-
-    e_val = field(tables.values) - exact.exact(x, y)
-    e_dx = field(tables.dx) - exact.exact_dx(x, y)
-    e_dy = field(tables.dy) - exact.exact_dy(x, y)
-    e_dxx = field(tables.dxx) - exact.exact_dxx(x, y)
-    e_dxy = field(tables.dxy) - exact.exact_dxy(x, y)
-    e_dyy = field(tables.dyy) - exact.exact_dyy(x, y)
-
-    l2 = float(np.sqrt(np.sum(w * e_val ** 2)))
-    h1 = float(np.sqrt(np.sum(w * (e_dx ** 2 + e_dy ** 2))))
-    h2 = float(np.sqrt(np.sum(w * (e_dxx ** 2 + e_dxy ** 2 + e_dyy ** 2))))
+    l2 = float(np.sqrt(np.sum(w * err["value"] ** 2)))
+    h1 = float(np.sqrt(np.sum(w * (err["dx"] ** 2 + err["dy"] ** 2))))
+    h2 = float(np.sqrt(np.sum(w * (err["dxx"] ** 2 + err["dxy"] ** 2 + err["dyy"] ** 2))))
 
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
     nodal = coefficients[dofmap.vertex_dofs[:, 0]] - exact.exact(vx, vy)
     nodal_max = float(np.abs(nodal).max())
 
     return ErrorReport(l2=l2, h1_semi=h1, h2_semi=h2, nodal_max=nodal_max,
-                       n_quad_points=tables.rule.n_points)
+                       n_quad_points=q.n_points)
 
 
 def _locate(mesh: Mesh, points: np.ndarray) -> np.ndarray:

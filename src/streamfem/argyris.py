@@ -126,16 +126,19 @@ def _monomials(powers, ax: int, ay: int, scale: np.ndarray) -> np.ndarray:
     return m * scale[..., ax + ay, None, None]
 
 
-def _evaluate(local_pts, scale, coeffs, orders, out=None) -> dict[str, np.ndarray]:
-    """Derivative tables (..., P, 21) of shapes with coefficients (..., 21, 21).
+def _tables(local_pts, scale, coeffs, orders, out=None):
+    """Yield (name, table) for each (name, (ax, ay)) of ``orders``: the
+    derivative tables (..., P, 21) of shapes with coefficients (..., 21, 21).
 
-    ``out`` may map a name to the array its table is written into.
+    The powers of the points are formed once; each table is formed when it
+    is asked for. ``out`` may map a name to the array its table is written
+    into.
     """
     powers = _powers(local_pts)
     coeffs_t = np.swapaxes(coeffs, -1, -2)
     out = out or {}
-    return {name: np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
-            for name, (ax, ay) in orders}
+    for name, (ax, ay) in orders:
+        yield name, np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
 
 
 _DERIV_ORDERS = {
@@ -231,8 +234,8 @@ class ElementBasis:
         Returns a dict name -> (npoints, 21) array for each requested
         (name, (ax, ay)) pair.
         """
-        return _evaluate(self.local_coords(points), _inverse_powers(self.diameter),
-                         self.coeffs, orders)
+        return dict(_tables(self.local_coords(points), _inverse_powers(self.diameter),
+                            self.coeffs, orders))
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         def cross2(u, v):
@@ -288,9 +291,15 @@ class ElementBases(Sequence):
         name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``, written
         into ``out[name]`` where ``out`` names an array.
         """
+        return dict(self.tables(points, orders, block, out))
+
+    def tables(self, points, orders, block=slice(None), out=None):
+        """Yield the (name, table) items of :meth:`evaluate` one at a time,
+        each formed when it is asked for, so that a caller done with a table
+        before the next holds one, not all."""
         local = (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
-        return _evaluate(local, _inverse_powers(self.diameter[block]), self.coeffs[block],
-                         orders, out)
+        yield from _tables(local, _inverse_powers(self.diameter[block]), self.coeffs[block],
+                           orders, out)
 
 
 def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None = None) -> ElementBases:

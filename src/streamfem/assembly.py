@@ -16,7 +16,24 @@ values cannot control the 10-dimensional space of quintic Laplacians) and
 the assembled matrix close to singular. The viscous form is therefore
 always integrated with a rule exact for degree 6, while the requested
 n.q.p. rule governs the load and convection assemblies, whose integrands
-carry the data dependence.
+carry the data dependence. Its element matrices are formed ``BLOCK``
+triangles at a time from the element bases, so no table of that rule is
+held for the whole mesh.
+
+Element matrices reach the global CSR matrix through a :class:`ScatterPlan`,
+built once per DOF map. Entry (t, i, j) of the stacked (T, 21, 21) element
+matrices belongs at (dof[t, i], dof[t, j]), and each (row, column) slot of
+the structural pattern (the entries element connectivity implies) receives
+one to six of them. The order in which they are summed is the order scipy's
+COO-to-CSR conversion sums duplicates: a stable bucket sort by row, then an
+unstable sort by column within each row. That sort permutes by the columns
+alone, never by the values, so the plan runs the conversion once on the
+entry numbers and records the order it produced. Each assembly replays it:
+one gather of every slot's first entry, at most five passes adding the
+further entries in turn, then exact zeros (+0.0 and -0.0) are dropped as
+``eliminate_zeros`` drops them. The matrix is bitwise the one
+``coo_matrix(...).tocsr()`` and ``eliminate_zeros`` build from the same
+entries, without their COO index copies and sort on every assembly.
 
 The manufactured forcing uses the exact stream function
 psi = x^2 (x-1)^2 y^2 (y-1)^2 with velocity u = (psi_y, -psi_x) and pressure
@@ -32,29 +49,43 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sort_indices
 
 from .argyris import BLOCK, ElementBases, build_all_bases
 from .mesh import DofMap, Mesh
 from .quadrature import QuadratureRule, map_to_triangle, rule as quad_rule
-from .solvers import SparseMatrix, from_coo
+from .solvers import SparseMatrix
 
 VISCOUS_EXACT_DEGREE = 6
+TABLE_ORDERS = (("dx", (1, 0)), ("dy", (0, 1)), ("dxx", (2, 0)), ("dyy", (0, 2)))
+LAPLACIAN_ORDERS = TABLE_ORDERS[2:]
+
+
+def element_blocks(rule: QuadratureRule, bases: ElementBases):
+    """Yield (slice, points, weights) for ``BLOCK`` triangles at a time.
+
+    ``points`` (B, nq, 2) and ``weights`` (B, nq) are the rule mapped to the
+    block's triangles by one batched ``map_to_triangle``; the block's
+    derivative tables are ``bases.evaluate(points, orders, slice)``, one
+    batched matmul per table with the same per-triangle arithmetic as
+    ``ElementBasis.evaluate``.
+    """
+    for lo in range(0, len(bases), BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        yield (blk, *map_to_triangle(rule, bases.coords[blk]))
 
 
 class ElementTables:
     """Shape derivative tables of every triangle at the rule's points.
 
-    Arrays are (T, nq, 21) for dx, dy, lap (plus dxx, dxy, dyy when
-    ``second_derivatives`` is set), (T, nq, 2) physical points and (T, nq)
-    area-scaled weights. They are filled ``BLOCK`` triangles at a time: one
-    batched ``map_to_triangle`` and one batched matmul per derivative table,
-    written straight into the arrays, with the same per-triangle arithmetic
-    as ``ElementBasis.evaluate``. Building this once and reusing it across
+    Arrays are (T, nq, 21) for dx, dy and lap, (T, nq, 2) physical points and
+    (T, nq) area-scaled weights, filled by :func:`element_blocks` and written
+    straight into the arrays. Building this once and reusing it across
     assemblies is what makes the fixed-point iteration cheap.
     """
 
-    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases | None = None,
-                 second_derivatives: bool = False, values: bool = False):
+    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases | None = None):
         if bases is None:
             bases = build_all_bases(mesh)
         self.mesh = mesh
@@ -66,55 +97,161 @@ class ElementTables:
         self.dx = np.empty((nt, nq, 21))
         self.dy = np.empty((nt, nq, 21))
         self.lap = np.empty((nt, nq, 21))
-        orders = [("dx", (1, 0)), ("dy", (0, 1)), ("dxx", (2, 0)), ("dyy", (0, 2))]
-        kept = {"dx": self.dx, "dy": self.dy}
-        if second_derivatives:
-            orders.append(("dxy", (1, 1)))
-            self.dxx = np.empty((nt, nq, 21))
-            self.dxy = np.empty((nt, nq, 21))
-            self.dyy = np.empty((nt, nq, 21))
-            kept.update(dxx=self.dxx, dxy=self.dxy, dyy=self.dyy)
-        if values:
-            orders.append(("value", (0, 0)))
-            self.values = np.empty((nt, nq, 21))
-            kept["value"] = self.values
-        for lo in range(0, nt, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            self.points[blk], self.weights[blk] = map_to_triangle(rule, bases.coords[blk])
-            tab = bases.evaluate(self.points[blk], orders, blk,
-                                 out={name: table[blk] for name, table in kept.items()})
+        for blk, points, weights in element_blocks(rule, bases):
+            self.points[blk], self.weights[blk] = points, weights
+            tab = bases.evaluate(points, TABLE_ORDERS, blk,
+                                 out={"dx": self.dx[blk], "dy": self.dy[blk]})
             np.add(tab["dxx"], tab["dyy"], out=self.lap[blk])
 
-    def dof_arrays(self, dofmap: DofMap) -> np.ndarray:
-        """(T, 21) global DOFs of every triangle, rows as DofMap.triangle_dofs."""
-        return np.hstack([dofmap.vertex_dofs[self.mesh.triangles].reshape(-1, 18),
-                          dofmap.edge_dofs[self.mesh.triangle_edges]])
+
+def dof_arrays(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """(T, 21) global DOFs of every triangle, rows as DofMap.triangle_dofs."""
+    return np.hstack([dofmap.vertex_dofs[mesh.triangles].reshape(-1, 18),
+                      dofmap.edge_dofs[mesh.triangle_edges]])
 
 
-def _scatter(mesh, dofmap, tri_dofs, local_blocks, is_symmetric, reduced):
-    """Accumulate (T, 21, 21) local matrices into the global CSR matrix."""
-    nt = mesh.num_triangles
-    rows = np.repeat(tri_dofs, 21, axis=1).ravel()
-    cols = np.tile(tri_dofs, (1, 21)).ravel()
-    vals = local_blocks.reshape(nt * 441)
-    if reduced:
-        r = dofmap.free_of_global[rows]
-        c = dofmap.free_of_global[cols]
-        keep = (r >= 0) & (c >= 0)
-        return from_coo(dofmap.num_free, r[keep], c[keep], vals[keep], is_symmetric=is_symmetric)
-    return from_coo(dofmap.total_dofs, rows, cols, vals, is_symmetric=is_symmetric)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _viscous_tables(mesh, rule, tables):
-    """Tables exact for the degree-6 viscous integrand, reusing bases."""
-    if rule.exact_degree >= VISCOUS_EXACT_DEGREE:
-        if tables is not None and tables.rule is rule:
-            return tables
-        return ElementTables(mesh, rule, bases=tables.bases if tables else None)
-    exact = quad_rule(12)
-    if tables is not None and tables.rule is exact:
-        return tables
-    return ElementTables(mesh, exact, bases=tables.bases if tables else None)
+@dataclass(frozen=True, eq=False)
+class ScatterPlan:
+    """Where and in which order element matrix entries sum into the global
+    CSR matrix of one DOF map (see the module docstring).
+
+    ``indptr`` and ``indices`` are the structural pattern over the free DOFs
+    (all DOFs when ``reduced`` is false). Slot s starts from entry
+    ``first[s]`` of the flattened (T, 21, 21) element matrices, and
+    ``ranks[r]`` is a (slots, entries) pair: entry ``entries[k]`` is added
+    to slot ``slots[k]`` in pass r. All arrays are int32 and read-only,
+    because assembled matrices share ``indptr`` and ``indices`` with the plan
+    when they hold no zero.
+    """
+
+    mesh: Mesh
+    dofmap: DofMap
+    reduced: bool
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    ranks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        """Slots of the structural pattern."""
+        return len(self.indices)
+
+    @classmethod
+    def build(cls, mesh: Mesh, dofmap: DofMap, reduced: bool = True) -> "ScatterPlan":
+        index_of = dofmap.free_of_global if reduced else np.arange(dofmap.total_dofs)
+        dofs = index_of[dof_arrays(mesh, dofmap)].astype(np.int32)  # -1: eliminated
+        n = dofmap.num_free if reduced else dofmap.total_dofs
+        keep = ((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)).ravel()
+        rows = np.repeat(dofs, 21, axis=1).ravel()[keep]
+        cols = np.tile(dofs, (1, 21)).ravel()[keep]
+        # scipy's conversion carries the entry numbers as float64 data, the
+        # type of the values, so its sort runs the code it runs on them
+        numbers = np.flatnonzero(keep).astype(float)
+        del keep
+        indptr = np.empty(n + 1, dtype=np.int32)
+        indices = np.empty(len(rows), dtype=np.int32)
+        entries = np.empty(len(rows))
+        coo_tocsr(n, n, len(rows), rows, cols, numbers, indptr, indices, entries)
+        del rows, cols, numbers
+        if not csr_has_sorted_indices(n, indptr, indices):  # what csr.sort_indices() does
+            csr_sort_indices(n, indptr, indices, entries)
+        entries = entries.astype(np.int32)
+        # a slot starts at every row start and at every change of column
+        head = np.ones(len(indices) + 1, dtype=bool)
+        np.not_equal(indices[1:], indices[:-1], out=head[1:-1])
+        head[indptr] = True
+        starts = np.flatnonzero(head)  # then len(indices), closing the last slot
+        del head
+        runs = np.diff(starts)
+        ranks = []
+        for r in range(1, runs.max(initial=1)):
+            slots = np.flatnonzero(runs > r)
+            ranks.append((_read_only(slots.astype(np.int32)),
+                          _read_only(entries[starts[slots] + r])))
+        return cls(
+            mesh=mesh,
+            dofmap=dofmap,
+            reduced=reduced,
+            indptr=_read_only(np.searchsorted(starts, indptr).astype(np.int32)),
+            indices=_read_only(indices[starts[:-1]]),
+            first=_read_only(entries[starts[:-1]]),
+            ranks=tuple(ranks),
+        )
+
+    def assemble(self, local: np.ndarray, is_symmetric: bool = False) -> SparseMatrix:
+        """Sum (T, 21, 21) element matrices into the global CSR matrix."""
+        if local.shape != (self.mesh.num_triangles, 21, 21):
+            raise ValueError(f"element matrices must have shape "
+                             f"({self.mesh.num_triangles}, 21, 21), got {local.shape}")
+        values = local.reshape(-1)
+        data = values[self.first]
+        for slots, entries in self.ranks:
+            data[slots] += values[entries]
+        indptr, indices = self.indptr, self.indices
+        nonzero = data != 0  # drops +0.0 and -0.0, keeps NaN
+        if not nonzero.all():
+            data, indices = data[nonzero], indices[nonzero]
+            kept = np.zeros(len(nonzero) + 1, dtype=np.int32)
+            np.cumsum(nonzero, out=kept[1:])
+            indptr = kept[indptr]
+        csr = sp.csr_matrix((data, indices, indptr), shape=(self.dimension, self.dimension))
+        csr.has_canonical_format = True
+        return SparseMatrix(csr, is_symmetric=is_symmetric)
+
+
+def _scatter_plan(mesh, dofmap, reduced, plan) -> ScatterPlan:
+    """``plan``, checked against the assembly's arguments, or a new one."""
+    if plan is None:
+        return ScatterPlan.build(mesh, dofmap, reduced)
+    if plan.mesh is not mesh or plan.dofmap is not dofmap or plan.reduced != reduced:
+        raise ValueError("the scatter plan was built for another mesh, DOF map or reduction")
+    return plan
+
+
+def _check_reynolds(reynolds) -> None:
+    if not (np.isfinite(reynolds) and reynolds > 0):
+        raise ValueError(f"Reynolds number must be positive and finite, got {reynolds}")
+
+
+def viscous_element_matrices(
+    mesh: Mesh,
+    rule: QuadratureRule,
+    reynolds: float = 1.0,
+    tables: ElementTables | None = None,
+) -> np.ndarray:
+    """(T, 21, 21) element matrices of Re^-1 (lap psi, lap phi).
+
+    The integration rule is promoted to one exact for the degree-6
+    integrand when the requested rule is weaker (see module docstring).
+    ``tables`` over the rule in use are read as they are; otherwise the
+    Laplacians are tabulated ``BLOCK`` triangles at a time from the bases of
+    ``tables``, or from new bases. The matrices depend on the mesh and the
+    Reynolds number only, not on the DOF numbering.
+    """
+    _check_reynolds(reynolds)
+    if rule.exact_degree < VISCOUS_EXACT_DEGREE:
+        rule = quad_rule(12)
+    if tables is not None and tables.rule is rule:
+        local = np.einsum("tq,tqi,tqj->tij", tables.weights, tables.lap, tables.lap)
+    else:
+        bases = tables.bases if tables is not None else build_all_bases(mesh)
+        local = np.empty((mesh.num_triangles, 21, 21))
+        for blk, points, weights in element_blocks(rule, bases):
+            tab = bases.evaluate(points, LAPLACIAN_ORDERS, blk)
+            lap = np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
+            np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
+    local /= reynolds
+    return local
 
 
 def assemble_biharmonic(
@@ -124,21 +261,23 @@ def assemble_biharmonic(
     reynolds: float = 1.0,
     tables: ElementTables | None = None,
     reduced: bool = True,
+    plan: ScatterPlan | None = None,
+    element_matrices: np.ndarray | None = None,
 ) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi).
 
-    The integration rule is promoted to one exact for the degree-6
-    integrand when the requested rule is weaker (see module docstring).
     ``reduced=False`` keeps the constrained DOFs (for quadratic-form
-    evaluations with inhomogeneous data).
+    evaluations with inhomogeneous data). ``plan`` is the scatter plan of
+    ``dofmap`` and ``reduced``, built here when not given.
+    ``element_matrices`` are :func:`viscous_element_matrices` of the same
+    mesh, rule and Reynolds number, formed here when not given; a caller
+    that assembles under several orderings forms them once.
     """
-    if reynolds <= 0:
-        raise ValueError(f"Reynolds number must be positive, got {reynolds}")
-    tables = _viscous_tables(mesh, rule, tables)
-    local = np.einsum("tq,tqi,tqj->tij", tables.weights, tables.lap, tables.lap)
-    local /= reynolds
-    tri_dofs = tables.dof_arrays(dofmap)
-    return _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=True, reduced=reduced)
+    _check_reynolds(reynolds)
+    plan = _scatter_plan(mesh, dofmap, reduced, plan)
+    if element_matrices is None:
+        element_matrices = viscous_element_matrices(mesh, rule, reynolds, tables)
+    return plan.assemble(element_matrices, is_symmetric=True)
 
 
 def assemble_convection(
@@ -149,29 +288,33 @@ def assemble_convection(
     tables: ElementTables | None = None,
     flip_convention: bool = False,
     reduced: bool = True,
+    plan: ScatterPlan | None = None,
 ) -> SparseMatrix:
     """Assemble the linearized convection form with frozen field xi.
 
     xi is a full-DOF coefficient vector (constrained entries zero). The
     result is antisymmetric; ``flip_convention`` negates it (the opposite
-    velocity sign convention).
+    velocity sign convention). ``plan`` is as in :func:`assemble_biharmonic`.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dofmap.total_dofs,):
         raise ValueError(
             f"xi must have full DOF length {dofmap.total_dofs}, got shape {xi.shape}"
         )
+    plan = _scatter_plan(mesh, dofmap, reduced, plan)
     if tables is None:
         tables = ElementTables(mesh, rule)
-    tri_dofs = tables.dof_arrays(dofmap)
-    xi_local = xi[tri_dofs]                                    # (T, 21)
+    xi_local = xi[dof_arrays(mesh, dofmap)]                    # (T, 21)
     lap_xi = np.einsum("tqk,tk->tq", tables.lap, xi_local)     # (T, nq)
     w = tables.weights * lap_xi
-    cross = np.einsum("tq,tqi,tqj->tij", w, tables.dx, tables.dy)
-    local = cross - np.transpose(cross, (0, 2, 1))
+    local = np.empty((mesh.num_triangles, 21, 21))
+    for lo in range(0, mesh.num_triangles, BLOCK):  # no whole-mesh cross table
+        blk = slice(lo, lo + BLOCK)
+        cross = np.einsum("tq,tqi,tqj->tij", w[blk], tables.dx[blk], tables.dy[blk])
+        np.subtract(cross, np.transpose(cross, (0, 2, 1)), out=local[blk])
     if flip_convention:
-        local = -local
-    return _scatter(mesh, dofmap, tri_dofs, local, is_symmetric=False, reduced=reduced)
+        np.negative(local, out=local)
+    return plan.assemble(local)
 
 
 def assemble_load(
@@ -195,7 +338,7 @@ def assemble_load(
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), x.shape)
     local = np.einsum("tq,tqi->ti", tables.weights * f1, tables.dy)
     local -= np.einsum("tq,tqi->ti", tables.weights * f2, tables.dx)
-    tri_dofs = tables.dof_arrays(dofmap)
+    tri_dofs = dof_arrays(mesh, dofmap)
     if not reduced:
         vec = np.zeros(dofmap.total_dofs)
         np.add.at(vec, tri_dofs.ravel(), local.ravel())
@@ -303,6 +446,5 @@ class ManufacturedSolution:
 
 def manufactured_rhs(reynolds: float = 1.0, flip_convention: bool = False) -> ManufacturedSolution:
     """Forcing and exact-solution evaluators for the unit-square test case."""
-    if reynolds <= 0:
-        raise ValueError(f"Reynolds number must be positive, got {reynolds}")
+    _check_reynolds(reynolds)
     return ManufacturedSolution(reynolds=float(reynolds), flip_convention=flip_convention)

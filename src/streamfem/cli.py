@@ -28,7 +28,12 @@ from .analysis import (
     format_table,
     write_csv,
 )
-from .assembly import assemble_biharmonic, assemble_convection
+from .assembly import (
+    ElementTables,
+    assemble_biharmonic,
+    assemble_convection,
+    viscous_element_matrices,
+)
 from .mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs, export_mesh_csv
 from .picard import (
     PicardConfig,
@@ -44,11 +49,13 @@ PCG_FAILED = "PCG did not converge"
 PICARD_FAILED = "fixed-point iteration did not converge"
 
 # Size bounds: a run's largest allocation stays within MEMORY_BUDGET (see
-# the README). For a mesh of n x n cells that is the error pass's 25-point
-# tables, seven float64 arrays of shape (2 n^2, 25, 21): 58,800 n^2 bytes,
-# 241 MB at n = 64. For a G x G contour grid it is the field sampling, which
-# peaked at 84-95 bytes per grid point (tracemalloc, G = 128 to 1024),
-# taken as 96.
+# the README). For a mesh of n x n cells the bound is 58,800 n^2 bytes, the
+# size of the seven (2 n^2, 25, 21) float64 tables the error pass held
+# before it was streamed; kept as a conservative cap. The largest step is
+# now the scatter plan build, 28 bytes per element-matrix entry with a free
+# row and column, at most 24,700 n^2 bytes (22.3 MiB traced at n = 32). For
+# a G x G contour grid it is the field sampling, which peaked at 84-95 bytes
+# per grid point (tracemalloc, G = 128 to 1024), taken as 96.
 MEMORY_BUDGET = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
 MAX_GRID_SIZE = math.isqrt(MEMORY_BUDGET // 96)
@@ -255,12 +262,17 @@ def cmd_compare_orderings(args) -> int:
     timing_rows = []
     failures = []
     base = _config_from_args(args)
-    tables = None  # the element tables do not depend on the ordering: built once
+    q = quad_rule(base.n_quad_points)
+    tables = viscous = None
     for scheme in (1, 2, 3):
         t0 = time.perf_counter()
+        if tables is None:
+            # the element tables and viscous element matrices depend on the
+            # mesh and Re, not on the ordering: formed once, in ordering 1's time
+            tables = ElementTables(mesh, q)
+            viscous = viscous_element_matrices(mesh, q, base.reynolds, tables)
         disc = discretize(mesh, replace(base, ordering=OrderingScheme.from_int(scheme)),
-                          tables=tables)
-        tables = disc.tables
+                          tables=tables, viscous=viscous)
         try:
             _, trace = solve_linearized_nse(disc)
             if not trace.converged:
@@ -297,7 +309,8 @@ def cmd_export_sparsity(args) -> int:
             return _fail(PCG_FAILED)
         matrix = disc.A + assemble_convection(mesh, disc.dofmap, disc.q, coeffs,
                                               tables=disc.tables,
-                                              flip_convention=config.flip_convention)
+                                              flip_convention=config.flip_convention,
+                                              plan=disc.plan)
         stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
         # only A is needed: no n.q.p. tables, which would add to this op's peak memory

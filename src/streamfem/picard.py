@@ -11,8 +11,10 @@ k is the system matrix of outer iteration k + 1, so the convection form is
 assembled once before the loop and once per outer iteration.
 
 Both solves take a :class:`Discretization`: the DOF map, element tables,
-manufactured solution and viscous matrix of one config, built once by
-:func:`discretize` and shared with whatever else the run does with them.
+manufactured solution, scatter plan and viscous matrix of one config, built
+once by :func:`discretize` and shared with whatever else the run does with
+them. Every convection matrix is assembled through the same scatter plan
+as the viscous one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .assembly import (
     ElementTables,
     ManufacturedSolution,
+    ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
@@ -130,14 +133,15 @@ class Discretization:
     ordering study and the exports share, built once by :func:`discretize`.
 
     ``tables`` are the n.q.p. tables of the load and convection forms and
-    carry the element bases; ``A`` is the assembled viscous matrix over the
-    free DOFs of ``dofmap``.
+    carry the element bases; ``plan`` scatters element matrices over the
+    free DOFs of ``dofmap``; ``A`` is the assembled viscous matrix.
     """
 
     config: PicardConfig
     dofmap: DofMap
     tables: ElementTables
     ms: ManufacturedSolution
+    plan: ScatterPlan
     A: SparseMatrix
 
     @property
@@ -150,12 +154,16 @@ class Discretization:
 
 
 def discretize(mesh: Mesh, config: PicardConfig,
-               tables: ElementTables | None = None) -> Discretization:
+               tables: ElementTables | None = None,
+               viscous: np.ndarray | None = None) -> Discretization:
     """Number the DOFs, tabulate the elements and assemble A for ``config``.
 
     ``tables`` reuses the element tables of another discretization of the
     same mesh and rule, e.g. under a different ordering: the tables do not
-    depend on the DOF numbering.
+    depend on the DOF numbering. ``viscous`` likewise reuses the
+    :func:`~streamfem.assembly.viscous_element_matrices` of the same mesh,
+    rule and Reynolds number; when not given they are formed here and
+    dropped once A is assembled.
     """
     q = quad_rule(config.n_quad_points)
     if tables is None:
@@ -164,8 +172,10 @@ def discretize(mesh: Mesh, config: PicardConfig,
         raise ValueError("shared element tables must be over the same mesh and rule")
     dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
     ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables)
-    return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, A=A)
+    plan = ScatterPlan.build(mesh, dofmap)
+    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables, plan=plan,
+                            element_matrices=viscous)
+    return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)
 
 
 def _expand(dofmap, reduced: np.ndarray) -> np.ndarray:
@@ -224,12 +234,14 @@ def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
             return A
         return A + assemble_convection(
             mesh, dofmap, q, psi, tables=tables, flip_convention=config.flip_convention,
+            plan=disc.plan,
         )
 
     free = dofmap.globals_of_free
     system = system_at(psi_full)
     for outer in range(1, config.max_outer + 1):
         x, report = bicgstab(system, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
+        del system  # released before the next operator is assembled
         if report.breakdown is not None:
             trace.iterations.append(
                 OuterIteration(index=outer, update_norm=np.nan, residual=np.nan, report=report)

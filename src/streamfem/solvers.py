@@ -80,7 +80,11 @@ class SparseMatrix:
     The one copy of the entries is the wrapped scipy CSR matrix (sorted,
     deduplicated, no stored zeros); ``indptr``, ``indices`` and ``data`` are
     views of its arrays, not copies. Build it with ``finalize_csr`` or
-    ``from_coo``.
+    ``from_coo``, or assemble it with an ``assembly.ScatterPlan``. A plan
+    sums each entry's duplicates in the order ``from_coo`` does and drops
+    exact zeros as ``finalize_csr`` does, so both give the same arrays, byte
+    for byte. A plan-assembled matrix holding no zero shares the plan's
+    read-only ``indptr`` and ``indices``.
     """
 
     _csr: sp.csr_matrix = field(repr=False)

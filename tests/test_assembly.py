@@ -8,6 +8,7 @@ from streamfem.assembly import (
     assemble_convection,
     assemble_load,
     manufactured_rhs,
+    viscous_element_matrices,
 )
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
 from streamfem.quadrature import rule
@@ -44,6 +45,16 @@ def test_reynolds_must_be_positive(mesh3, dofmap3):
         assemble_biharmonic(mesh3, dofmap3, rule(6), 0.0)
     with pytest.raises(ValueError):
         manufactured_rhs(-1.0)
+
+
+@pytest.mark.parametrize("reynolds", [np.nan, np.inf, -np.inf])
+def test_reynolds_must_be_finite(mesh3, dofmap3, reynolds):
+    with pytest.raises(ValueError, match="positive and finite"):
+        assemble_biharmonic(mesh3, dofmap3, rule(6), reynolds)
+    with pytest.raises(ValueError, match="positive and finite"):
+        viscous_element_matrices(mesh3, rule(6), reynolds)
+    with pytest.raises(ValueError, match="positive and finite"):
+        manufactured_rhs(reynolds)
 
 
 def test_energy_quadratic_form_matches_exact_integral(exact_solution):

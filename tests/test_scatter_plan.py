@@ -1,0 +1,321 @@
+"""Plan-based assembly against the COO assembly it replaced, byte for byte.
+
+``_scatter`` below is that COO assembly: every element matrix entry as a
+(row, column, value) triple, scipy's COO -> CSR conversion, which sums the
+duplicates, and ``eliminate_zeros``. ``ref_viscous`` and ``ref_errors`` are
+the whole-mesh table computations the streamed ones replaced. A
+:class:`ScatterPlan` and the streamed element matrices must give the same
+indptr, indices and data, dtype and bytes, because reported quantities
+such as nnz and the criterion-3 ordering ranking rest on roundoff.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from streamfem.analysis import VERIFICATION_RULE_POINTS, compute_errors
+from streamfem.argyris import BLOCK, EVAL_ORDERS, build_all_bases, interpolate_field
+from streamfem.assembly import (
+    ElementTables,
+    ScatterPlan,
+    assemble_biharmonic,
+    assemble_convection,
+    dof_arrays,
+    element_blocks,
+    manufactured_rhs,
+    viscous_element_matrices,
+)
+from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
+from streamfem.picard import PicardConfig, discretize
+from streamfem.quadrature import rule
+from streamfem.solvers import from_coo
+
+RULES = (4, 6, 12, 25)
+
+
+# --- references: the whole-mesh computations ------------------------------------
+
+def _scatter(mesh, dofmap, local_blocks, is_symmetric, reduced):
+    """Accumulate (T, 21, 21) local matrices into the global CSR matrix."""
+    tri_dofs = dof_arrays(mesh, dofmap)
+    nt = mesh.num_triangles
+    rows = np.repeat(tri_dofs, 21, axis=1).ravel()
+    cols = np.tile(tri_dofs, (1, 21)).ravel()
+    vals = local_blocks.reshape(nt * 441)
+    if reduced:
+        r = dofmap.free_of_global[rows]
+        c = dofmap.free_of_global[cols]
+        keep = (r >= 0) & (c >= 0)
+        return from_coo(dofmap.num_free, r[keep], c[keep], vals[keep], is_symmetric=is_symmetric)
+    return from_coo(dofmap.total_dofs, rows, cols, vals, is_symmetric=is_symmetric)
+
+
+def ref_viscous(mesh, q, reynolds, bases):
+    """Viscous element matrices from whole-mesh tables of the degree-6 rule."""
+    tables = ElementTables(mesh, q if q.exact_degree >= 6 else rule(12), bases=bases)
+    local = np.einsum("tq,tqi,tqj->tij", tables.weights, tables.lap, tables.lap)
+    local /= reynolds
+    return local
+
+
+def ref_convection(mesh, dofmap, xi, tables, flip):
+    """Convection element matrices from one whole-mesh cross table."""
+    xi_local = xi[dof_arrays(mesh, dofmap)]
+    lap_xi = np.einsum("tqk,tk->tq", tables.lap, xi_local)
+    w = tables.weights * lap_xi
+    cross = np.einsum("tq,tqi,tqj->tij", w, tables.dx, tables.dy)
+    local = cross - np.transpose(cross, (0, 2, 1))
+    return -local if flip else local
+
+
+def ref_errors(mesh, dofmap, coefficients, exact):
+    """(l2, h1, h2) from whole-mesh (T, 25, 21) tables of every derivative."""
+    q = rule(VERIFICATION_RULE_POINTS)
+    bases = build_all_bases(mesh)
+    blocks = [(points, weights, bases.evaluate(points, EVAL_ORDERS, blk))
+              for blk, points, weights in element_blocks(q, bases)]
+    points = np.concatenate([b[0] for b in blocks])
+    w = np.concatenate([b[1] for b in blocks])
+    tab = {name: np.concatenate([b[2][name] for b in blocks]) for name, _ in EVAL_ORDERS}
+    local = coefficients[dof_arrays(mesh, dofmap)]
+    x, y = points[:, :, 0], points[:, :, 1]
+
+    def field(name):
+        return np.einsum("tqk,tk->tq", tab[name], local)
+
+    e_val = field("value") - exact.exact(x, y)
+    e_dx = field("dx") - exact.exact_dx(x, y)
+    e_dy = field("dy") - exact.exact_dy(x, y)
+    e_dxx = field("dxx") - exact.exact_dxx(x, y)
+    e_dxy = field("dxy") - exact.exact_dxy(x, y)
+    e_dyy = field("dyy") - exact.exact_dyy(x, y)
+    return (float(np.sqrt(np.sum(w * e_val ** 2))),
+            float(np.sqrt(np.sum(w * (e_dx ** 2 + e_dy ** 2)))),
+            float(np.sqrt(np.sum(w * (e_dxx ** 2 + e_dxy ** 2 + e_dyy ** 2)))))
+
+
+def assert_same_bytes(got, want):
+    assert (got.dimension, got.is_symmetric) == (want.dimension, want.is_symmetric)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def random_xi(dofmap, seed):
+    xi = np.random.default_rng(seed).standard_normal(dofmap.total_dofs)
+    xi[dofmap.constrained] = 0.0
+    return xi
+
+
+# --- the plan on arbitrary element matrices ---------------------------------
+
+# sums of these cancel exactly or depend on their order ((1e16 + 1) - 1e16 is
+# 0, (1e16 - 1e16) + 1 is 1), and -0.0 + -0.0 stays -0.0
+PALETTE = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, 1e16, -1e16, 0.1, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 13), ordering=st.sampled_from((1, 2, 3)), minimal_bc=st.booleans(),
+       reduced=st.booleans(), seed=st.integers(0, 2**32 - 1), with_nan=st.booleans())
+def test_plan_matches_coo_reference_on_random_blocks(n, ordering, minimal_bc, reduced,
+                                                     seed, with_nan):
+    mesh = build_uniform_mesh(n)
+    dm = enumerate_dofs(mesh, ordering, minimal_bc=minimal_bc)
+    palette = PALETTE if with_nan else PALETTE[:-1]
+    local = np.random.default_rng(seed).choice(palette, size=(mesh.num_triangles, 21, 21))
+    plan = ScatterPlan.build(mesh, dm, reduced)
+    for is_symmetric in (False, True):
+        assert_same_bytes(plan.assemble(local, is_symmetric),
+                          _scatter(mesh, dm, local, is_symmetric, reduced))
+
+
+def test_plan_arrays_are_int32_read_only_and_shared():
+    mesh = build_uniform_mesh(4)
+    plan = ScatterPlan.build(mesh, enumerate_dofs(mesh, 2))
+    arrays = [plan.indptr, plan.indices, plan.first, *(a for pair in plan.ranks for a in pair)]
+    assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
+    assert 1 <= len(plan.ranks) <= 5  # a slot sums at most six entries
+    A = plan.assemble(np.ones((mesh.num_triangles, 21, 21)))
+    assert np.shares_memory(A.indices, plan.indices)  # no entry dropped: the pattern is shared
+    assert A.nnz == plan.nnz and A._csr.has_canonical_format
+
+
+def test_plan_rejects_other_shapes_and_dof_maps():
+    mesh = build_uniform_mesh(3)
+    dm1, dm2 = enumerate_dofs(mesh, 1), enumerate_dofs(mesh, 2)
+    plan = ScatterPlan.build(mesh, dm1)
+    with pytest.raises(ValueError, match="element matrices must have shape"):
+        plan.assemble(np.ones((mesh.num_triangles, 21, 20)))
+    with pytest.raises(ValueError, match="scatter plan was built for another"):
+        assemble_biharmonic(mesh, dm2, rule(6), plan=plan)
+    with pytest.raises(ValueError, match="scatter plan was built for another"):
+        assemble_convection(mesh, dm1, rule(6), np.zeros(dm1.total_dofs), reduced=False,
+                            plan=plan)
+
+
+# --- the assembled operators -------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_operators_match_whole_mesh_reference(n):
+    if n == 12:
+        assert 2 * n * n > BLOCK  # the streamed tables cross a block seam
+    mesh = build_uniform_mesh(n)
+    bases = build_all_bases(mesh)
+    for n_points, ordering in product(RULES, (1, 2, 3)):
+        q = rule(n_points)
+        tables = ElementTables(mesh, q, bases=bases)
+        dm = enumerate_dofs(mesh, ordering, minimal_bc=ordering == 2)
+        plan = ScatterPlan.build(mesh, dm)
+        reynolds = 300.0 if ordering == 3 else 1.0
+        A = assemble_biharmonic(mesh, dm, q, reynolds, tables=tables, plan=plan)
+        A_ref = _scatter(mesh, dm, ref_viscous(mesh, q, reynolds, bases), True, True)
+        assert_same_bytes(A, A_ref)
+        xi = random_xi(dm, n_points)
+        for flip in (False, True):
+            B = assemble_convection(mesh, dm, q, xi, tables=tables, flip_convention=flip,
+                                    plan=plan)
+            B_ref = _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, flip), False, True)
+            assert_same_bytes(B, B_ref)
+            assert_same_bytes(A + B, A_ref + B_ref)
+
+
+def test_unreduced_operators_and_new_bases_match_reference():
+    mesh = build_uniform_mesh(5)
+    dm = enumerate_dofs(mesh, 3)
+    q = rule(6)
+    got = assemble_biharmonic(mesh, dm, q, 2.0, reduced=False)
+    want = _scatter(mesh, dm, ref_viscous(mesh, q, 2.0, build_all_bases(mesh)), True, False)
+    assert_same_bytes(got, want)
+    xi = random_xi(dm, 5)
+    tables = ElementTables(mesh, q)
+    assert_same_bytes(assemble_convection(mesh, dm, q, xi, tables=tables, reduced=False),
+                      _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False), False, False))
+
+
+def test_shared_viscous_matrices_give_each_ordering_its_own_matrix():
+    mesh = build_uniform_mesh(4)
+    config = PicardConfig(reynolds=7.0)
+    tables = ElementTables(mesh, rule(config.n_quad_points))
+    viscous = viscous_element_matrices(mesh, tables.rule, config.reynolds, tables)
+    for ordering in (1, 2, 3):
+        own = discretize(mesh, PicardConfig(reynolds=7.0, ordering=ordering))
+        shared = discretize(mesh, own.config, tables=tables, viscous=viscous)
+        assert_same_bytes(shared.A, own.A)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_streamed_errors_match_whole_mesh_reference(n, exact_solution):
+    mesh = build_uniform_mesh(n)
+    dm = enumerate_dofs(mesh, 2)
+    coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+    coeffs += 1e-4 * random_xi(dm, n)
+    report = compute_errors(mesh, dm, coeffs, exact_solution)
+    assert (report.l2, report.h1_semi, report.h2_semi) == ref_errors(mesh, dm, coeffs,
+                                                                     exact_solution)
+
+
+# --- the structural pattern ------------------------------------------------------
+
+def pattern_keys(plan, perm=None):
+    """Sorted row * N + column keys of the plan's pattern, optionally permuted."""
+    rows = np.repeat(np.arange(plan.dimension), np.diff(plan.indptr))
+    cols = plan.indices.astype(np.int64)
+    if perm is not None:
+        rows, cols = perm[rows], perm[cols]
+    return np.sort(rows * plan.dimension + cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), orderings=st.tuples(*[st.sampled_from((1, 2, 3))] * 2),
+       minimal_bc=st.booleans())
+def test_free_permutation_maps_structural_pattern(n, orderings, minimal_bc):
+    mesh = build_uniform_mesh(n)
+    dm_a, dm_b = (enumerate_dofs(mesh, k, minimal_bc=minimal_bc) for k in orderings)
+    plan_a, plan_b = ScatterPlan.build(mesh, dm_a), ScatterPlan.build(mesh, dm_b)
+    assert plan_a.nnz == plan_b.nnz
+    assert np.array_equal(pattern_keys(plan_a, free_permutation(dm_a, dm_b)),
+                          pattern_keys(plan_b))
+
+
+def test_structural_nnz_depends_on_neither_ordering_nor_reynolds():
+    mesh = build_uniform_mesh(5)
+    for ordering, reynolds in product((1, 2, 3), (1.0, 300.0)):
+        disc = discretize(mesh, PicardConfig(reynolds=reynolds, ordering=ordering))
+        assert disc.plan.nnz == 5353
+        # the stored A keeps a subset of the pattern: exact zeros are dropped
+        rows = np.repeat(np.arange(disc.A.dimension), np.diff(disc.A.indptr))
+        assert np.isin(rows * disc.A.dimension + disc.A.indices, pattern_keys(disc.plan)).all()
+
+
+# --- memory: bounds from array shapes at n = 16 ----------------------------------
+#
+# T = 512 triangles, E = 441 T = 225,792 element matrix entries. Each bound is
+# the arrays the step must hold, from their shapes, plus MARGIN, and lies
+# less than one int64 copy of the E entries (8 E = 1.8 MB) above the peak
+# measured with numpy 2.4 (5.36, 5.81 and 6.89 MB against bounds of 5.79,
+# 7.18 and 8.16 MB). The COO assembly's index copies (four int64 arrays of
+# E entries and more) and the whole-mesh error tables (seven (T, 25, 21)
+# float64 arrays, 15 MB) therefore both fail them.
+
+N_MEMORY = 16
+MARGIN = 2**18  # per-triangle index arrays, the DOF maps, Python objects
+
+
+def traced_peak(step):
+    tracemalloc.start()
+    try:
+        result = step()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_case():
+    mesh = build_uniform_mesh(N_MEMORY)
+    dm = enumerate_dofs(mesh, 1)
+    return mesh, dm, ElementTables(mesh, rule(6)), ScatterPlan.build(mesh, dm)
+
+
+def test_plan_build_memory(memory_case):
+    mesh, dm, _, _ = memory_case
+    free = dm.free_of_global[dof_arrays(mesh, dm)] >= 0
+    kept = int((free.sum(axis=1) ** 2).sum())  # entries with a free row and column
+    peak, plan = traced_peak(lambda: ScatterPlan.build(mesh, dm))
+    # scipy's conversion holds rows, columns and output indices (4 B each)
+    # and the entry numbers in and out (8 B each) of every kept entry; the
+    # keep mask holds 1 B per entry
+    bound = 28 * kept + mesh.num_triangles * 441 + MARGIN
+    assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
+    assert plan.nnz < kept
+
+
+def test_assembly_memory(memory_case):
+    mesh, dm, tables, plan = memory_case
+    xi = random_xi(dm, 1)
+    peak, _ = traced_peak(lambda: (
+        assemble_biharmonic(mesh, dm, tables.rule, 1.0, tables=tables, plan=plan),
+        assemble_convection(mesh, dm, tables.rule, xi, tables=tables, plan=plan)))
+    entries, slots = mesh.num_triangles * 441, plan.nnz
+    # the element matrices (8 B an entry) and one block's cross table; per
+    # slot, A's data and indices (12 B), the summed data (8 B) and at most
+    # 28 B of one gather's or the zero drop's temporaries
+    bound = 8 * entries + 8 * 441 * BLOCK + 48 * slots + MARGIN
+    assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
+
+
+def test_error_pass_memory(memory_case, exact_solution):
+    mesh, dm, _, _ = memory_case
+    nq = VERIFICATION_RULE_POINTS
+    peak, _ = traced_peak(lambda: compute_errors(mesh, dm, np.zeros(dm.total_dofs),
+                                                 exact_solution))
+    # the bases' (T, 21, 21) coefficients; a block's derivative table, the
+    # one before it and the monomial temporaries (five (BLOCK, nq, 21)
+    # arrays); the weights and six differences, (T, nq) each
+    bound = 8 * 441 * mesh.num_triangles + 5 * 8 * BLOCK * nq * 21 \
+        + 7 * 8 * mesh.num_triangles * nq + MARGIN
+    assert peak < bound < 7 * 8 * mesh.num_triangles * nq * 21, \
+        f"tracemalloc peak {peak} B, bound {bound} B"
