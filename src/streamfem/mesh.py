@@ -127,62 +127,33 @@ def build_uniform_mesh(n: int) -> Mesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * m + i
+    vid = np.arange(m * m, dtype=np.int64).reshape(m, m)  # vid[j, i]: vertex (i, j)
+    v00, v10, v01, v11 = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    edges_arr = np.concatenate([
+        np.stack([vid[:, :-1], vid[:, 1:]], axis=-1).reshape(-1, 2),   # horizontal
+        np.stack([vid[:-1], vid[1:]], axis=-1).reshape(-1, 2),         # vertical
+        np.stack([v00, v11], axis=-1).reshape(-1, 2),                  # oblique
+    ])
+    # global index of each edge of the three blocks, laid out like its start vertex
+    horizontal = np.arange(m * n, dtype=np.int64).reshape(m, n)
+    vertical = m * n + np.arange(n * m, dtype=np.int64).reshape(n, m)
+    oblique = 2 * m * n + np.arange(n * n, dtype=np.int64).reshape(n, n)
 
-    edges = []
-    edge_index = {}
+    def per_cell(lower, upper):
+        """(2 n^2, 3) rows of the lower then the upper triangle of each cell, row-major."""
+        return np.stack([np.stack(lower, axis=-1), np.stack(upper, axis=-1)], axis=2).reshape(-1, 3)
 
-    def add_edge(a, b):
-        key = (a, b) if a < b else (b, a)
-        edge_index[key] = len(edges)
-        edges.append(key)
-
-    for j in range(m):          # horizontal
-        for i in range(n):
-            add_edge(vid(i, j), vid(i + 1, j))
-    for j in range(n):          # vertical
-        for i in range(m):
-            add_edge(vid(i, j), vid(i, j + 1))
-    for j in range(n):          # oblique
-        for i in range(n):
-            add_edge(vid(i, j), vid(i + 1, j + 1))
-
-    triangles = []
-    triangle_edges = []
-
-    def local_edges(a, b, c):
-        return [
-            edge_index[(a, b) if a < b else (b, a)],
-            edge_index[(b, c) if b < c else (c, b)],
-            edge_index[(c, a) if c < a else (a, c)],
-        ]
-
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))          # lower
-            triangle_edges.append(local_edges(v00, v10, v11))
-            triangles.append((v00, v11, v01))          # upper
-            triangle_edges.append(local_edges(v00, v11, v01))
-
-    edges_arr = np.array(edges, dtype=np.int64)
-    triangles_arr = np.array(triangles, dtype=np.int64)
-    triangle_edges_arr = np.array(triangle_edges, dtype=np.int64)
+    triangles_arr = per_cell((v00, v10, v11), (v00, v11, v01))
+    # local edges (v0,v1), (v1,v2), (v2,v0) of each triangle
+    triangle_edges_arr = per_cell((horizontal[:-1], vertical[:, 1:], oblique),
+                                  (oblique, horizontal[1:], vertical[:, :-1]))
 
     edge_midpoints = 0.5 * (vertices[edges_arr[:, 0]] + vertices[edges_arr[:, 1]])
 
     # boundary = incident to exactly one triangle
-    edge_tri_count = np.zeros(len(edges_arr), dtype=np.int64)
-    for te in triangle_edges_arr:
-        edge_tri_count[te] += 1
-    edge_on_boundary = edge_tri_count == 1
+    edge_on_boundary = np.bincount(triangle_edges_arr.ravel(), minlength=len(edges_arr)) == 1
     vertex_on_boundary = np.zeros(len(vertices), dtype=bool)
-    for (a, b), on_b in zip(edges_arr, edge_on_boundary):
-        if on_b:
-            vertex_on_boundary[a] = True
-            vertex_on_boundary[b] = True
+    vertex_on_boundary[edges_arr[edge_on_boundary]] = True
 
     return Mesh(
         n=int(n),
@@ -256,32 +227,23 @@ def enumerate_dofs(
     nv, ne = mesh.num_vertices, mesh.num_edges
     total = 6 * nv + ne
 
-    vertex_dofs = np.empty((nv, 6), dtype=np.int64)
     if scheme is OrderingScheme.FUNCTION_FIRST:
-        for k in range(6):
-            vertex_dofs[:, k] = k * nv + np.arange(nv)
+        vertex_dofs = np.arange(nv, dtype=np.int64)[:, None] + nv * np.arange(6)
     else:
-        order = _vertex_visit_order(mesh, scheme)
-        for rank, v in enumerate(order):
-            vertex_dofs[v] = 6 * rank + np.arange(6)
+        vertex_dofs = np.empty((nv, 6), dtype=np.int64)
+        vertex_dofs[_vertex_visit_order(mesh, scheme)] = np.arange(6 * nv).reshape(nv, 6)
     edge_dofs = 6 * nv + np.arange(ne)
 
+    clamped = np.zeros((nv, 6), dtype=bool)
+    clamped[mesh.vertex_on_boundary] = True
+    if minimal_bc:
+        # the second derivative along the boundary normal stays free except at
+        # corners: dxx on a side running in y (i = 0, n), dyy on one in x (j = 0, n)
+        j, i = np.divmod(np.arange(nv), mesh.n + 1)
+        clamped[:, SLOT_INDEX["dxx"]] &= (j == 0) | (j == mesh.n)
+        clamped[:, SLOT_INDEX["dyy"]] &= (i == 0) | (i == mesh.n)
     constrained = np.zeros(total, dtype=bool)
-    m = mesh.n + 1
-    for v in np.flatnonzero(mesh.vertex_on_boundary):
-        if minimal_bc:
-            i, j = v % m, v // m
-            on_vertical = i == 0 or i == mesh.n    # boundary running in y
-            on_horizontal = j == 0 or j == mesh.n  # boundary running in x
-            clamped = {"value", "dx", "dy", "dxy"}
-            if on_vertical:
-                clamped.add("dyy")
-            if on_horizontal:
-                clamped.add("dxx")
-            for name in clamped:
-                constrained[vertex_dofs[v, SLOT_INDEX[name]]] = True
-        else:
-            constrained[vertex_dofs[v]] = True
+    constrained[vertex_dofs[clamped]] = True
     constrained[edge_dofs[mesh.edge_on_boundary]] = True
 
     free_of_global = np.full(total, -1, dtype=np.int64)

@@ -140,9 +140,13 @@ class SparseMatrix:
         The product with a ones vector adds each row's entries one by one in
         storage order. Keep that order: the solvers' iteration counts depend
         on these sums to the last bit, and a pairwise ``sum(axis=1)`` or
-        ``np.add.reduceat`` rounds differently.
+        ``np.add.reduceat`` rounds differently. The kernel runs over this
+        matrix's own ``indptr`` and ``indices``: ``abs(csr)`` would copy them.
         """
-        return abs(self._csr) @ np.ones(self.dimension)
+        n = self.dimension
+        out = np.zeros(n)
+        csr_matvec(n, n, self.indptr, self.indices, np.abs(self.data), np.ones(n), out)
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """CSR product A @ x, as a new vector."""

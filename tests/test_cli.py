@@ -224,6 +224,26 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys, text):
     assert exc.value.code == 2
 
 
+def test_config_file_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nordering = 3\n")
+    assert run_cli(["mesh-info", "--config", str(cfg)]) == 0
+    assert "n=2 " in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        run_cli(["mesh-info", "--config", str(cfg), "--nqp", "5"])
+    assert run_cli(["mesh-info"]) == 0
+    out = capsys.readouterr().out
+    assert "n=3 " in out and "ordering scheme 1 " in out
+
+
+def test_replaced_command_function_is_the_one_run(monkeypatch, capsys):
+    assert run_cli(["mesh-info", "--n", "1"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_mesh_info", lambda args: seen.append(args.n) or 7)
+    assert run_cli(["mesh-info", "--n", "2"]) == 7
+    assert seen == [2]
+
+
 @pytest.mark.parametrize("option", ["--re", "--tol", "--linear-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_parameters_exit_2(tmp_path, capsys, option, value):

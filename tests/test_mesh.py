@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from streamfem.mesh import (
+    SLOT_INDEX,
+    DofMap,
+    Mesh,
     OrderingScheme,
+    _vertex_visit_order,
     build_uniform_mesh,
     enumerate_dofs,
     export_mesh_csv,
@@ -167,3 +173,160 @@ def test_summary_text():
 def test_scheme_from_int_rejects_unknown():
     with pytest.raises(ValueError):
         OrderingScheme.from_int(4)
+
+
+# --- the array-built mesh and numbering against the loops they replaced -----
+#
+# ``ref_build_uniform_mesh`` and ``ref_enumerate_dofs`` are the per-edge,
+# per-triangle and per-vertex loops ``build_uniform_mesh`` and
+# ``enumerate_dofs`` ran before they were written as array expressions; the
+# bodies are kept verbatim but for the argument checks. The rewrite must
+# give every field the same dtype, shape and bytes.
+
+
+def ref_build_uniform_mesh(n: int) -> Mesh:
+    m = n + 1
+    xs = np.arange(m) / n
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
+
+    def vid(i, j):
+        return j * m + i
+
+    edges = []
+    edge_index = {}
+
+    def add_edge(a, b):
+        key = (a, b) if a < b else (b, a)
+        edge_index[key] = len(edges)
+        edges.append(key)
+
+    for j in range(m):          # horizontal
+        for i in range(n):
+            add_edge(vid(i, j), vid(i + 1, j))
+    for j in range(n):          # vertical
+        for i in range(m):
+            add_edge(vid(i, j), vid(i, j + 1))
+    for j in range(n):          # oblique
+        for i in range(n):
+            add_edge(vid(i, j), vid(i + 1, j + 1))
+
+    triangles = []
+    triangle_edges = []
+
+    def local_edges(a, b, c):
+        return [
+            edge_index[(a, b) if a < b else (b, a)],
+            edge_index[(b, c) if b < c else (c, b)],
+            edge_index[(c, a) if c < a else (a, c)],
+        ]
+
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            triangles.append((v00, v10, v11))          # lower
+            triangle_edges.append(local_edges(v00, v10, v11))
+            triangles.append((v00, v11, v01))          # upper
+            triangle_edges.append(local_edges(v00, v11, v01))
+
+    edges_arr = np.array(edges, dtype=np.int64)
+    triangles_arr = np.array(triangles, dtype=np.int64)
+    triangle_edges_arr = np.array(triangle_edges, dtype=np.int64)
+
+    edge_midpoints = 0.5 * (vertices[edges_arr[:, 0]] + vertices[edges_arr[:, 1]])
+
+    # boundary = incident to exactly one triangle
+    edge_tri_count = np.zeros(len(edges_arr), dtype=np.int64)
+    for te in triangle_edges_arr:
+        edge_tri_count[te] += 1
+    edge_on_boundary = edge_tri_count == 1
+    vertex_on_boundary = np.zeros(len(vertices), dtype=bool)
+    for (a, b), on_b in zip(edges_arr, edge_on_boundary):
+        if on_b:
+            vertex_on_boundary[a] = True
+            vertex_on_boundary[b] = True
+
+    return Mesh(
+        n=int(n),
+        vertices=vertices,
+        triangles=triangles_arr,
+        edges=edges_arr,
+        edge_midpoints=edge_midpoints,
+        triangle_edges=triangle_edges_arr,
+        vertex_on_boundary=vertex_on_boundary,
+        edge_on_boundary=edge_on_boundary,
+    )
+
+
+def ref_enumerate_dofs(mesh: Mesh, scheme: OrderingScheme, minimal_bc: bool) -> DofMap:
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    total = 6 * nv + ne
+
+    vertex_dofs = np.empty((nv, 6), dtype=np.int64)
+    if scheme is OrderingScheme.FUNCTION_FIRST:
+        for k in range(6):
+            vertex_dofs[:, k] = k * nv + np.arange(nv)
+    else:
+        order = _vertex_visit_order(mesh, scheme)
+        for rank, v in enumerate(order):
+            vertex_dofs[v] = 6 * rank + np.arange(6)
+    edge_dofs = 6 * nv + np.arange(ne)
+
+    constrained = np.zeros(total, dtype=bool)
+    m = mesh.n + 1
+    for v in np.flatnonzero(mesh.vertex_on_boundary):
+        if minimal_bc:
+            i, j = v % m, v // m
+            on_vertical = i == 0 or i == mesh.n    # boundary running in y
+            on_horizontal = j == 0 or j == mesh.n  # boundary running in x
+            clamped = {"value", "dx", "dy", "dxy"}
+            if on_vertical:
+                clamped.add("dyy")
+            if on_horizontal:
+                clamped.add("dxx")
+            for name in clamped:
+                constrained[vertex_dofs[v, SLOT_INDEX[name]]] = True
+        else:
+            constrained[vertex_dofs[v]] = True
+    constrained[edge_dofs[mesh.edge_on_boundary]] = True
+
+    free_of_global = np.full(total, -1, dtype=np.int64)
+    globals_of_free = np.flatnonzero(~constrained)
+    free_of_global[globals_of_free] = np.arange(len(globals_of_free))
+
+    return DofMap(
+        scheme=scheme,
+        total_dofs=total,
+        vertex_dofs=vertex_dofs,
+        edge_dofs=edge_dofs,
+        constrained=constrained,
+        minimal_bc=minimal_bc,
+        free_of_global=free_of_global,
+        globals_of_free=globals_of_free,
+    )
+
+
+def assert_fields_identical(got, want):
+    """Every dataclass field equal; arrays in dtype, shape, C order and bytes."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_mesh_matches_loop_reference(n):
+    assert_fields_identical(build_uniform_mesh(n), ref_build_uniform_mesh(n))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("scheme", list(OrderingScheme))
+@pytest.mark.parametrize("minimal_bc", [False, True])
+def test_dofmap_matches_loop_reference(n, scheme, minimal_bc):
+    mesh = build_uniform_mesh(n)
+    assert_fields_identical(enumerate_dofs(mesh, scheme.value, minimal_bc=minimal_bc),
+                            ref_enumerate_dofs(mesh, scheme, minimal_bc))

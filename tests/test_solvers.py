@@ -12,6 +12,7 @@ from streamfem.solvers import (
     finalize_csr,
     from_coo,
     pcg,
+    SparseMatrix,
     read_matrix_market,
     write_matrix_market,
 )
@@ -121,6 +122,27 @@ def test_matrix_statistics_match_loop_formulas(A, B):
         assert np.array_equal(S.toarray(), A.toarray() + B.toarray())
         assert np.all(S.data != 0.0)
         assert S.nnz == np.count_nonzero(A.toarray() + B.toarray())
+
+
+@st.composite
+def _raw_csr(draw):
+    """A sorted, deduplicated CSR matrix with empty rows and stored zeros of
+    both signs (which ``finalize_csr`` would drop)."""
+    n = draw(st.integers(1, 10))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=6))) for _ in range(n)]
+    indptr = np.cumsum([0, *map(len, rows)]).astype(np.int32)
+    indices = np.array([c for row in rows for c in row], dtype=np.int32)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+    data = np.array(draw(st.lists(values, min_size=len(indices), max_size=len(indices))), dtype=float)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_csr())
+def test_l1_diagonal_is_the_abs_copy_row_sum(csr):
+    got = SparseMatrix(csr).l1_diagonal()
+    expected = abs(csr) @ np.ones(csr.shape[0])
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_bandwidth_ordering1_vs_ordering3():
