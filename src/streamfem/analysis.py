@@ -22,7 +22,7 @@ from .argyris import EVAL_ORDERS, ElementBases, build_all_bases
 from .assembly import dof_arrays, element_blocks
 from .mesh import DofMap, Mesh
 from .quadrature import rule as quad_rule
-from .solvers import WRITE_CHUNK, SparseMatrix
+from .solvers import WRITE_CHUNK, SparseMatrix, bandwidth_stats
 
 VERIFICATION_RULE_POINTS = 25
 
@@ -161,8 +161,6 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
     grows with the dimension, not with nnz.
     Returns the written paths and the bandwidth statistics.
     """
-    from .solvers import bandwidth_stats
-
     stats = bandwidth_stats(A)
     n = A.dimension
     indptr, cols = A.indptr, A.indices
@@ -381,62 +379,6 @@ def export_contours(
 
 
 # --- tables ------------------------------------------------------------------
-
-BIHARMONIC_TABLE_HEADERS = [
-    "h", "nqp", "ordering", "status", "nco", "error_nodal_max", "l2",
-    "pcg_itr", "cpu_s",
-]
-NSE_TABLE_HEADERS = [
-    "h", "nqp", "ordering", "status", "nco", "l2", "h1_semi", "h2_semi",
-    "bicgstab_itr_mean", "bicgstab_itr_total", "outer_iters", "cpu_s",
-]
-
-
-def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
-    """Solve one problem per (n, PicardConfig) pair and tabulate the results.
-
-    Row layout mirrors the reference tables: mesh size, quadrature points,
-    operation count, errors (both the vertex-value max and the L2 norm are
-    emitted) and iteration counts, with wall time isolated in the last
-    column. A failed solve marks its row and the run continues.
-
-    Returns {'headers', 'rows', 'text'}.
-    """
-    import time as _time
-
-    from .picard import PicardError, discretize, solve_biharmonic_problem, solve_linearized_nse
-
-    if problem not in ("biharmonic", "nse"):
-        raise ValueError(f"unknown problem '{problem}'")
-    headers = BIHARMONIC_TABLE_HEADERS if problem == "biharmonic" else NSE_TABLE_HEADERS
-    rows = []
-    for mesh, config in configs:
-        t0 = _time.perf_counter()
-        scheme = config.ordering if isinstance(config.ordering, int) else config.ordering.value
-        base = [f"1/{mesh.n}", config.n_quad_points, scheme]
-        disc = discretize(mesh, config)
-        try:
-            if problem == "biharmonic":
-                coeffs, report = solve_biharmonic_problem(disc, load=load)
-                status = "ok" if report.converged else "not-converged"
-            else:
-                coeffs, trace = solve_linearized_nse(disc)
-                status = "ok" if trace.converged else "not-converged"
-        except PicardError as exc:
-            rows.append(base + [f"failed: {exc}"] + [""] * (len(headers) - 5)
-                        + [_time.perf_counter() - t0])
-            continue
-        elapsed = _time.perf_counter() - t0
-        errors = compute_errors(mesh, disc.dofmap, coeffs, disc.ms)
-        if problem == "biharmonic":
-            rows.append(base + [status, report.flops, errors.nodal_max, errors.l2,
-                                report.iterations, elapsed])
-        else:
-            rows.append(base + [status, trace.total_flops, errors.l2, errors.h1_semi,
-                                errors.h2_semi, trace.mean_inner_iterations,
-                                trace.total_inner_iterations, len(trace.iterations),
-                                elapsed])
-    return {"headers": headers, "rows": rows, "text": format_table(headers, rows)}
 
 
 def format_table(headers: list[str], rows: list[list], sig: int = 6) -> str:

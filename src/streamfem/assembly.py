@@ -404,12 +404,22 @@ class ManufacturedSolution:
         matching the sign flip of the convection form; the solved stream
         function is then unchanged.
         """
+        return self._forcing(x, y, -1.0 if self.flip_convention else 1.0)
+
+    def forcing_linear(self, x, y):
+        """The forcing with the convective term dropped (Stokes problem);
+        the exact stream function then solves the biharmonic problem
+        exactly, which is what a refinement study needs."""
+        # a convective factor of 0.0 adds +-0.0, which leaves every bit unchanged
+        return self._forcing(x, y, 0.0)
+
+    def _forcing(self, x, y, s):
+        """The forcing with its convective term scaled by ``s``."""
         gx, gy = _g(x), _g(y)
         dgx, dgy = _dg(x), _dg(y)
         d2gx, d2gy = _d2g(x), _d2g(y)
         d3gx, d3gy = _d3g(x), _d3g(y)
         inv_re = 1.0 / self.reynolds
-        s = -1.0 if self.flip_convention else 1.0
         # u1 = g(x) g'(y), u2 = -g'(x) g(y)
         lap_u1 = d2gx * dgy + gx * d3gy
         lap_u2 = -(d3gx * gy + dgx * d2gy)
@@ -417,19 +427,6 @@ class ManufacturedSolution:
         conv2 = gy * dgy * (dgx ** 2 - gx * d2gx)
         f1 = -inv_re * lap_u1 + s * conv1 + 3.0 * x ** 2
         f2 = -inv_re * lap_u2 + s * conv2 + 3.0 * y ** 2
-        return f1, f2
-
-    def forcing_linear(self, x, y):
-        """The forcing with the convective term dropped (Stokes problem);
-        the exact stream function then solves the biharmonic problem
-        exactly, which is what a refinement study needs."""
-        gx, gy = _g(x), _g(y)
-        dgx, dgy = _dg(x), _dg(y)
-        d2gx, d2gy = _d2g(x), _d2g(y)
-        d3gx, d3gy = _d3g(x), _d3g(y)
-        inv_re = 1.0 / self.reynolds
-        f1 = -inv_re * (d2gx * dgy + gx * d3gy) + 3.0 * x ** 2
-        f2 = inv_re * (d3gx * gy + dgx * d2gy) + 3.0 * y ** 2
         return f1, f2
 
     def interpolation_data(self) -> dict:

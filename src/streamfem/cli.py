@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import pathlib
 import sys
 import time
 from dataclasses import replace
@@ -28,20 +29,9 @@ from .analysis import (
     format_table,
     write_csv,
 )
-from .assembly import (
-    ElementTables,
-    assemble_biharmonic,
-    assemble_convection,
-    viscous_element_matrices,
-)
-from .mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs, export_mesh_csv
-from .picard import (
-    PicardConfig,
-    PicardError,
-    discretize,
-    solve_biharmonic_problem,
-    solve_linearized_nse,
-)
+from .assembly import ElementTables, assemble_biharmonic, viscous_element_matrices
+from .mesh import build_uniform_mesh, enumerate_dofs, export_mesh_csv
+from .picard import PicardConfig, discretize, solve_biharmonic_problem, solve_linearized_nse
 from .quadrature import SUPPORTED_POINT_COUNTS, rule as quad_rule
 from .solvers import bandwidth_stats, write_matrix_market
 
@@ -135,7 +125,7 @@ def _config_from_args(args) -> PicardConfig:
         tol=args.tol,
         max_outer=args.max_outer,
         n_quad_points=args.nqp,
-        ordering=OrderingScheme.from_int(args.ordering),
+        ordering=args.ordering,
         linear_tol=args.linear_tol,
         minimal_bc=args.minimal_bc,
         flip_convention=args.flip_sign_convention,
@@ -160,9 +150,7 @@ def _check_sizes(args) -> None:
                              f"(memory budget {MEMORY_BUDGET // 2**20} MiB)")
 
 
-def _ensure_out_dir(args) -> "pathlib.Path":
-    import pathlib
-
+def _ensure_out_dir(args) -> pathlib.Path:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -194,61 +182,53 @@ def _fail(message) -> int:
     return 1
 
 
-def cmd_solve_biharmonic(args) -> int:
-    out = _ensure_out_dir(args)
-    config = _config_from_args(args)
-    mesh = build_uniform_mesh(args.n)
-    t0 = time.perf_counter()
-    disc = discretize(mesh, config)
-    coeffs, report = solve_biharmonic_problem(disc, load=args.load)
-    elapsed = time.perf_counter() - t0
-    dofmap, ms = disc.dofmap, disc.ms
-    del disc  # free its tables and A before the error pass builds its own tables
-    errors = compute_errors(mesh, dofmap, coeffs, ms)
+def _solve(disc, problem: str, load: str = "full"):
+    """Solve the 'biharmonic' (PCG) or 'nse' (fixed-point) problem on ``disc``.
 
-    (out / "solve_report.txt").write_text(report.as_text())
-    (out / "error_report.txt").write_text(errors.as_text())
-    np.save(out / "coefficients.npy", coeffs)
-    _write_timings(out, [["solve", elapsed]])
-    print(f"pcg iterations = {report.iterations:g}, converged = {report.converged}")
-    print(errors.as_text(), end="")
-    return 0 if report.converged else _fail(PCG_FAILED)
-
-
-def cmd_solve_nse(args) -> int:
-    out = _ensure_out_dir(args)
-    config = _config_from_args(args)
-    mesh = build_uniform_mesh(args.n)
-    t0 = time.perf_counter()
-    disc = discretize(mesh, config)
-    try:
+    Returns (full-DOF coefficients, SolveReport or PicardTrace, failure
+    message or None); a failed solve still returns its last iterate.
+    """
+    if problem == "nse":
         coeffs, trace = solve_linearized_nse(disc)
-    except PicardError as exc:
-        elapsed = time.perf_counter() - t0
-        exc.trace.export_csv(out / "picard_trace.csv")
-        _write_timings(out, [["solve", elapsed]])
-        return _fail(exc)
+        return coeffs, trace, trace.failure or (None if trace.converged else PICARD_FAILED)
+    coeffs, report = solve_biharmonic_problem(disc, load=load)
+    return coeffs, report, None if report.converged else PCG_FAILED
+
+
+def cmd_solve(args) -> int:
+    """solve-biharmonic or solve-nse, as ``args.problem`` selects; a failed
+    solve writes the same files as a converged one."""
+    out = _ensure_out_dir(args)
+    config = _config_from_args(args)
+    mesh = build_uniform_mesh(args.n)
+    t0 = time.perf_counter()
+    disc = discretize(mesh, config)
+    coeffs, result, failure = _solve(disc, args.problem, args.load)
     elapsed = time.perf_counter() - t0
     dofmap, ms = disc.dofmap, disc.ms
     del disc  # free its tables and A before the error pass builds its own tables
     errors = compute_errors(mesh, dofmap, coeffs, ms)
 
-    trace.export_csv(out / "picard_trace.csv")
+    if args.problem == "nse":
+        result.export_csv(out / "picard_trace.csv")
+        summary = (
+            f"outer_iterations = {len(result.iterations)}\n"
+            f"converged = {str(result.converged).lower()}\n"
+            f"bicgstab_total_iterations = {result.total_inner_iterations:g}\n"
+            f"bicgstab_mean_iterations = {result.mean_inner_iterations:g}\n"
+            f"initial_pcg_iterations = {result.initial_report.iterations:g}\n"
+            f"total_flops = {result.total_flops}\n"
+        ) + (f"failure = {failure}\n" if failure else "")
+        (out / "picard_summary.txt").write_text(summary)
+        print(summary, end="")
+    else:
+        (out / "solve_report.txt").write_text(result.as_text())
+        print(f"pcg iterations = {result.iterations:g}, converged = {result.converged}")
     (out / "error_report.txt").write_text(errors.as_text())
-    summary = (
-        f"outer_iterations = {len(trace.iterations)}\n"
-        f"converged = {str(trace.converged).lower()}\n"
-        f"bicgstab_total_iterations = {trace.total_inner_iterations:g}\n"
-        f"bicgstab_mean_iterations = {trace.mean_inner_iterations:g}\n"
-        f"initial_pcg_iterations = {trace.initial_report.iterations:g}\n"
-        f"total_flops = {trace.total_flops}\n"
-    )
-    (out / "picard_summary.txt").write_text(summary)
     np.save(out / "coefficients.npy", coeffs)
     _write_timings(out, [["solve", elapsed]])
-    print(summary, end="")
     print(errors.as_text(), end="")
-    return 0 if trace.converged else _fail(PICARD_FAILED)
+    return _fail(failure) if failure else 0
 
 
 def cmd_compare_orderings(args) -> int:
@@ -271,15 +251,10 @@ def cmd_compare_orderings(args) -> int:
             # mesh and Re, not on the ordering: formed once, in ordering 1's time
             tables = ElementTables(mesh, q)
             viscous = viscous_element_matrices(mesh, q, base.reynolds, tables)
-        disc = discretize(mesh, replace(base, ordering=OrderingScheme.from_int(scheme)),
-                          tables=tables, viscous=viscous)
-        try:
-            _, trace = solve_linearized_nse(disc)
-            if not trace.converged:
-                failures.append(f"ordering {scheme}: {PICARD_FAILED}")
-        except PicardError as exc:
-            trace = exc.trace
-            failures.append(f"ordering {scheme}: {exc}")
+        disc = discretize(mesh, replace(base, ordering=scheme), tables=tables, viscous=viscous)
+        _, trace, failure = _solve(disc, "nse")
+        if failure:
+            failures.append(f"ordering {scheme}: {failure}")
         elapsed = time.perf_counter() - t0
         stats = bandwidth_stats(disc.A)
         rows.append([
@@ -304,13 +279,10 @@ def cmd_export_sparsity(args) -> int:
     mesh = build_uniform_mesh(args.n)
     if args.with_convection:
         disc = discretize(mesh, config)
-        coeffs, report = solve_biharmonic_problem(disc)
-        if not report.converged:
-            return _fail(PCG_FAILED)
-        matrix = disc.A + assemble_convection(mesh, disc.dofmap, disc.q, coeffs,
-                                              tables=disc.tables,
-                                              flip_convention=config.flip_convention,
-                                              plan=disc.plan)
+        coeffs, _, failure = _solve(disc, "biharmonic")
+        if failure:
+            return _fail(failure)
+        matrix = disc.operator(coeffs)
         stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
         # only A is needed: no n.q.p. tables, which would add to this op's peak memory
@@ -332,17 +304,9 @@ def cmd_export_contours(args) -> int:
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     disc = discretize(mesh, config)
-    if args.problem == "nse":
-        try:
-            coeffs, trace = solve_linearized_nse(disc)
-        except PicardError as exc:
-            return _fail(exc)
-        if not trace.converged:
-            return _fail(PICARD_FAILED)
-    else:
-        coeffs, report = solve_biharmonic_problem(disc)
-        if not report.converged:
-            return _fail(PCG_FAILED)
+    coeffs, _, failure = _solve(disc, args.problem)
+    if failure:
+        return _fail(failure)
     stem = out / f"contours_{args.problem}_n{args.n}"
     result = export_contours(mesh, disc.dofmap, coeffs, stem, grid_size=args.grid_size,
                              bases=disc.tables.bases)
@@ -350,9 +314,53 @@ def cmd_export_contours(args) -> int:
     return 0
 
 
-def cmd_convergence_table(args) -> int:
-    from .analysis import run_tables
+BIHARMONIC_TABLE_HEADERS = [
+    "h", "nqp", "ordering", "status", "nco", "error_nodal_max", "l2",
+    "pcg_itr", "cpu_s",
+]
+NSE_TABLE_HEADERS = [
+    "h", "nqp", "ordering", "status", "nco", "l2", "h1_semi", "h2_semi",
+    "bicgstab_itr_mean", "bicgstab_itr_total", "outer_iters", "cpu_s",
+]
 
+
+def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
+    """Solve one problem per (mesh, PicardConfig) pair and tabulate the results.
+
+    Row layout mirrors the reference tables: mesh size, quadrature points,
+    operation count, errors (both the vertex-value max and the L2 norm are
+    emitted) and iteration counts, with wall time isolated in the last
+    column. A failed solve marks its row and the run continues.
+
+    Returns {'headers', 'rows', 'text'}.
+    """
+    if problem not in ("biharmonic", "nse"):
+        raise ValueError(f"unknown problem '{problem}'")
+    headers = BIHARMONIC_TABLE_HEADERS if problem == "biharmonic" else NSE_TABLE_HEADERS
+    rows = []
+    for mesh, config in configs:
+        t0 = time.perf_counter()
+        base = [f"1/{mesh.n}", config.n_quad_points, config.ordering.value]
+        disc = discretize(mesh, config)
+        coeffs, result, failure = _solve(disc, problem, load)
+        elapsed = time.perf_counter() - t0
+        if problem == "nse" and result.failure:  # stopped early: the row names why
+            rows.append(base + [f"failed: {failure}"] + [""] * (len(headers) - 5) + [elapsed])
+            continue
+        status = "ok" if failure is None else "not-converged"
+        errors = compute_errors(mesh, disc.dofmap, coeffs, disc.ms)
+        if problem == "biharmonic":
+            rows.append(base + [status, result.flops, errors.nodal_max, errors.l2,
+                                result.iterations, elapsed])
+        else:
+            rows.append(base + [status, result.total_flops, errors.l2, errors.h1_semi,
+                                errors.h2_semi, result.mean_inner_iterations,
+                                result.total_inner_iterations, len(result.iterations),
+                                elapsed])
+    return {"headers": headers, "rows": rows, "text": format_table(headers, rows)}
+
+
+def cmd_convergence_table(args) -> int:
     out = _ensure_out_dir(args)
     configs = [(build_uniform_mesh(n), _config_from_args(args)) for n in _mesh_sizes(args)]
     result = run_tables(configs, problem=args.problem, load=args.load)
@@ -380,10 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("mesh-info", cmd_mesh_info, "mesh and DOF numbering summary")
     p.add_argument("--csv", action="store_true", help="also write entity CSVs to --out-dir")
 
-    p = command("solve-biharmonic", cmd_solve_biharmonic, "solve the biharmonic problem with PCG")
+    p = command("solve-biharmonic", cmd_solve, "solve the biharmonic problem with PCG")
     p.add_argument("--load", choices=("full", "stokes", "zero"), default="full")
+    p.set_defaults(problem="biharmonic")
 
-    command("solve-nse", cmd_solve_nse, "run the fixed-point iteration with BiCGSTAB")
+    p = command("solve-nse", cmd_solve, "run the fixed-point iteration with BiCGSTAB")
+    p.set_defaults(problem="nse", load="full")
     command("compare-orderings", cmd_compare_orderings,
             "bandwidth/ops study over the three orderings")
 

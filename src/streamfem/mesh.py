@@ -10,6 +10,7 @@ are provided; they permute the unknowns but describe the same field.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +288,6 @@ def export_mesh_csv(mesh: Mesh, dofmap: DofMap, directory) -> list[str]:
     Returns the written file paths. Coordinates at full precision; intended
     for debugging and plotting, not re-import.
     """
-    import os
-
     os.makedirs(directory, exist_ok=True)
     paths = []
 

@@ -10,6 +10,11 @@ The operator A + B(psi_k) that measures the nonlinear residual of iterate
 k is the system matrix of outer iteration k + 1, so the convection form is
 assembled once before the loop and once per outer iteration.
 
+A solve always returns its coefficients and trace. An initial PCG that does
+not converge, or a BiCGSTAB breakdown, ends the iteration early and names
+the cause in ``PicardTrace.failure``; running out of outer iterations only
+leaves ``converged`` false.
+
 Both solves take a :class:`Discretization`: the DOF map, element tables,
 manufactured solution, scatter plan and viscous matrix of one config, built
 once by :func:`discretize` and shared with whatever else the run does with
@@ -41,6 +46,7 @@ from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
 class PicardConfig:
     """Run parameters; tolerances per the fixed-point stopping rule.
 
+    An int ``ordering`` is converted to its :class:`OrderingScheme`.
     ``linear_tol=None`` resolves to ``tol`` for a standalone biharmonic
     solve and to ``tol * 1e-3`` inside the fixed-point loop: the inner
     solves must be accurate well below the outer update test, or the
@@ -59,6 +65,7 @@ class PicardConfig:
     flip_convention: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "ordering", OrderingScheme.from_int(self.ordering))
         if not (np.isfinite(self.reynolds) and self.reynolds > 0):
             raise ValueError(f"Reynolds number must be positive and finite, got {self.reynolds}")
         for name in ("tol", "linear_tol"):
@@ -90,6 +97,7 @@ class PicardTrace:
     iterations: list[OuterIteration] = field(default_factory=list)
     converged: bool = False
     initial_report: SolveReport | None = None
+    failure: str | None = None  # why the iteration stopped early, if it did
 
     @property
     def total_inner_iterations(self) -> float:
@@ -119,14 +127,6 @@ class PicardTrace:
                 )
 
 
-class PicardError(RuntimeError):
-    """Raised when an inner solve breaks down; carries the trace so far."""
-
-    def __init__(self, message: str, trace: PicardTrace):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class Discretization:
     """One discretization of the unit square: everything a solve, the
@@ -151,6 +151,13 @@ class Discretization:
     @property
     def q(self) -> QuadratureRule:
         return self.tables.rule
+
+    def operator(self, psi: np.ndarray) -> SparseMatrix:
+        """A + B(psi), the linearized operator frozen at the full-DOF field psi."""
+        return self.A + assemble_convection(
+            self.mesh, self.dofmap, self.q, psi, tables=self.tables,
+            flip_convention=self.config.flip_convention, plan=self.plan,
+        )
 
 
 def discretize(mesh: Mesh, config: PicardConfig,
@@ -211,31 +218,26 @@ def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
 def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
     """Run the fixed-point iteration for the linearized problem.
 
-    Returns (full-DOF coefficients, PicardTrace). ``include_convection=False``
+    Returns (full-DOF coefficients, PicardTrace). After an early stop the
+    coefficients are the last iterate: the initial PCG's when it failed, the
+    one before the breakdown otherwise. ``include_convection=False``
     degenerates to the biharmonic problem solved iteratively (a consistency
     check: the result must match solve_biharmonic_problem).
     """
-    mesh, dofmap, q, tables, config, A = (
-        disc.mesh, disc.dofmap, disc.q, disc.tables, disc.config, disc.A)
-    ell = assemble_load(mesh, dofmap, q, disc.ms.forcing, tables=tables)
+    dofmap, config, A = disc.dofmap, disc.config, disc.A
+    ell = assemble_load(disc.mesh, dofmap, disc.q, disc.ms.forcing, tables=disc.tables)
     norm_ell = float(np.linalg.norm(ell))
     scale = norm_ell if norm_ell > 0 else 1.0
 
     trace = PicardTrace()
-    x0, init_report = pcg(A, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
-    trace.initial_report = init_report
-    if not init_report.converged:
-        raise PicardError("initial biharmonic PCG solve did not converge", trace)
+    x0, trace.initial_report = pcg(A, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
     psi_full = _expand(dofmap, x0)
+    if not trace.initial_report.converged:
+        trace.failure = "initial biharmonic PCG solve did not converge"
+        return psi_full, trace
 
     def system_at(psi):
-        """A + B(psi), the linearized operator frozen at psi."""
-        if not include_convection:
-            return A
-        return A + assemble_convection(
-            mesh, dofmap, q, psi, tables=tables, flip_convention=config.flip_convention,
-            plan=disc.plan,
-        )
+        return disc.operator(psi) if include_convection else A
 
     free = dofmap.globals_of_free
     system = system_at(psi_full)
@@ -246,7 +248,8 @@ def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
             trace.iterations.append(
                 OuterIteration(index=outer, update_norm=np.nan, residual=np.nan, report=report)
             )
-            raise PicardError(f"BiCGSTAB {report.breakdown} at outer iteration {outer}", trace)
+            trace.failure = f"BiCGSTAB {report.breakdown} at outer iteration {outer}"
+            break
 
         new_full = _expand(dofmap, x)
         update = float(np.linalg.norm(new_full[free] - psi_full[free]))

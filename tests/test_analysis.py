@@ -194,7 +194,7 @@ def test_format_table_and_csv(tmp_path):
 
 
 def test_run_tables_biharmonic_rows(exact_solution):
-    from streamfem.analysis import run_tables
+    from streamfem.cli import run_tables
     from streamfem.picard import PicardConfig
 
     configs = [
@@ -212,7 +212,7 @@ def test_run_tables_biharmonic_rows(exact_solution):
 
 def test_run_tables_six_point_coarse_row():
     # reference row (1/9, nqp 6): pcg-itr 454
-    from streamfem.analysis import run_tables
+    from streamfem.cli import run_tables
     from streamfem.picard import PicardConfig
 
     result = run_tables(
@@ -223,7 +223,7 @@ def test_run_tables_six_point_coarse_row():
 
 
 def test_run_tables_marks_failed_rows():
-    from streamfem.analysis import run_tables
+    from streamfem.cli import run_tables
     from streamfem.picard import PicardConfig
 
     configs = [

@@ -1,13 +1,14 @@
 import csv
 import os
+from dataclasses import replace
 
 import pytest
 
-from streamfem import cli
+from streamfem import cli, picard
 from streamfem.assembly import assemble_biharmonic
 from streamfem.cli import main
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
-from streamfem.picard import PicardError, PicardTrace
+from streamfem.picard import PicardTrace
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats
 
@@ -56,7 +57,7 @@ def test_solve_nse_table63_row(tmp_path, capsys):
     # reference value 2.589e-4, factor-5 agreement
     assert 2.589e-4 / 5 <= l2 <= 2.589e-4 * 5
     assert (tmp_path / "picard_trace.csv").exists()
-    assert (tmp_path / "picard_summary.txt").exists()
+    assert "failure" not in (tmp_path / "picard_summary.txt").read_text()
 
 
 def test_compare_orderings_structure(tmp_path, capsys):
@@ -96,6 +97,40 @@ def test_solve_nse_builds_bases_twice(tmp_path, bases_builds):
     assert bases_builds == [3, 3]
 
 
+def _failing(solver, **fields):
+    """``solver`` with its report marked as not converged and given ``fields``."""
+    def solve(*args, **kwargs):
+        x, report = solver(*args, **kwargs)
+        return x, replace(report, converged=False, **fields)
+    return solve
+
+
+@pytest.mark.parametrize("target, fields, argv, message", [
+    ("pcg", {}, [], "initial biharmonic PCG solve did not converge"),
+    ("bicgstab", {"breakdown": "rho breakdown"}, [], "BiCGSTAB rho breakdown at outer iteration 1"),
+    (None, {}, ["--max-outer", "1"], "fixed-point iteration did not converge"),
+])
+def test_failed_solve_nse_writes_every_output_and_names_the_failure(
+        tmp_path, capsys, monkeypatch, target, fields, argv, message):
+    if target:
+        monkeypatch.setattr(picard, target, _failing(getattr(picard, target), **fields))
+    assert run_cli(["solve-nse", "--n", "3", *argv, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == [
+        "coefficients.npy", "error_report.txt", "picard_summary.txt", "picard_trace.csv",
+        "timings.csv",
+    ]
+    summary = (tmp_path / "picard_summary.txt").read_text()
+    assert "converged = false\n" in summary and summary.endswith(f"\nfailure = {message}\n")
+
+
+def test_ordering_out_of_range_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ordering = 4\n")
+    assert run_cli(["solve-nse", "--n", "2", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: ordering scheme must be 1, 2 or 3, got 4\n"
+
+
 def test_compare_orderings_nonconvergence_exits_1(tmp_path, capsys):
     argv = ["compare-orderings", "--n", "3", "--max-outer", "1", "--out-dir", str(tmp_path)]
     assert run_cli(argv) == 1
@@ -111,7 +146,7 @@ def test_compare_orderings_reports_picard_error(tmp_path, capsys, monkeypatch):
 
     def failing_for_ordering_2(disc):
         if disc.config.ordering.value == 2:
-            raise PicardError("initial biharmonic PCG solve did not converge", PicardTrace())
+            return None, PicardTrace(failure="initial biharmonic PCG solve did not converge")
         return solve(disc)
 
     monkeypatch.setattr(cli, "solve_linearized_nse", failing_for_ordering_2)
@@ -146,6 +181,16 @@ def test_convergence_table_nonconvergence_exits_1(tmp_path, capsys):
     rows = (tmp_path / "table_nse_nqp6.csv").read_text().splitlines()
     assert [r.split(",")[3] for r in rows[1:]] == ["ok", "not-converged"]
     assert capsys.readouterr().err == "error: no converged solve at h = 1/3\n"
+
+
+def test_convergence_table_marks_an_early_stop_failed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(picard, "bicgstab", _failing(picard.bicgstab, breakdown="rho breakdown"))
+    argv = ["convergence-table", "--problem", "nse", "--mesh-sizes", "2", "--out-dir", str(tmp_path)]
+    assert run_cli(argv) == 1
+    row = (tmp_path / "table_nse_nqp6.csv").read_text().splitlines()[1].split(",")
+    assert row[3] == "failed: BiCGSTAB rho breakdown at outer iteration 1"
+    assert row[4:-1] == [""] * 7  # no errors or counts, only the wall time
+    assert capsys.readouterr().err == "error: no converged solve at h = 1/2\n"
 
 
 def test_export_sparsity_files(tmp_path, capsys):

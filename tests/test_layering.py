@@ -1,0 +1,63 @@
+"""Import rules of the package, checked on its source with ``ast``.
+
+Every import sits at module level, so a module's dependencies are read off
+its head. The lower layers never import the fixed-point driver or the CLI:
+``analysis`` and below must work without them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "streamfem"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+LOWER_LAYERS = ("analysis", "assembly", "solvers", "argyris", "mesh", "quadrature")
+UPPER_LAYERS = ("streamfem.picard", "streamfem.cli")
+
+
+def function_imports(tree) -> list[int]:
+    """Line numbers of the imports inside any function body of ``tree``."""
+    return sorted(
+        node.lineno
+        for scope in ast.walk(tree) if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def imported_modules(tree) -> set[str]:
+    """Absolute names of every module, or module member, that ``tree`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["streamfem" if node.level else None, node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def upper_layer_imports(tree) -> set[str]:
+    return {name for name in imported_modules(tree)
+            if any(name == up or name.startswith(f"{up}.") for up in UPPER_LAYERS)}
+
+
+def test_the_checks_see_what_they_look_for():
+    tree = ast.parse("import os\n\ndef f():\n    from . import picard\n    import streamfem.cli\n")
+    assert function_imports(tree) == [4, 5]
+    assert upper_layer_imports(tree) == {"streamfem.picard", "streamfem.cli"}
+    assert upper_layer_imports(ast.parse("from .picard import PicardConfig\n")) == {
+        "streamfem.picard", "streamfem.picard.PicardConfig"}
+    assert not upper_layer_imports(ast.parse("from .solvers import pcg\nimport pickle\n"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert function_imports(ast.parse(path.read_text())) == [], path.name
+
+
+@pytest.mark.parametrize("layer", LOWER_LAYERS)
+def test_lower_layers_import_neither_picard_nor_cli(layer):
+    tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
+    assert upper_layer_imports(tree) == set()

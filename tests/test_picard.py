@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from streamfem.analysis import evaluate_field
 from streamfem.assembly import assemble_biharmonic, assemble_convection, assemble_load, manufactured_rhs
-from streamfem.mesh import build_uniform_mesh, enumerate_dofs
+from streamfem.mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs
 from streamfem.picard import (
     PicardConfig,
     discretize,
@@ -20,6 +22,14 @@ def test_config_validation():
         PicardConfig(tol=-1.0)
     with pytest.raises(ValueError):
         PicardConfig(max_outer=0)
+
+
+def test_config_ordering_is_always_a_scheme():
+    assert PicardConfig(ordering=2).ordering is OrderingScheme.FUNCTION_FIRST
+    assert PicardConfig(ordering=OrderingScheme.ALTERNATING_VERTEX).ordering.value == 3
+    assert replace(PicardConfig(), ordering=3).ordering is OrderingScheme.ALTERNATING_VERTEX
+    with pytest.raises(ValueError, match="ordering scheme must be 1, 2 or 3, got 4"):
+        PicardConfig(ordering=4)
 
 
 def test_discretize_shares_tables_across_orderings(mesh3):
@@ -168,3 +178,30 @@ def test_minimal_bc_reduces_error(exact_solution):
         dm = enumerate_dofs(mesh, 1, minimal_bc=minimal)
         errs[minimal] = compute_errors(mesh, dm, coeffs, exact_solution).h2_semi
     assert errs[True] < 0.2 * errs[False]
+
+
+@pytest.mark.parametrize("breakdown", [False, True])
+def test_early_stop_returns_the_initial_iterate_and_names_the_failure(mesh3, monkeypatch, breakdown):
+    """A failed initial PCG, or a breakdown in the first outer iteration,
+    ends the solve with the initial PCG iterate and the cause in the trace."""
+    import streamfem.picard
+
+    disc = discretize(mesh3, PicardConfig(n_quad_points=6))
+    ell = assemble_load(mesh3, disc.dofmap, disc.q, disc.ms.forcing, tables=disc.tables)
+    x0, _ = streamfem.picard.pcg(disc.A, ell, tol=disc.config.inner_tol,
+                                 max_iter=disc.config.linear_max_iter)
+    target = "bicgstab" if breakdown else "pcg"
+    solver = getattr(streamfem.picard, target)
+
+    def failing(*args, **kwargs):
+        x, report = solver(*args, **kwargs)
+        return x, replace(report, converged=False,
+                          breakdown="omega breakdown" if breakdown else None)
+
+    monkeypatch.setattr(streamfem.picard, target, failing)
+    coeffs, trace = solve_linearized_nse(disc)
+    assert not trace.converged and len(trace.iterations) == int(breakdown)
+    assert trace.failure == ("BiCGSTAB omega breakdown at outer iteration 1" if breakdown
+                             else "initial biharmonic PCG solve did not converge")
+    assert np.array_equal(coeffs[disc.dofmap.globals_of_free], x0)
+    assert not coeffs[disc.dofmap.constrained].any()
