@@ -18,7 +18,7 @@ always integrated with a rule exact for degree 6, while the requested
 n.q.p. rule governs the load and convection assemblies, whose integrands
 carry the data dependence. Its element matrices are formed ``BLOCK``
 triangles at a time from the element bases, so no table of that rule is
-held for the whole mesh.
+held for the whole mesh, and no n.q.p. table needs to exist yet.
 
 Element matrices reach the global CSR matrix through a :class:`ScatterPlan`,
 built once per DOF map. Entry (t, i, j) of the stacked (T, 21, 21) element
@@ -30,10 +30,23 @@ unstable sort by column within each row. That sort permutes by the columns
 alone, never by the values, so the plan runs the conversion once on the
 entry numbers and records the order it produced. Each assembly replays it:
 one gather of every slot's first entry, at most five passes adding the
-further entries in turn, then exact zeros (+0.0 and -0.0) are dropped as
-``eliminate_zeros`` drops them. The matrix is bitwise the one
-``coo_matrix(...).tocsr()`` and ``eliminate_zeros`` build from the same
-entries, without their COO index copies and sort on every assembly.
+further entries in turn (``CHUNK`` slots at a time), then exact zeros (+0.0
+and -0.0) are dropped as ``eliminate_zeros`` drops them. The matrix is
+bitwise the one ``coo_matrix(...).tocsr()`` and ``eliminate_zeros`` build
+from the same entries, without their COO index copies and sort on every
+assembly.
+
+The linearized operator A + B(xi) of a fixed-point step is one such pass:
+B's slots are summed, A's data is added slot by slot, A's entry first as
+scipy's ``csr_plus_csr`` adds, a slot A does not store counting as +0.0,
+and exact zeros are dropped once. That is bitwise ``A + B`` without B's own
+CSR matrix or the sum's merge buffers, but for the sign of a NaN summed
+from NaNs of opposite sign: numpy's loops take it from either operand by
+the pair's position in the array, chunked or not. A's slots are found
+through the one-byte-per-slot mask a :class:`PlanMatrix` keeps when it
+dropped zeros. A caller that passes the (T, 21, 21) element stack straight
+in hands it over: the plan frees it once its slots are summed, before the
+zero drop.
 
 The manufactured forcing uses the exact stream function
 psi = x^2 (x-1)^2 y^2 (y-1)^2 with velocity u = (psi_y, -psi_x) and pressure
@@ -45,7 +58,7 @@ switches expose for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,6 +73,7 @@ from .solvers import SparseMatrix
 VISCOUS_EXACT_DEGREE = 6
 TABLE_ORDERS = (("dx", (1, 0)), ("dy", (0, 1)), ("dxx", (2, 0)), ("dyy", (0, 2)))
 LAPLACIAN_ORDERS = TABLE_ORDERS[2:]
+CHUNK = 2**14  # slots per gather-add of a rank pass: bounds its temporaries
 
 
 def element_blocks(rule: QuadratureRule, bases: ElementBases):
@@ -82,7 +96,8 @@ class ElementTables:
     Arrays are (T, nq, 21) for dx, dy and lap, (T, nq, 2) physical points and
     (T, nq) area-scaled weights, filled by :func:`element_blocks` and written
     straight into the arrays. Building this once and reusing it across
-    assemblies is what makes the fixed-point iteration cheap.
+    assemblies is what makes the fixed-point iteration cheap. The tables
+    keep no reference to the element bases they were evaluated from.
     """
 
     def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases | None = None):
@@ -90,7 +105,6 @@ class ElementTables:
             bases = build_all_bases(mesh)
         self.mesh = mesh
         self.rule = rule
-        self.bases = bases
         nt, nq = mesh.num_triangles, rule.n_points
         self.points = np.empty((nt, nq, 2))
         self.weights = np.empty((nt, nq))
@@ -113,6 +127,15 @@ def dof_arrays(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class PlanMatrix(SparseMatrix):
+    """A matrix a :class:`ScatterPlan` assembled. ``kept`` masks the plan's
+    slots it stores when it dropped exact zeros, one byte per slot; None
+    when it stores them all."""
+
+    kept: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,25 +211,50 @@ class ScatterPlan:
             ranks=tuple(ranks),
         )
 
-    def assemble(self, local: np.ndarray, is_symmetric: bool = False) -> SparseMatrix:
-        """Sum (T, 21, 21) element matrices into the global CSR matrix."""
+    def assemble(self, local: np.ndarray, is_symmetric: bool = False,
+                 plus: PlanMatrix | None = None) -> PlanMatrix:
+        """Sum (T, 21, 21) element matrices into the global CSR matrix, plus
+        ``plus``, a matrix this plan assembled, in the same pass (see the
+        module docstring); ``local`` passed straight in is freed once summed."""
         if local.shape != (self.mesh.num_triangles, 21, 21):
             raise ValueError(f"element matrices must have shape "
                              f"({self.mesh.num_triangles}, 21, 21), got {local.shape}")
         values = local.reshape(-1)
+        del local
         data = values[self.first]
         for slots, entries in self.ranks:
-            data[slots] += values[entries]
-        indptr, indices = self.indptr, self.indices
+            for lo in range(0, len(slots), CHUNK):
+                s = slots[lo:lo + CHUNK]
+                data[s] += values[entries[lo:lo + CHUNK]]
+        del values
+        if plus is not None:
+            self._add_first(plus, data)
+        indptr, indices, kept = self.indptr, self.indices, None
         nonzero = data != 0  # drops +0.0 and -0.0, keeps NaN
         if not nonzero.all():
-            data, indices = data[nonzero], indices[nonzero]
-            kept = np.zeros(len(nonzero) + 1, dtype=np.int32)
-            np.cumsum(nonzero, out=kept[1:])
-            indptr = kept[indptr]
+            data, indices, kept = data[nonzero], indices[nonzero], nonzero
+            offsets = np.zeros(len(nonzero) + 1, dtype=np.int32)
+            np.cumsum(nonzero, out=offsets[1:])
+            indptr = offsets[indptr]
         csr = sp.csr_matrix((data, indices, indptr), shape=(self.dimension, self.dimension))
         csr.has_canonical_format = True
-        return SparseMatrix(csr, is_symmetric=is_symmetric)
+        return PlanMatrix(csr, is_symmetric=is_symmetric, kept=kept)
+
+    def _add_first(self, plus: PlanMatrix, data: np.ndarray) -> None:
+        """data = plus + data in the slots ``plus`` stores; adding +0.0 to
+        the others would change no value that survives the zero drop."""
+        kept = plus.kept
+        if len(plus.data if kept is None else kept) != self.nnz:
+            raise ValueError("the matrix to add was not assembled on this scatter plan")
+        if kept is None:
+            np.add(plus.data, data, out=data)
+            return
+        start = 0
+        for lo in range(0, self.nnz, CHUNK):
+            mask, part = kept[lo:lo + CHUNK], data[lo:lo + CHUNK]
+            stop = start + int(np.count_nonzero(mask))
+            part[mask] = plus.data[start:stop] + part[mask]
+            start = stop
 
 
 def _scatter_plan(mesh, dofmap, reduced, plan) -> ScatterPlan:
@@ -227,29 +275,26 @@ def viscous_element_matrices(
     mesh: Mesh,
     rule: QuadratureRule,
     reynolds: float = 1.0,
-    tables: ElementTables | None = None,
+    bases: ElementBases | None = None,
 ) -> np.ndarray:
     """(T, 21, 21) element matrices of Re^-1 (lap psi, lap phi).
 
     The integration rule is promoted to one exact for the degree-6
     integrand when the requested rule is weaker (see module docstring).
-    ``tables`` over the rule in use are read as they are; otherwise the
-    Laplacians are tabulated ``BLOCK`` triangles at a time from the bases of
-    ``tables``, or from new bases. The matrices depend on the mesh and the
+    The Laplacians are tabulated ``BLOCK`` triangles at a time from
+    ``bases``, or from new bases. The matrices depend on the mesh and the
     Reynolds number only, not on the DOF numbering.
     """
     _check_reynolds(reynolds)
     if rule.exact_degree < VISCOUS_EXACT_DEGREE:
         rule = quad_rule(12)
-    if tables is not None and tables.rule is rule:
-        local = np.einsum("tq,tqi,tqj->tij", tables.weights, tables.lap, tables.lap)
-    else:
-        bases = tables.bases if tables is not None else build_all_bases(mesh)
-        local = np.empty((mesh.num_triangles, 21, 21))
-        for blk, points, weights in element_blocks(rule, bases):
-            tab = bases.evaluate(points, LAPLACIAN_ORDERS, blk)
-            lap = np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
-            np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
+    if bases is None:
+        bases = build_all_bases(mesh)
+    local = np.empty((mesh.num_triangles, 21, 21))
+    for blk, points, weights in element_blocks(rule, bases):
+        tab = bases.evaluate(points, LAPLACIAN_ORDERS, blk)
+        lap = np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
+        np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
     local /= reynolds
     return local
 
@@ -259,25 +304,41 @@ def assemble_biharmonic(
     dofmap: DofMap,
     rule: QuadratureRule,
     reynolds: float = 1.0,
-    tables: ElementTables | None = None,
+    bases: ElementBases | None = None,
     reduced: bool = True,
     plan: ScatterPlan | None = None,
     element_matrices: np.ndarray | None = None,
-) -> SparseMatrix:
+) -> PlanMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi).
 
     ``reduced=False`` keeps the constrained DOFs (for quadratic-form
     evaluations with inhomogeneous data). ``plan`` is the scatter plan of
     ``dofmap`` and ``reduced``, built here when not given.
     ``element_matrices`` are :func:`viscous_element_matrices` of the same
-    mesh, rule and Reynolds number, formed here when not given; a caller
-    that assembles under several orderings forms them once.
+    mesh, rule and Reynolds number, formed here from ``bases`` when not
+    given; a caller that assembles under several orderings forms them once.
     """
     _check_reynolds(reynolds)
     plan = _scatter_plan(mesh, dofmap, reduced, plan)
-    if element_matrices is None:
-        element_matrices = viscous_element_matrices(mesh, rule, reynolds, tables)
-    return plan.assemble(element_matrices, is_symmetric=True)
+    if element_matrices is not None:
+        return plan.assemble(element_matrices, is_symmetric=True)
+    return plan.assemble(viscous_element_matrices(mesh, rule, reynolds, bases),
+                         is_symmetric=True)
+
+
+def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> np.ndarray:
+    """(T, 21, 21) element matrices of the convection form frozen at xi."""
+    xi_local = xi[dof_arrays(mesh, dofmap)]                    # (T, 21)
+    lap_xi = np.einsum("tqk,tk->tq", tables.lap, xi_local)     # (T, nq)
+    w = tables.weights * lap_xi
+    local = np.empty((mesh.num_triangles, 21, 21))
+    for lo in range(0, mesh.num_triangles, BLOCK):  # no whole-mesh cross table
+        blk = slice(lo, lo + BLOCK)
+        cross = np.einsum("tq,tqi,tqj->tij", w[blk], tables.dx[blk], tables.dy[blk])
+        np.subtract(cross, np.transpose(cross, (0, 2, 1)), out=local[blk])
+    if flip_convention:
+        np.negative(local, out=local)
+    return local
 
 
 def assemble_convection(
@@ -289,12 +350,15 @@ def assemble_convection(
     flip_convention: bool = False,
     reduced: bool = True,
     plan: ScatterPlan | None = None,
-) -> SparseMatrix:
+    plus: PlanMatrix | None = None,
+) -> PlanMatrix:
     """Assemble the linearized convection form with frozen field xi.
 
     xi is a full-DOF coefficient vector (constrained entries zero). The
     result is antisymmetric; ``flip_convention`` negates it (the opposite
     velocity sign convention). ``plan`` is as in :func:`assemble_biharmonic`.
+    ``plus``, a matrix assembled on the same plan such as the viscous A,
+    is summed in the same pass: the result is bitwise ``plus + B``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dofmap.total_dofs,):
@@ -304,17 +368,9 @@ def assemble_convection(
     plan = _scatter_plan(mesh, dofmap, reduced, plan)
     if tables is None:
         tables = ElementTables(mesh, rule)
-    xi_local = xi[dof_arrays(mesh, dofmap)]                    # (T, 21)
-    lap_xi = np.einsum("tqk,tk->tq", tables.lap, xi_local)     # (T, nq)
-    w = tables.weights * lap_xi
-    local = np.empty((mesh.num_triangles, 21, 21))
-    for lo in range(0, mesh.num_triangles, BLOCK):  # no whole-mesh cross table
-        blk = slice(lo, lo + BLOCK)
-        cross = np.einsum("tq,tqi,tqj->tij", w[blk], tables.dx[blk], tables.dy[blk])
-        np.subtract(cross, np.transpose(cross, (0, 2, 1)), out=local[blk])
-    if flip_convention:
-        np.negative(local, out=local)
-    return plan.assemble(local)
+    # handed straight to the plan, which frees the stack once it is summed
+    return plan.assemble(_convection_element_matrices(mesh, dofmap, xi, tables, flip_convention),
+                         plus=plus)
 
 
 def assemble_load(

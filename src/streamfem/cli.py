@@ -29,6 +29,7 @@ from .analysis import (
     format_table,
     write_csv,
 )
+from .argyris import build_all_bases
 from .assembly import ElementTables, assemble_biharmonic, viscous_element_matrices
 from .mesh import build_uniform_mesh, enumerate_dofs, export_mesh_csv
 from .picard import PicardConfig, discretize, solve_biharmonic_problem, solve_linearized_nse
@@ -43,9 +44,11 @@ PICARD_FAILED = "fixed-point iteration did not converge"
 # size of the seven (2 n^2, 25, 21) float64 tables the error pass held
 # before it was streamed; kept as a conservative cap. The largest step is
 # now the scatter plan build, 28 bytes per element-matrix entry with a free
-# row and column, at most 24,700 n^2 bytes (22.3 MiB traced at n = 32). For
-# a G x G contour grid it is the field sampling, which peaked at 84-95 bytes
-# per grid point (tracemalloc, G = 128 to 1024), taken as 96.
+# row and column, at most 24,700 n^2 bytes. It runs before the bases, tables
+# and matrices exist: 22.3 MiB traced at n = 32, alone. The convection step,
+# one element stack beside A, the plan and the tables, peaks at 28.6 MiB in
+# all. For a G x G contour grid it is the field sampling, which peaked at
+# 84-95 bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96.
 MEMORY_BUDGET = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
 MAX_GRID_SIZE = math.isqrt(MEMORY_BUDGET // 96)
@@ -249,14 +252,17 @@ def cmd_compare_orderings(args) -> int:
         if tables is None:
             # the element tables and viscous element matrices depend on the
             # mesh and Re, not on the ordering: formed once, in ordering 1's time
-            tables = ElementTables(mesh, q)
-            viscous = viscous_element_matrices(mesh, q, base.reynolds, tables)
+            bases = build_all_bases(mesh)
+            viscous = viscous_element_matrices(mesh, q, base.reynolds, bases)
+            tables = ElementTables(mesh, q, bases)
+            del bases
         disc = discretize(mesh, replace(base, ordering=scheme), tables=tables, viscous=viscous)
         _, trace, failure = _solve(disc, "nse")
         if failure:
             failures.append(f"ordering {scheme}: {failure}")
         elapsed = time.perf_counter() - t0
         stats = bandwidth_stats(disc.A)
+        del disc  # its plan and A are freed before the next ordering's are built
         rows.append([
             scheme, stats["bandwidth"], stats["profile"], stats["nnz"],
             trace.total_flops, trace.mean_inner_iterations,
@@ -303,13 +309,14 @@ def cmd_export_contours(args) -> int:
     out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
-    disc = discretize(mesh, config)
+    bases = build_all_bases(mesh)  # kept for the field evaluation after the solve
+    disc = discretize(mesh, config, bases=bases)
     coeffs, _, failure = _solve(disc, args.problem)
     if failure:
         return _fail(failure)
     stem = out / f"contours_{args.problem}_n{args.n}"
     result = export_contours(mesh, disc.dofmap, coeffs, stem, grid_size=args.grid_size,
-                             bases=disc.tables.bases)
+                             bases=bases)
     print(f"wrote {result['svg']} and {result['csv']} ({len(result['levels'])} levels)")
     return 0
 

@@ -18,8 +18,8 @@ leaves ``converged`` false.
 Both solves take a :class:`Discretization`: the DOF map, element tables,
 manufactured solution, scatter plan and viscous matrix of one config, built
 once by :func:`discretize` and shared with whatever else the run does with
-them. Every convection matrix is assembled through the same scatter plan
-as the viscous one.
+them. Every operator A + B(psi) is summed in one pass of the scatter plan
+that assembled A.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .argyris import ElementBases, build_all_bases
 from .assembly import (
     ElementTables,
     ManufacturedSolution,
+    PlanMatrix,
     ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
@@ -39,7 +41,7 @@ from .assembly import (
 )
 from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
 from .quadrature import QuadratureRule, rule as quad_rule
-from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
+from .solvers import SolveReport, bicgstab, pcg
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,10 @@ class Discretization:
     """One discretization of the unit square: everything a solve, the
     ordering study and the exports share, built once by :func:`discretize`.
 
-    ``tables`` are the n.q.p. tables of the load and convection forms and
-    carry the element bases; ``plan`` scatters element matrices over the
-    free DOFs of ``dofmap``; ``A`` is the assembled viscous matrix.
+    ``tables`` are the n.q.p. tables of the load and convection forms;
+    ``plan`` scatters element matrices over the free DOFs of ``dofmap``;
+    ``A`` is the assembled viscous matrix. The element bases are not kept:
+    a caller that evaluates the field after the solve holds its own.
     """
 
     config: PicardConfig
@@ -142,7 +145,7 @@ class Discretization:
     tables: ElementTables
     ms: ManufacturedSolution
     plan: ScatterPlan
-    A: SparseMatrix
+    A: PlanMatrix
 
     @property
     def mesh(self) -> Mesh:
@@ -152,36 +155,42 @@ class Discretization:
     def q(self) -> QuadratureRule:
         return self.tables.rule
 
-    def operator(self, psi: np.ndarray) -> SparseMatrix:
-        """A + B(psi), the linearized operator frozen at the full-DOF field psi."""
-        return self.A + assemble_convection(
+    def operator(self, psi: np.ndarray) -> PlanMatrix:
+        """A + B(psi), the linearized operator frozen at the full-DOF field psi,
+        bitwise ``A + assemble_convection(...)`` in one scatter-plan pass."""
+        return assemble_convection(
             self.mesh, self.dofmap, self.q, psi, tables=self.tables,
-            flip_convention=self.config.flip_convention, plan=self.plan,
+            flip_convention=self.config.flip_convention, plan=self.plan, plus=self.A,
         )
 
 
 def discretize(mesh: Mesh, config: PicardConfig,
                tables: ElementTables | None = None,
-               viscous: np.ndarray | None = None) -> Discretization:
-    """Number the DOFs, tabulate the elements and assemble A for ``config``.
+               viscous: np.ndarray | None = None,
+               bases: ElementBases | None = None) -> Discretization:
+    """Number the DOFs, build the scatter plan, assemble A and tabulate the
+    elements for ``config``, in that order, so the plan's build peak is the
+    only large allocation alive.
 
     ``tables`` reuses the element tables of another discretization of the
     same mesh and rule, e.g. under a different ordering: the tables do not
     depend on the DOF numbering. ``viscous`` likewise reuses the
     :func:`~streamfem.assembly.viscous_element_matrices` of the same mesh,
-    rule and Reynolds number; when not given they are formed here and
-    dropped once A is assembled.
+    rule and Reynolds number. What is not given is formed from ``bases``,
+    built here when not given; the result keeps no reference to them.
     """
     q = quad_rule(config.n_quad_points)
-    if tables is None:
-        tables = ElementTables(mesh, q)
-    elif tables.mesh is not mesh or tables.rule is not q:
+    if tables is not None and (tables.mesh is not mesh or tables.rule is not q):
         raise ValueError("shared element tables must be over the same mesh and rule")
     dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
     ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
     plan = ScatterPlan.build(mesh, dofmap)
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, tables=tables, plan=plan,
+    if bases is None and tables is None:
+        bases = build_all_bases(mesh)  # shared by A and the tables
+    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, bases=bases, plan=plan,
                             element_matrices=viscous)
+    if tables is None:
+        tables = ElementTables(mesh, q, bases)
     return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)
 
 

@@ -84,7 +84,8 @@ class SparseMatrix:
     sums each entry's duplicates in the order ``from_coo`` does and drops
     exact zeros as ``finalize_csr`` does, so both give the same arrays, byte
     for byte. A plan-assembled matrix holding no zero shares the plan's
-    read-only ``indptr`` and ``indices``.
+    read-only ``indptr`` and ``indices``. The plan also sums the linearized
+    operator A + B(psi) in one pass, bitwise what ``A + B`` gives here.
     """
 
     _csr: sp.csr_matrix = field(repr=False)
@@ -161,6 +162,7 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
 
+    # unused by the package; perfbench/spans.py traces it (solvers.matrix_sum)
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch in matrix sum")

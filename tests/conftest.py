@@ -43,8 +43,8 @@ def exact_solution():
 
 @pytest.fixture
 def bases_builds(monkeypatch):
-    """The mesh size of every element-bases build, counted at both lookup sites."""
-    from streamfem import analysis, assembly
+    """The mesh size of every element-bases build, counted at every lookup site."""
+    from streamfem import analysis, assembly, cli, picard
 
     calls = []
     build = assembly.build_all_bases
@@ -54,7 +54,8 @@ def bases_builds(monkeypatch):
         return build(mesh)
 
     monkeypatch.setattr(assembly, "build_all_bases", counting)
-    monkeypatch.setattr(analysis, "build_all_bases", counting)
+    for module in (analysis, cli, picard):
+        monkeypatch.setattr(module, "build_all_bases", counting)
     return calls
 
 

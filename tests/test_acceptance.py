@@ -250,7 +250,7 @@ def test_criterion_4e_form_structure(exact):
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
     tab = ElementTables(mesh, rule(6))
-    A = assemble_biharmonic(mesh, dm, rule(6), 1.0, tables=tab).toarray()
+    A = assemble_biharmonic(mesh, dm, rule(6), 1.0).toarray()
     sym = np.abs(A - A.T).max() / np.abs(A).max()
     rng = np.random.default_rng(3)
     xi = np.zeros(dm.total_dofs)
@@ -331,7 +331,7 @@ def test_criterion_5_convergence(exact):
         mesh = build_uniform_mesh(n)
         dm = enumerate_dofs(mesh, 1, minimal_bc=True)
         tab = ElementTables(mesh, rule(25))
-        A = assemble_biharmonic(mesh, dm, rule(25), 1.0, tables=tab)
+        A = assemble_biharmonic(mesh, dm, rule(25), 1.0)
         ell = assemble_load(mesh, dm, rule(25), exact.forcing_linear, tables=tab)
         x = spl.spsolve(A._csr.tocsc(), ell)
         full = np.zeros(dm.total_dofs)

@@ -20,22 +20,22 @@ def tables25(mesh3, bases3):
     return ElementTables(build_uniform_mesh(3), rule(25), bases=bases3)
 
 
-def test_biharmonic_symmetry(mesh3, dofmap3, tables25):
-    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
+def test_biharmonic_symmetry(mesh3, dofmap3, bases3):
+    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, bases=bases3)
     dense = A.toarray()
     assert np.abs(dense - dense.T).max() <= 1e-10 * np.abs(dense).max()
     assert A.is_symmetric
 
 
-def test_biharmonic_positive_definite(mesh3, dofmap3, tables25):
-    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
+def test_biharmonic_positive_definite(mesh3, dofmap3, bases3):
+    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, bases=bases3)
     eigs = np.linalg.eigvalsh(A.toarray())
     assert eigs.min() > 0
 
 
-def test_reynolds_scaling(mesh3, dofmap3, tables25):
-    A1 = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
-    A2 = assemble_biharmonic(mesh3, dofmap3, rule(25), 2.0, tables=tables25)
+def test_reynolds_scaling(mesh3, dofmap3, bases3):
+    A1 = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, bases=bases3)
+    A2 = assemble_biharmonic(mesh3, dofmap3, rule(25), 2.0, bases=bases3)
     assert np.array_equal(A1.indices, A2.indices)
     assert np.array_equal(A1.data, 2.0 * A2.data)
 
@@ -175,8 +175,8 @@ def test_ordering_equivariance(mesh3, other_scheme):
     assert np.abs(permuted - d2).max() <= 1e-12 * np.abs(d1).max()
 
 
-def test_galerkin_orthogonality(mesh3, dofmap3, tables25, exact_solution):
-    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, tables=tables25)
+def test_galerkin_orthogonality(mesh3, dofmap3, bases3, tables25, exact_solution):
+    A = assemble_biharmonic(mesh3, dofmap3, rule(25), 1.0, bases=bases3)
     ell = assemble_load(mesh3, dofmap3, rule(25), exact_solution.forcing, tables=tables25)
     tol = 1e-9
     x, report = pcg(A, ell, tol=tol)

@@ -3,13 +3,15 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfem import cli, picard
+from streamfem.analysis import MIN_GRID_SIZE
 from streamfem.assembly import assemble_biharmonic
 from streamfem.cli import main
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.picard import PicardTrace
-from streamfem.quadrature import rule
+from streamfem.quadrature import SUPPORTED_POINT_COUNTS, rule
 from streamfem.solvers import bandwidth_stats
 
 
@@ -279,6 +281,55 @@ def test_config_file_does_not_leak_into_the_next_call(tmp_path, capsys):
     assert run_cli(["mesh-info"]) == 0
     out = capsys.readouterr().out
     assert "n=3 " in out and "ordering scheme 1 " in out
+
+
+# option -> values drawn for it; export-contours takes every config key
+ROUND_TRIP_OPTIONS = {
+    "n": st.integers(1, cli.MAX_N),
+    "reynolds": st.floats(1e-3, 1e4),
+    "tol": st.floats(1e-14, 1e-1),
+    "linear_tol": st.floats(1e-14, 1e-1),
+    "max_outer": st.integers(1, 500),
+    "nqp": st.sampled_from(SUPPORTED_POINT_COUNTS),
+    "ordering": st.sampled_from((1, 2, 3)),
+    "out_dir": st.text("abcXYZ019._/", min_size=1, max_size=12),
+    "grid_size": st.integers(MIN_GRID_SIZE, 512),
+    "minimal_bc": st.booleans(),
+    "flip_sign_convention": st.booleans(),
+}
+TRUE_SPELLINGS, FALSE_SPELLINGS = ("1", "true", "yes", "True", "YES"), ("0", "false", "no")
+
+
+def _parsed_args(monkeypatch, argv) -> dict:
+    """The options ``main(argv)`` hands to export-contours, which is not run."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_export_contours", lambda args: seen.append(vars(args)) or 0)
+    assert main(["export-contours", *argv]) == 0
+    return {k: v for k, v in seen[0].items() if k not in ("config", "func", "command_parser")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional=ROUND_TRIP_OPTIONS), data=st.data())
+def test_config_file_round_trips_to_the_flags(tmp_path_factory, values, data):
+    """Key=value lines parse to the options the equivalent flags give."""
+    lines, flags = [], []
+    for key, value in values.items():
+        spelled = data.draw(st.sampled_from((key, key.replace("_", "-"))))
+        if isinstance(value, bool):
+            text = data.draw(st.sampled_from(TRUE_SPELLINGS if value else FALSE_SPELLINGS))
+            flags += [f"--{key.replace('_', '-')}"] if value else []
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+            flags.append(f"--{key.replace('_', '-')}={text}")
+        comment = data.draw(st.sampled_from(("", "  # set by hand")))
+        lines.append(f"{spelled} {data.draw(st.sampled_from(('=', ' = ')))}{text}{comment}")
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("\n".join(["# drawn options", *lines, ""]))
+    with pytest.MonkeyPatch.context() as mp:
+        from_file = _parsed_args(mp, ["--config", str(cfg)])
+        from_flags = _parsed_args(mp, flags)
+    assert from_file == from_flags
+    assert all(from_file[key] == value for key, value in values.items())
 
 
 def test_replaced_command_function_is_the_one_run(monkeypatch, capsys):

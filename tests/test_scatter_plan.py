@@ -170,7 +170,7 @@ def test_operators_match_whole_mesh_reference(n):
         dm = enumerate_dofs(mesh, ordering, minimal_bc=ordering == 2)
         plan = ScatterPlan.build(mesh, dm)
         reynolds = 300.0 if ordering == 3 else 1.0
-        A = assemble_biharmonic(mesh, dm, q, reynolds, tables=tables, plan=plan)
+        A = assemble_biharmonic(mesh, dm, q, reynolds, bases=bases, plan=plan)
         A_ref = _scatter(mesh, dm, ref_viscous(mesh, q, reynolds, bases), True, True)
         assert_same_bytes(A, A_ref)
         xi = random_xi(dm, n_points)
@@ -198,8 +198,9 @@ def test_unreduced_operators_and_new_bases_match_reference():
 def test_shared_viscous_matrices_give_each_ordering_its_own_matrix():
     mesh = build_uniform_mesh(4)
     config = PicardConfig(reynolds=7.0)
-    tables = ElementTables(mesh, rule(config.n_quad_points))
-    viscous = viscous_element_matrices(mesh, tables.rule, config.reynolds, tables)
+    bases = build_all_bases(mesh)
+    tables = ElementTables(mesh, rule(config.n_quad_points), bases)
+    viscous = viscous_element_matrices(mesh, tables.rule, config.reynolds, bases)
     for ordering in (1, 2, 3):
         own = discretize(mesh, PicardConfig(reynolds=7.0, ordering=ordering))
         shared = discretize(mesh, own.config, tables=tables, viscous=viscous)
@@ -277,11 +278,12 @@ def traced_peak(step):
 def memory_case():
     mesh = build_uniform_mesh(N_MEMORY)
     dm = enumerate_dofs(mesh, 1)
-    return mesh, dm, ElementTables(mesh, rule(6)), ScatterPlan.build(mesh, dm)
+    bases = build_all_bases(mesh)
+    return mesh, dm, ElementTables(mesh, rule(6), bases), ScatterPlan.build(mesh, dm), bases
 
 
 def test_plan_build_memory(memory_case):
-    mesh, dm, _, _ = memory_case
+    mesh, dm, _, _, _ = memory_case
     free = dm.free_of_global[dof_arrays(mesh, dm)] >= 0
     kept = int((free.sum(axis=1) ** 2).sum())  # entries with a free row and column
     peak, plan = traced_peak(lambda: ScatterPlan.build(mesh, dm))
@@ -294,10 +296,10 @@ def test_plan_build_memory(memory_case):
 
 
 def test_assembly_memory(memory_case):
-    mesh, dm, tables, plan = memory_case
+    mesh, dm, tables, plan, bases = memory_case
     xi = random_xi(dm, 1)
     peak, _ = traced_peak(lambda: (
-        assemble_biharmonic(mesh, dm, tables.rule, 1.0, tables=tables, plan=plan),
+        assemble_biharmonic(mesh, dm, tables.rule, 1.0, bases=bases, plan=plan),
         assemble_convection(mesh, dm, tables.rule, xi, tables=tables, plan=plan)))
     entries, slots = mesh.num_triangles * 441, plan.nnz
     # the element matrices (8 B an entry) and one block's cross table; per
@@ -308,7 +310,7 @@ def test_assembly_memory(memory_case):
 
 
 def test_error_pass_memory(memory_case, exact_solution):
-    mesh, dm, _, _ = memory_case
+    mesh, dm, _, _, _ = memory_case
     nq = VERIFICATION_RULE_POINTS
     peak, _ = traced_peak(lambda: compute_errors(mesh, dm, np.zeros(dm.total_dofs),
                                                  exact_solution))
