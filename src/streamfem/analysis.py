@@ -149,11 +149,11 @@ ROW_BLOCK = 256  # matrix rows per PBM write
 
 
 def export_sparsity(A: SparseMatrix, path_stem) -> dict:
-    """Write the nonzero pattern as <stem>.pbm and <stem>.svg.
+    """Write the stored pattern as <stem>.pbm and <stem>.svg.
 
-    The PBM has one pixel per matrix entry (1 = stored nonzero) and is
-    bit-exact reproducible; the SVG has one ``<rect>`` per stored entry and
-    a bandwidth annotation. Both files are byte for byte what the per-entry
+    The PBM has one pixel per matrix entry (1 = stored, an exact zero too)
+    and is bit-exact reproducible; the SVG has one ``<rect>`` per stored
+    entry and a bandwidth annotation. Both files are byte for byte what the per-entry
     reference writers in the tests write. The PBM is written one block of
     ROW_BLOCK rows at a time. Each SVG row is its columns' ``<rect x=".."
     y="`` heads, formatted once per column, joined with the row's y and

@@ -29,24 +29,20 @@ COO-to-CSR conversion sums duplicates: a stable bucket sort by row, then an
 unstable sort by column within each row. That sort permutes by the columns
 alone, never by the values, so the plan runs the conversion once on the
 entry numbers and records the order it produced. Each assembly replays it:
-one gather of every slot's first entry, at most five passes adding the
-further entries in turn (``CHUNK`` slots at a time), then exact zeros (+0.0
-and -0.0) are dropped as ``eliminate_zeros`` drops them. The matrix is
-bitwise the one ``coo_matrix(...).tocsr()`` and ``eliminate_zeros`` build
-from the same entries, without their COO index copies and sort on every
-assembly.
+one gather of every slot's first entry, then at most five passes adding the
+further entries in turn (``CHUNK`` slots at a time). The matrix is bitwise
+the one ``coo_matrix(...).tocsr()`` builds from the same entries, without
+its COO index copies and sort on every assembly. A slot whose entries
+cancel keeps its exact zero, so every matrix a plan assembles is stored on
+the plan's structural pattern and shares its read-only ``indptr`` and
+``indices``: nnz, bandwidth and profile are properties of the mesh and
+the ordering, never of roundoff.
 
 The linearized operator A + B(xi) of a fixed-point step is one such pass:
-B's slots are summed, A's data is added slot by slot, A's entry first as
-scipy's ``csr_plus_csr`` adds, a slot A does not store counting as +0.0,
-and exact zeros are dropped once. That is bitwise ``A + B`` without B's own
-CSR matrix or the sum's merge buffers, but for the sign of a NaN summed
-from NaNs of opposite sign: numpy's loops take it from either operand by
-the pair's position in the array, chunked or not. A's slots are found
-through the one-byte-per-slot mask a :class:`PlanMatrix` keeps when it
-dropped zeros. A caller that passes the (T, 21, 21) element stack straight
-in hands it over: the plan frees it once its slots are summed, before the
-zero drop.
+B's slots are summed and A's data is added slot by slot, A's entry first.
+No CSR matrix of B exists. A caller that passes the (T, 21, 21) element
+stack straight in hands it over: the plan frees it once its slots are
+summed, before A is added.
 
 The manufactured forcing uses the exact stream function
 psi = x^2 (x-1)^2 y^2 (y-1)^2 with velocity u = (psi_y, -psi_x) and pressure
@@ -58,7 +54,7 @@ switches expose for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,15 +125,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PlanMatrix(SparseMatrix):
-    """A matrix a :class:`ScatterPlan` assembled. ``kept`` masks the plan's
-    slots it stores when it dropped exact zeros, one byte per slot; None
-    when it stores them all."""
-
-    kept: np.ndarray | None = field(default=None, repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class ScatterPlan:
     """Where and in which order element matrix entries sum into the global
@@ -148,8 +135,7 @@ class ScatterPlan:
     ``first[s]`` of the flattened (T, 21, 21) element matrices, and
     ``ranks[r]`` is a (slots, entries) pair: entry ``entries[k]`` is added
     to slot ``slots[k]`` in pass r. All arrays are int32 and read-only,
-    because assembled matrices share ``indptr`` and ``indices`` with the plan
-    when they hold no zero.
+    because assembled matrices share ``indptr`` and ``indices`` with the plan.
     """
 
     mesh: Mesh
@@ -212,13 +198,15 @@ class ScatterPlan:
         )
 
     def assemble(self, local: np.ndarray, is_symmetric: bool = False,
-                 plus: PlanMatrix | None = None) -> PlanMatrix:
+                 plus: SparseMatrix | None = None) -> SparseMatrix:
         """Sum (T, 21, 21) element matrices into the global CSR matrix, plus
         ``plus``, a matrix this plan assembled, in the same pass (see the
         module docstring); ``local`` passed straight in is freed once summed."""
         if local.shape != (self.mesh.num_triangles, 21, 21):
             raise ValueError(f"element matrices must have shape "
                              f"({self.mesh.num_triangles}, 21, 21), got {local.shape}")
+        if plus is not None and not np.may_share_memory(plus.indices, self.indices):
+            raise ValueError("the matrix to add was not assembled on this scatter plan")
         values = local.reshape(-1)
         del local
         data = values[self.first]
@@ -228,33 +216,11 @@ class ScatterPlan:
                 data[s] += values[entries[lo:lo + CHUNK]]
         del values
         if plus is not None:
-            self._add_first(plus, data)
-        indptr, indices, kept = self.indptr, self.indices, None
-        nonzero = data != 0  # drops +0.0 and -0.0, keeps NaN
-        if not nonzero.all():
-            data, indices, kept = data[nonzero], indices[nonzero], nonzero
-            offsets = np.zeros(len(nonzero) + 1, dtype=np.int32)
-            np.cumsum(nonzero, out=offsets[1:])
-            indptr = offsets[indptr]
-        csr = sp.csr_matrix((data, indices, indptr), shape=(self.dimension, self.dimension))
-        csr.has_canonical_format = True
-        return PlanMatrix(csr, is_symmetric=is_symmetric, kept=kept)
-
-    def _add_first(self, plus: PlanMatrix, data: np.ndarray) -> None:
-        """data = plus + data in the slots ``plus`` stores; adding +0.0 to
-        the others would change no value that survives the zero drop."""
-        kept = plus.kept
-        if len(plus.data if kept is None else kept) != self.nnz:
-            raise ValueError("the matrix to add was not assembled on this scatter plan")
-        if kept is None:
             np.add(plus.data, data, out=data)
-            return
-        start = 0
-        for lo in range(0, self.nnz, CHUNK):
-            mask, part = kept[lo:lo + CHUNK], data[lo:lo + CHUNK]
-            stop = start + int(np.count_nonzero(mask))
-            part[mask] = plus.data[start:stop] + part[mask]
-            start = stop
+        csr = sp.csr_matrix((data, self.indices, self.indptr),
+                            shape=(self.dimension, self.dimension))
+        csr.has_canonical_format = True
+        return SparseMatrix(csr, is_symmetric=is_symmetric)
 
 
 def _scatter_plan(mesh, dofmap, reduced, plan) -> ScatterPlan:
@@ -308,7 +274,7 @@ def assemble_biharmonic(
     reduced: bool = True,
     plan: ScatterPlan | None = None,
     element_matrices: np.ndarray | None = None,
-) -> PlanMatrix:
+) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi).
 
     ``reduced=False`` keeps the constrained DOFs (for quadratic-form
@@ -350,15 +316,15 @@ def assemble_convection(
     flip_convention: bool = False,
     reduced: bool = True,
     plan: ScatterPlan | None = None,
-    plus: PlanMatrix | None = None,
-) -> PlanMatrix:
+    plus: SparseMatrix | None = None,
+) -> SparseMatrix:
     """Assemble the linearized convection form with frozen field xi.
 
     xi is a full-DOF coefficient vector (constrained entries zero). The
     result is antisymmetric; ``flip_convention`` negates it (the opposite
     velocity sign convention). ``plan`` is as in :func:`assemble_biharmonic`.
     ``plus``, a matrix assembled on the same plan such as the viscous A,
-    is summed in the same pass: the result is bitwise ``plus + B``.
+    is summed in the same pass, each slot ``plus``'s entry plus B's.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dofmap.total_dofs,):

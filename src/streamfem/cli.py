@@ -45,10 +45,11 @@ PICARD_FAILED = "fixed-point iteration did not converge"
 # before it was streamed; kept as a conservative cap. The largest step is
 # now the scatter plan build, 28 bytes per element-matrix entry with a free
 # row and column, at most 24,700 n^2 bytes. It runs before the bases, tables
-# and matrices exist: 22.3 MiB traced at n = 32, alone. The convection step,
-# one element stack beside A, the plan and the tables, peaks at 28.6 MiB in
-# all. For a G x G contour grid it is the field sampling, which peaked at
-# 84-95 bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96.
+# and matrices exist: 22.8 MiB traced at n = 32, alone. The convection step,
+# one element stack beside A, the plan and the tables, peaks at 26.7 MiB in
+# all, and BiCGSTAB at 22.5 MiB: every matrix shares the plan's indices.
+# For a G x G contour grid it is the field sampling, which peaked at 84-95
+# bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96.
 MEMORY_BUDGET = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
 MAX_GRID_SIZE = math.isqrt(MEMORY_BUDGET // 96)
@@ -239,7 +240,7 @@ def cmd_compare_orderings(args) -> int:
     mesh = build_uniform_mesh(args.n)
     headers = [
         "ordering", "bandwidth", "profile", "nnz",
-        "nco", "bicgstab_iter_mean", "bicgstab_iter_total", "outer_iters",
+        "nco", "bicgstab_iter_mean", "bicgstab_iter_total", "outer_iters", "status",
     ]
     rows = []
     timing_rows = []
@@ -267,6 +268,7 @@ def cmd_compare_orderings(args) -> int:
             scheme, stats["bandwidth"], stats["profile"], stats["nnz"],
             trace.total_flops, trace.mean_inner_iterations,
             trace.total_inner_iterations, len(trace.iterations),
+            "failed" if trace.failure else "converged" if trace.converged else "not converged",
         ])
         timing_rows.append([f"ordering_{scheme}", elapsed])
     table = format_table(headers, rows)

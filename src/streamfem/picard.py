@@ -32,7 +32,6 @@ from .argyris import ElementBases, build_all_bases
 from .assembly import (
     ElementTables,
     ManufacturedSolution,
-    PlanMatrix,
     ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
@@ -41,7 +40,7 @@ from .assembly import (
 )
 from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
 from .quadrature import QuadratureRule, rule as quad_rule
-from .solvers import SolveReport, bicgstab, pcg
+from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class Discretization:
     tables: ElementTables
     ms: ManufacturedSolution
     plan: ScatterPlan
-    A: PlanMatrix
+    A: SparseMatrix
 
     @property
     def mesh(self) -> Mesh:
@@ -155,9 +154,9 @@ class Discretization:
     def q(self) -> QuadratureRule:
         return self.tables.rule
 
-    def operator(self, psi: np.ndarray) -> PlanMatrix:
+    def operator(self, psi: np.ndarray) -> SparseMatrix:
         """A + B(psi), the linearized operator frozen at the full-DOF field psi,
-        bitwise ``A + assemble_convection(...)`` in one scatter-plan pass."""
+        summed in one scatter-plan pass on the plan's structural pattern."""
         return assemble_convection(
             self.mesh, self.dofmap, self.q, psi, tables=self.tables,
             flip_convention=self.config.flip_convention, plan=self.plan, plus=self.A,

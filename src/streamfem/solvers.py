@@ -1,7 +1,7 @@
 """CSR sparse kernel and the two Krylov solvers used by the runs.
 
-The matrix wrapper holds one scipy CSR matrix (sorted, deduplicated, no
-stored zeros) and reads its bandwidth statistics straight off the CSR
+The matrix wrapper holds one scipy CSR matrix (sorted, deduplicated,
+stored zeros kept) and reads its bandwidth statistics straight off the CSR
 arrays. The solvers tally every matvec, inner product and flop, so
 iteration and operation counts in the reports are exact.
 
@@ -78,14 +78,13 @@ class SparseMatrix:
     """Square CSR matrix with bandwidth statistics and a symmetry flag.
 
     The one copy of the entries is the wrapped scipy CSR matrix (sorted,
-    deduplicated, no stored zeros); ``indptr``, ``indices`` and ``data`` are
-    views of its arrays, not copies. Build it with ``finalize_csr`` or
+    deduplicated, stored zeros kept); ``indptr``, ``indices`` and ``data``
+    are views of its arrays, not copies. Build it with ``finalize_csr`` or
     ``from_coo``, or assemble it with an ``assembly.ScatterPlan``. A plan
-    sums each entry's duplicates in the order ``from_coo`` does and drops
-    exact zeros as ``finalize_csr`` does, so both give the same arrays, byte
-    for byte. A plan-assembled matrix holding no zero shares the plan's
-    read-only ``indptr`` and ``indices``. The plan also sums the linearized
-    operator A + B(psi) in one pass, bitwise what ``A + B`` gives here.
+    sums each entry's duplicates in the order ``from_coo`` does, so both
+    give the same arrays, byte for byte, and every plan-assembled matrix
+    shares the plan's read-only ``indptr`` and ``indices``. nnz counts
+    stored entries, exact zeros included.
     """
 
     _csr: sp.csr_matrix = field(repr=False)
@@ -170,10 +169,9 @@ class SparseMatrix:
 
 
 def finalize_csr(matrix, is_symmetric: bool = False) -> SparseMatrix:
-    """Wrap a scipy sparse matrix: dedupe, sort, drop stored zeros."""
+    """Wrap a scipy sparse matrix: dedupe and sort; stored zeros stay."""
     csr = sp.csr_matrix(matrix)
     csr.sum_duplicates()
-    csr.eliminate_zeros()
     csr.sort_indices()
     n, m = csr.shape
     if n != m:
@@ -187,7 +185,7 @@ def from_coo(dimension: int, rows, cols, values, is_symmetric: bool = False) -> 
 
 
 def bandwidth_stats(A: SparseMatrix) -> dict:
-    """Bandwidth (max |i-j| over nonzeros), nnz and profile of a matrix."""
+    """Bandwidth (max |i-j| over stored entries), nnz and profile of a matrix."""
     return {"bandwidth": A.bandwidth, "nnz": A.nnz, "profile": A.profile}
 
 

@@ -4,6 +4,7 @@ import pytest
 from streamfem.argyris import interpolate_field
 from streamfem.assembly import (
     ElementTables,
+    ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
@@ -13,6 +14,8 @@ from streamfem.assembly import (
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
 from streamfem.quadrature import rule
 from streamfem.solvers import pcg
+
+from test_scatter_plan import _scatter, assert_same_bytes, ref_convection
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +75,12 @@ def test_energy_quadratic_form_matches_exact_integral(exact_solution):
 
 
 def test_convection_zero_field(mesh3, dofmap3):
-    B = assemble_convection(mesh3, dofmap3, rule(6), np.zeros(dofmap3.total_dofs))
-    assert B.nnz == 0
+    xi = np.zeros(dofmap3.total_dofs)
+    B = assemble_convection(mesh3, dofmap3, rule(6), xi)
+    # every slot sums to an exact zero and keeps it, on the structural pattern
+    assert B.nnz == ScatterPlan.build(mesh3, dofmap3).nnz and not B.data.any()
+    local = ref_convection(mesh3, dofmap3, xi, ElementTables(mesh3, rule(6)), False)
+    assert_same_bytes(B, _scatter(mesh3, dofmap3, local, False, True))
 
 
 def test_convection_antisymmetry(mesh3, dofmap3, rng):

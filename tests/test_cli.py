@@ -70,6 +70,7 @@ def test_compare_orderings_structure(tmp_path, capsys):
     rows = (tmp_path / "ordering_study.csv").read_text().splitlines()
     assert len(rows) == 4
     assert rows[0].startswith("ordering,bandwidth,profile,nnz,nco")
+    assert [r.split(",")[-1] for r in rows[1:]] == ["converged"] * 3
 
 
 def test_compare_orderings_builds_bases_once(tmp_path, bases_builds):
@@ -137,7 +138,12 @@ def test_compare_orderings_nonconvergence_exits_1(tmp_path, capsys):
     argv = ["compare-orderings", "--n", "3", "--max-outer", "1", "--out-dir", str(tmp_path)]
     assert run_cli(argv) == 1
     # the table is still written, then every failed ordering is named
-    assert len((tmp_path / "ordering_study.csv").read_text().splitlines()) == 4
+    rows = (tmp_path / "ordering_study.csv").read_text().splitlines()
+    assert len(rows) == 4 and rows[0].endswith(",outer_iters,status")
+    assert [r.split(",")[-1] for r in rows[1:]] == ["not converged"] * 3
+    table = (tmp_path / "ordering_study.txt").read_text().splitlines()
+    assert table[0].split()[-1] == "status"
+    assert all(line.endswith("not converged") for line in table[2:])
     err = capsys.readouterr().err
     for scheme in (1, 2, 3):
         assert f"error: ordering {scheme}: fixed-point iteration did not converge" in err
@@ -155,7 +161,10 @@ def test_compare_orderings_reports_picard_error(tmp_path, capsys, monkeypatch):
     assert run_cli(["compare-orderings", "--n", "3", "--out-dir", str(tmp_path)]) == 1
     rows = (tmp_path / "ordering_study.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["1", "2", "3"]
-    assert rows[2].split(",")[4:] == ["0", "0.0", "0", "0"]  # no work recorded
+    assert rows[2].split(",")[4:] == ["0", "0.0", "0", "0", "failed"]  # no work recorded
+    assert [rows[1].split(",")[-1], rows[3].split(",")[-1]] == ["converged", "converged"]
+    table = (tmp_path / "ordering_study.txt").read_text().splitlines()
+    assert [line.split()[-1] for line in table[2:]] == ["converged", "failed", "converged"]
     err = capsys.readouterr().err
     assert err == "error: ordering 2: initial biharmonic PCG solve did not converge\n"
 

@@ -163,10 +163,9 @@ EXTREME_VALUES = (
 
 
 def stored_matrix(n, entries, is_symmetric=False):
-    """CSR with exactly ``entries`` ({(row, col): value}) stored.
-
-    Unlike ``finalize_csr`` this keeps stored zeros (0.0 and -0.0), so the
-    writers' formatting of them is compared too.
+    """CSR with exactly ``entries`` ({(row, col): value}) stored, zeros
+    (0.0 and -0.0) included, so the writers' formatting of them is compared
+    too.
     """
     keys = sorted(entries)
     rows = np.array([r for r, _ in keys], dtype=np.int64)
@@ -372,6 +371,25 @@ def test_matrix_market_general_round_trip_is_bitwise(tmp_path_factory, case):
     A = finalize_csr(stored_matrix(n, entries)._csr)
     write_matrix_market(A, path)
     assert_bitwise_same(read_matrix_market(path), A)
+
+
+def test_assembled_matrix_round_trips_with_its_structural_zeros(tmp_path):
+    mesh = build_uniform_mesh(16)
+    A = assembly.assemble_biharmonic(mesh, enumerate_dofs(mesh, 1), rule(6))
+    assert 0 < np.count_nonzero(A.data == 0) < 100  # slots that cancel, stored as zeros
+    write_matrix_market(A, tmp_path / "a.mtx")
+    export_sparsity(A, tmp_path / "a")
+    back = read_matrix_market(tmp_path / "a.mtx")
+    for name in ("indptr", "indices", "data"):  # bytes: +0.0 and -0.0 differ
+        got, want = getattr(back, name), getattr(A, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    with open(tmp_path / "a.mtx") as f:
+        f.readline()
+        header_nnz = int(f.readline().split()[2])
+    with open(tmp_path / "a.pbm") as f:
+        f.readline(), f.readline()
+        ones = sum(line.count("1") for line in f)
+    assert header_nnz == ones == A.nnz
 
 
 def assert_bitwise_same(got, want):

@@ -1,10 +1,13 @@
-"""The one-pass operator A + B(psi) against the two-matrix sum it replaced.
+"""The one-pass operator A + B(psi) against a structural two-matrix sum.
 
-``ref_operator`` below is that sum: B assembled into a CSR matrix of its
-own, then scipy's ``csr_plus_csr`` through ``SparseMatrix.__add__``.
-``Discretization.operator`` and ``ScatterPlan.assemble(..., plus=A)`` must
-give the same indptr, indices and data, dtype and bytes: the BiCGSTAB
-iterates, and so every reported iteration count, rest on the last bit.
+``ref_operator`` below is that sum: B assembled by the COO reference
+(scipy's COO -> CSR conversion, duplicates summed, exact zeros kept), then
+A's and B's entries as one list of COO triples converted the same way, so
+each slot is A's entry plus B's, a sum of two that does not depend on the
+order the conversion adds them in. ``Discretization.operator``
+and ``ScatterPlan.assemble(..., plus=A)`` must give the same indptr,
+indices and data, dtype and bytes: the BiCGSTAB iterates, and so every
+reported iteration count, rest on the last bit.
 """
 
 import functools
@@ -21,15 +24,28 @@ from streamfem.assembly import ScatterPlan, assemble_biharmonic, assemble_convec
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.picard import PicardConfig, discretize
 from streamfem.quadrature import rule
+from streamfem.solvers import SparseMatrix, from_coo
 
-from test_scatter_plan import PALETTE, assert_same_bytes, traced_peak
+from test_scatter_plan import PALETTE, _scatter, assert_same_bytes, ref_convection, traced_peak
+
+
+def structural_sum(A, B):
+    """A + B from the COO triples of A and of B: each slot sums its two
+    entries, and a slot that cancels keeps its exact zero."""
+    a, b = A._csr.tocoo(), B._csr.tocoo()
+    return from_coo(A.dimension, np.concatenate([a.row, b.row]),
+                    np.concatenate([a.col, b.col]), np.concatenate([a.data, b.data]))
+
+
+def ref_B(mesh, dofmap, psi, tables, flip, reduced=True):
+    """B(psi) from whole-mesh element matrices and the COO reference assembly."""
+    return _scatter(mesh, dofmap, ref_convection(mesh, dofmap, psi, tables, flip), False, reduced)
 
 
 def ref_operator(disc, psi):
-    """A + B(psi) as two CSR matrices and their scipy sum."""
-    B = assemble_convection(disc.mesh, disc.dofmap, disc.q, psi, tables=disc.tables,
-                            flip_convention=disc.config.flip_convention, plan=disc.plan)
-    return disc.A + B
+    """A + B(psi) as two CSR matrices and their structural sum."""
+    B = ref_B(disc.mesh, disc.dofmap, psi, disc.tables, disc.config.flip_convention)
+    return structural_sum(disc.A, B)
 
 
 def field(dofmap, values):
@@ -68,7 +84,7 @@ def test_operator_matches_two_matrix_sum(n, ordering, minimal_bc, flip, seed, wi
 def test_operator_matches_on_every_mesh(n):
     if n == 5:
         disc = disc_for(n)
-        assert disc.A.nnz < disc.plan.nnz  # A dropped zeros: its data finds its slots by mask
+        assert (disc.A.data == 0).any()  # A keeps the exact zeros of cancelled slots
     if n == 12:
         assert 2 * n * n > BLOCK  # the convection stack crosses a block seam
     for flip in (False, True):
@@ -78,7 +94,7 @@ def test_operator_matches_on_every_mesh(n):
                     field(disc.dofmap, 0.0), field(disc.dofmap, -0.0)):
             got = disc.operator(psi)
             assert_same_bytes(got, ref_operator(disc, psi))
-    assert got.nnz == disc.A.nnz  # B(-0.0) adds nothing
+    assert got.nnz == disc.A.nnz == disc.plan.nnz  # B(-0.0) is stored on the pattern too
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
@@ -101,11 +117,10 @@ def test_unreduced_operator_matches_two_matrix_sum():
     tables = assembly.ElementTables(mesh, q)
     psi = np.random.default_rng(4).standard_normal(dm.total_dofs)
     for flip in (False, True):
-        B = assemble_convection(mesh, dm, q, psi, tables=tables, flip_convention=flip,
-                                reduced=False, plan=plan)
+        B = ref_B(mesh, dm, psi, tables, flip, reduced=False)
         got = assemble_convection(mesh, dm, q, psi, tables=tables, flip_convention=flip,
                                   reduced=False, plan=plan, plus=A)
-        assert_same_bytes(got, A + B)
+        assert_same_bytes(got, structural_sum(A, B))
 
 
 # --- the plan's fused sum on arbitrary element matrices ----------------------------
@@ -113,20 +128,23 @@ def test_unreduced_operator_matches_two_matrix_sum():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), ordering=st.sampled_from((1, 2, 3)), reduced=st.booleans(),
        seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from((3, 64, assembly.CHUNK)))
-def test_plan_sum_matches_csr_plus_csr(n, ordering, reduced, seed, chunk):
+def test_plan_sum_matches_the_structural_coo_sum(n, ordering, reduced, seed, chunk):
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, ordering)
     plan = ScatterPlan.build(mesh, dm, reduced)
     rng = np.random.default_rng(seed)
     shape = (mesh.num_triangles, 21, 21)
     # palette sums cancel to +-0.0 in A, in B and in A + B, and carry NaN
-    A = plan.assemble(rng.choice(PALETTE, size=shape), is_symmetric=True)
+    a_local = rng.choice(PALETTE, size=shape)
+    A = plan.assemble(a_local.copy(), is_symmetric=True)
     local = rng.choice(PALETTE, size=shape)
-    B = plan.assemble(local)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "CHUNK", chunk)
         got = plan.assemble(local.copy(), plus=A)
-    assert_same_bytes(got, A + B)
+    want = structural_sum(_scatter(mesh, dm, a_local, True, reduced),
+                          _scatter(mesh, dm, local, False, reduced))
+    assert_same_bytes(got, want)
+    assert got.nnz == plan.nnz
 
 
 def test_plan_sum_rejects_a_matrix_of_another_pattern():
@@ -142,8 +160,9 @@ def test_zero_free_sum_shares_the_plan_pattern():
     disc = disc_for(3)
     psi = field(disc.dofmap, np.random.default_rng(3).standard_normal(disc.dofmap.num_free))
     op = disc.operator(psi)
-    assert op.kept is None and op.nnz == disc.plan.nnz
+    assert op.nnz == disc.plan.nnz and op.data.all()
     assert np.shares_memory(op.indices, disc.plan.indices)
+    assert np.shares_memory(op.indptr, disc.plan.indptr)
 
 
 # --- memory ------------------------------------------------------------------------
@@ -152,15 +171,20 @@ def test_operator_holds_one_element_stack_and_no_second_csr():
     disc = disc_for(16)
     psi = field(disc.dofmap, np.random.default_rng(16).standard_normal(disc.dofmap.num_free))
     entries, slots = disc.mesh.num_triangles * 441, disc.plan.nnz
-    assert disc.A.kept is not None  # A dropped zeros: the masked addend runs
-    # the element stack (8 B an entry) while it is summed, and per slot the
-    # summed data (8 B) and the zero drop's mask, data and indices (13 B).
-    # Measured with numpy 2.4: 3.79 MB against a bound of 4.17 MB; keeping
+    assert (disc.A.data == 0).any()  # A's stored zeros are added like its other entries
+    # the element stack (8 B an entry) and two blocks' cross tables while it
+    # is formed (the next is computed before the last is freed); summing its
+    # slots adds only the data (8 B a slot) and a chunk's temporaries.
+    # Measured with numpy 2.4: 3.79 MB against a bound of 3.87 MB; keeping
     # the stack through B's zero drop and then summing A and B as two CSR
     # matrices peaked at 4.73 MB.
-    bound = 8 * entries + 24 * slots + 2**18
+    bound = 8 * entries + 2 * 8 * 441 * BLOCK + 2**18
     peak, _ = traced_peak(lambda: disc.operator(psi))
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
+    # the result holds its data and no index array of its own (4 B a slot)
+    op, held = held_after(lambda: disc.operator(psi))
+    assert held < 8 * slots + 2**14, (held, 8 * slots)
+    assert np.shares_memory(op.indices, disc.plan.indices)
 
 
 def zeros_and_ones(shape, rng):
@@ -170,17 +194,26 @@ def zeros_and_ones(shape, rng):
     return np.floor(stack, out=stack)
 
 
-def test_a_stack_handed_over_is_freed_before_the_zero_drop():
+def test_a_stack_handed_over_is_freed_before_the_result_is_built(monkeypatch):
     plan = disc_for(16).plan
     shape = (plan.mesh.num_triangles, 21, 21)
     rng = np.random.default_rng(0)
+    held = []
+
+    def recording(csr, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return SparseMatrix(csr, **kwargs)
+
+    monkeypatch.setattr(assembly, "SparseMatrix", recording)
     peak, B = traced_peak(lambda: plan.assemble(zeros_and_ones(shape, rng)))
-    assert B.kept is not None and B.nnz > plan.nnz // 2  # most slots survive the drop
+    assert B.nnz == plan.nnz and (B.data == 0).any()  # cancelled slots keep their zeros
     # the stack and the summed data, and a chunk's gathered values, slot data
-    # and index made intp (8 B a slot each); a stack still held at the zero
-    # drop would sit beside the drop's mask, data and indices (13 B a slot)
+    # and index made intp (8 B a slot each)
     bound = 8 * np.prod(shape) + 8 * plan.nnz + 24 * assembly.CHUNK + 2**16
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
+    # when the result is built only the summed data is left: a stack still
+    # held would add its 8 B an entry
+    assert held[0] < 8 * plan.nnz + 2**14, (held, 8 * plan.nnz)
 
 
 def test_discretize_drops_its_bases_and_keeps_the_callers(monkeypatch):

@@ -1,12 +1,13 @@
 """Plan-based assembly against the COO assembly it replaced, byte for byte.
 
 ``_scatter`` below is that COO assembly: every element matrix entry as a
-(row, column, value) triple, scipy's COO -> CSR conversion, which sums the
-duplicates, and ``eliminate_zeros``. ``ref_viscous`` and ``ref_errors`` are
-the whole-mesh table computations the streamed ones replaced. A
-:class:`ScatterPlan` and the streamed element matrices must give the same
-indptr, indices and data, dtype and bytes, because reported quantities
-such as nnz and the criterion-3 ordering ranking rest on roundoff.
+(row, column, value) triple and scipy's COO -> CSR conversion, which sums
+the duplicates and keeps the exact zeros of slots that cancel.
+``ref_viscous`` and ``ref_errors`` are the whole-mesh table computations
+the streamed ones replaced. A :class:`ScatterPlan` and the streamed element
+matrices must give the same indptr, indices and data, dtype and bytes,
+because the solvers' iteration counts, and with them the criterion-3
+ordering ranking, rest on the last bit.
 """
 
 import tracemalloc
@@ -221,7 +222,8 @@ def test_streamed_errors_match_whole_mesh_reference(n, exact_solution):
 # --- the structural pattern ------------------------------------------------------
 
 def pattern_keys(plan, perm=None):
-    """Sorted row * N + column keys of the plan's pattern, optionally permuted."""
+    """Sorted row * N + column keys of the pattern of a plan or a matrix,
+    optionally permuted."""
     rows = np.repeat(np.arange(plan.dimension), np.diff(plan.indptr))
     cols = plan.indices.astype(np.int64)
     if perm is not None:
@@ -245,10 +247,31 @@ def test_structural_nnz_depends_on_neither_ordering_nor_reynolds():
     mesh = build_uniform_mesh(5)
     for ordering, reynolds in product((1, 2, 3), (1.0, 300.0)):
         disc = discretize(mesh, PicardConfig(reynolds=reynolds, ordering=ordering))
-        assert disc.plan.nnz == 5353
-        # the stored A keeps a subset of the pattern: exact zeros are dropped
-        rows = np.repeat(np.arange(disc.A.dimension), np.diff(disc.A.indptr))
-        assert np.isin(rows * disc.A.dimension + disc.A.indices, pattern_keys(disc.plan)).all()
+        assert disc.plan.nnz == disc.A.nnz == 5353
+        # the stored A is the pattern, exact zeros included
+        assert np.array_equal(pattern_keys(disc.A), pattern_keys(disc.plan))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), orderings=st.tuples(*[st.sampled_from((1, 2, 3))] * 2),
+       reynolds=st.sampled_from((1.0, 300.0, 1000.0)), flip=st.booleans(),
+       seed=st.none() | st.integers(0, 2**32 - 1))
+def test_free_permutation_maps_stored_patterns_of_a_and_the_operator(n, orderings, reynolds,
+                                                                    flip, seed):
+    mesh = build_uniform_mesh(n)
+    a, b = (discretize(mesh, PicardConfig(reynolds=reynolds, ordering=k, flip_convention=flip))
+            for k in orderings)
+    perm = free_permutation(a.dofmap, b.dofmap)
+    # one field under both numberings; seed None draws psi = 0, so B(psi) = 0
+    values = np.zeros(a.dofmap.num_free)
+    if seed is not None:
+        values = np.random.default_rng(seed).standard_normal(len(values))
+    psi_a, psi_b = np.zeros(a.dofmap.total_dofs), np.zeros(b.dofmap.total_dofs)
+    psi_a[a.dofmap.globals_of_free] = values
+    psi_b[b.dofmap.globals_of_free[perm]] = values
+    for got_a, got_b in ((a.A, b.A), (a.operator(psi_a), b.operator(psi_b))):
+        assert got_a.nnz == got_b.nnz == a.plan.nnz
+        assert np.array_equal(pattern_keys(got_a, perm), pattern_keys(got_b))
 
 
 # --- memory: bounds from array shapes at n = 16 ----------------------------------

@@ -4,7 +4,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from streamfem.argyris import build_all_bases
-from streamfem.assembly import ElementTables, assemble_biharmonic, assemble_load, manufactured_rhs
+from streamfem.assembly import (
+    ElementTables,
+    assemble_biharmonic,
+    assemble_load,
+    dof_arrays,
+    manufactured_rhs,
+    viscous_element_matrices,
+)
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import (
@@ -64,7 +71,20 @@ def test_finalize_invariants(biharmonic_system):
     for i in range(A.dimension):
         row = A.indices[A.indptr[i]:A.indptr[i + 1]]
         assert np.all(np.diff(row) > 0)
-    assert np.all(A.data != 0.0)
+    # the structural pattern, exact zeros of cancelled slots included:
+    # bitwise scipy's COO -> CSR conversion, which sums duplicates, keeps zeros
+    mesh = build_uniform_mesh(3)
+    dm = enumerate_dofs(mesh, 1)
+    dofs = dm.free_of_global[dof_arrays(mesh, dm)]
+    rows, cols = np.repeat(dofs, 21, axis=1).ravel(), np.tile(dofs, (1, 21)).ravel()
+    vals = viscous_element_matrices(mesh, rule(12), 1.0).ravel()
+    free = (rows >= 0) & (cols >= 0)
+    coo = sp.coo_matrix((vals[free], (rows[free], cols[free])), shape=(dm.num_free,) * 2)
+    for M in (coo.tocsr(), finalize_csr(coo)):
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(M, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (A.data == 0).any()  # n = 3 has cancelled slots
 
 
 def test_bandwidth_stats_basics():
@@ -128,7 +148,7 @@ def test_matrix_statistics_match_loop_formulas(A, B):
 @st.composite
 def _raw_csr(draw):
     """A sorted, deduplicated CSR matrix with empty rows and stored zeros of
-    both signs (which ``finalize_csr`` would drop)."""
+    both signs."""
     n = draw(st.integers(1, 10))
     rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=6))) for _ in range(n)]
     indptr = np.cumsum([0, *map(len, rows)]).astype(np.int32)
