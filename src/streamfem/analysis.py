@@ -57,10 +57,11 @@ def compute_errors(
 
     ``exact`` provides exact, exact_dx, ..., exact_dyy callables (the
     manufactured-solution object or anything with the same attributes).
-    The differences at the verification rule's points are formed
-    ``BLOCK`` triangles and one derivative table at a time, so only the six
-    (T, nq) differences and the weights are held for the whole mesh; the
-    norms then sum over those arrays.
+    The field is read from its per-triangle monomial coefficients
+    (:meth:`ElementBases.derivatives`) at the verification rule's points,
+    ``BLOCK`` triangles at a time, so only the six (T, nq) differences and
+    the weights are held for the whole mesh; the norms then sum over those
+    arrays.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (dofmap.total_dofs,):
@@ -69,19 +70,19 @@ def compute_errors(
             f"got {coefficients.shape}"
         )
     q = quad_rule(VERIFICATION_RULE_POINTS)
-    local = coefficients[dof_arrays(mesh, dofmap)]  # (T, 21)
     shape = (mesh.num_triangles, q.n_points)
     w = np.empty(shape)
     err = {name: np.empty(shape) for name, _ in EVAL_ORDERS}
     exact_of = {name: getattr(exact, "exact" if name == "value" else f"exact_{name}")
                 for name, _ in EVAL_ORDERS}
     bases = build_all_bases(mesh)
+    poly = bases.polynomials(coefficients[dof_arrays(mesh, dofmap)])
+    triangles = np.arange(len(bases))[:, None]  # each block's points lie in its own triangles
     for blk, points, weights in element_blocks(q, bases):
         w[blk] = weights
         x, y = points[:, :, 0], points[:, :, 1]
-        for name, table in bases.tables(points, EVAL_ORDERS, blk):  # one table at a time
-            np.subtract(np.einsum("tqk,tk->tq", table, local[blk]), exact_of[name](x, y),
-                        out=err[name][blk])
+        for name, field in bases.derivatives(poly, points, triangles[blk], EVAL_ORDERS).items():
+            np.subtract(field, exact_of[name](x, y), out=err[name][blk])
 
     l2 = float(np.sqrt(np.sum(w * err["value"] ** 2)))
     h1 = float(np.sqrt(np.sum(w * (err["dx"] ** 2 + err["dy"] ** 2))))
@@ -98,9 +99,9 @@ def compute_errors(
 def _locate(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Triangle index containing each point of the unit square."""
     x, y = points[:, 0], points[:, 1]
-    if np.any((x < 0) | (x > 1) | (y < 0) | (y > 1)):
-        bad = points[(x < 0) | (x > 1) | (y < 0) | (y > 1)][0]
-        raise ValueError(f"point {tuple(bad)} lies outside the unit square")
+    inside = (x >= 0) & (x <= 1) & (y >= 0) & (y <= 1)  # false for NaN
+    if not inside.all():
+        raise ValueError(f"point {tuple(points[~inside][0])} is not in the closed unit square")
     n = mesh.n
     i = np.minimum((x * n).astype(np.int64), n - 1)
     j = np.minimum((y * n).astype(np.int64), n - 1)
@@ -108,6 +109,9 @@ def _locate(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     eta = y * n - j
     lower = eta <= xi  # cells split along the bottom-left/top-right diagonal
     return 2 * (j * n + i) + np.where(lower, 0, 1)
+
+
+POINT_CHUNK = 2**9  # points per field evaluation: bounds its temporaries
 
 
 def evaluate_field(
@@ -120,27 +124,22 @@ def evaluate_field(
 ):
     """Evaluate the Argyris field (optionally its gradient) at given points.
 
-    Points must lie in the closed unit square; points outside are rejected.
+    Points must lie in the closed unit square; points outside it or not
+    finite are rejected. Each point is located in its triangle and the
+    field read from that triangle's monomial coefficients
+    (:meth:`ElementBases.derivatives`), ``POINT_CHUNK`` points at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coefficients = np.asarray(coefficients, dtype=float)
     if bases is None:
         bases = build_all_bases(mesh)
-    tri = _locate(mesh, pts)
-    values = np.empty(len(pts))
-    grads = np.empty((len(pts), 2)) if gradient else None
-    orders = (("value", (0, 0)), ("dx", (1, 0)), ("dy", (0, 1))) if gradient else (("value", (0, 0)),)
-    for t in np.unique(tri):
-        sel = np.flatnonzero(tri == t)
-        tab = bases[t].evaluate(pts[sel], orders)
-        local = coefficients[dofmap.triangle_dofs(mesh, t)]
-        values[sel] = tab["value"] @ local
-        if gradient:
-            grads[sel, 0] = tab["dx"] @ local
-            grads[sel, 1] = tab["dy"] @ local
-    if gradient:
-        return values, grads
-    return values
+    poly = bases.polynomials(np.asarray(coefficients, dtype=float)[dof_arrays(mesh, dofmap)])
+    orders = EVAL_ORDERS[:3] if gradient else EVAL_ORDERS[:1]  # value, dx, dy
+    fields = np.empty((len(pts), len(orders)))
+    for lo in range(0, len(pts), POINT_CHUNK):
+        chunk = pts[lo:lo + POINT_CHUNK]
+        derivatives = bases.derivatives(poly, chunk, _locate(mesh, chunk), orders)
+        fields[lo:lo + POINT_CHUNK] = np.column_stack(list(derivatives.values()))
+    return (fields[:, 0], fields[:, 1:]) if gradient else fields[:, 0]
 
 
 # --- sparsity pattern export -------------------------------------------------
@@ -254,40 +253,35 @@ def _marching_squares(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray, level: f
 
 
 def _chain_segments(segments, tol=1e-9):
-    """Join a segment soup into polylines by matching endpoints."""
-    def key(pt):
-        return (round(pt[0] / tol), round(pt[1] / tol))
+    """Join a segment soup into polylines by matching endpoints.
 
+    Endpoint e = 2 k + r is end r of segment k; its key is its coordinates
+    over ``tol`` rounded half to even, as Python's ``round`` rounds them.
+    """
+    keys = list(map(tuple, np.rint(np.reshape(segments, (-1, 2)) / tol).tolist()))
     remaining = {}
-    for idx, (a, b) in enumerate(segments):
-        remaining.setdefault(key(a), []).append((idx, False))
-        remaining.setdefault(key(b), []).append((idx, True))
+    for e, k in enumerate(keys):
+        remaining.setdefault(k, []).append((e >> 1, bool(e & 1)))
     used = [False] * len(segments)
     polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        line = [a, b]
-        for head in (True, False):
+        line = list(segments[start])
+        for head, end in ((True, 2 * start + 1), (False, 2 * start)):
             while True:
-                end = line[-1] if head else line[0]
-                found = None
-                for idx, reverse in remaining.get(key(end), []):
-                    if not used[idx]:
-                        found = (idx, reverse)
-                        break
+                found = next(((idx, reverse) for idx, reverse in remaining[keys[end]]
+                              if not used[idx]), None)
                 if found is None:
                     break
                 idx, reverse = found
                 used[idx] = True
-                sa, sb = segments[idx]
-                nxt = sa if reverse else sb
+                end = 2 * idx + (not reverse)  # the far end of the matched segment
                 if head:
-                    line.append(nxt)
+                    line.append(segments[idx][not reverse])
                 else:
-                    line.insert(0, nxt)
+                    line.insert(0, segments[idx][not reverse])
         polylines.append(line)
     return polylines
 

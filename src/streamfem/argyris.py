@@ -126,29 +126,29 @@ def _monomials(powers, ax: int, ay: int, scale: np.ndarray) -> np.ndarray:
     return m * scale[..., ax + ay, None, None]
 
 
-def _tables(local_pts, scale, coeffs, orders, out=None):
-    """Yield (name, table) for each (name, (ax, ay)) of ``orders``: the
-    derivative tables (..., P, 21) of shapes with coefficients (..., 21, 21).
+def _tables(local_pts, scale, coeffs, orders, out=None) -> dict[str, np.ndarray]:
+    """name -> table for each (name, (ax, ay)) of ``orders``: the derivative
+    tables (..., P, 21) of shapes with coefficients (..., 21, 21).
 
-    The powers of the points are formed once; each table is formed when it
-    is asked for. ``out`` may map a name to the array its table is written
-    into.
+    The powers of the points are formed once. ``out`` may map a name to the
+    array its table is written into.
     """
     powers = _powers(local_pts)
     coeffs_t = np.swapaxes(coeffs, -1, -2)
     out = out or {}
-    for name, (ax, ay) in orders:
-        yield name, np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
+    return {name: np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
+            for name, (ax, ay) in orders}
 
 
-_DERIV_ORDERS = {
-    "value": (0, 0),
-    "dx": (1, 0),
-    "dy": (0, 1),
-    "dxx": (2, 0),
-    "dxy": (1, 1),
-    "dyy": (0, 2),
-}
+# derivative orders, also the order of the six DOFs at each vertex
+EVAL_ORDERS = (
+    ("value", (0, 0)),
+    ("dx", (1, 0)),
+    ("dy", (0, 1)),
+    ("dxx", (2, 0)),
+    ("dxy", (1, 1)),
+    ("dyy", (0, 2)),
+)
 
 
 def _dual_matrices(coords, centroid, diameter, midpoints, normals) -> np.ndarray:
@@ -163,7 +163,7 @@ def _dual_matrices(coords, centroid, diameter, midpoints, normals) -> np.ndarray
     inv_d = (1.0 / diameter)[:, None, None]
     scale = _inverse_powers(diameter)
     powers = _powers((coords - centroid[:, None, :]) * inv_d)
-    for k, (ax, ay) in enumerate(_DERIV_ORDERS.values()):
+    for k, (_, (ax, ay)) in enumerate(EVAL_ORDERS):
         F[:, k:18:6] = _monomials(powers, ax, ay, scale)
     powers = _powers((midpoints - centroid[:, None, :]) * inv_d)
     F[:, 18:] = (normals[..., 0, None] * _monomials(powers, 1, 0, scale)
@@ -219,14 +219,10 @@ class ElementBasis:
     @property
     def functionals(self) -> tuple[DofFunctional, ...]:
         """The 21 nodal functionals in local DOF order."""
-        vertex = (DofFunctional(kind=kind, anchor=a) for a in self.coords for kind in _DERIV_ORDERS)
+        vertex = (DofFunctional(kind=kind, anchor=a) for a in self.coords for kind, _ in EVAL_ORDERS)
         normal = (DofFunctional(kind="normal", anchor=m, normal=n)
                   for m, n in zip(self.midpoints, self.edge_normals))
         return (*vertex, *normal)
-
-    def local_coords(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.centroid) / self.diameter
 
     def evaluate(self, points: np.ndarray, orders=(("value", (0, 0)),)) -> dict[str, np.ndarray]:
         """Evaluate derivative tables of all 21 shapes at the given points.
@@ -234,8 +230,8 @@ class ElementBasis:
         Returns a dict name -> (npoints, 21) array for each requested
         (name, (ax, ay)) pair.
         """
-        return dict(_tables(self.local_coords(points), _inverse_powers(self.diameter),
-                            self.coeffs, orders))
+        local = (np.atleast_2d(np.asarray(points, dtype=float)) - self.centroid) / self.diameter
+        return _tables(local, _inverse_powers(self.diameter), self.coeffs, orders)
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         def cross2(u, v):
@@ -257,6 +253,7 @@ class ElementBases(Sequence):
     Item k is the :class:`ElementBasis` of triangle ``triangles[k]``, a view
     into the arrays: coords, midpoints and edge_normals (T, 3, 2), centroid
     (T, 2), diameter and duality_residual (T,), coeffs (T, 21, 21).
+    inverse_powers (T, 3) is :func:`_inverse_powers` of the diameters.
     """
 
     triangles: np.ndarray
@@ -267,6 +264,7 @@ class ElementBases(Sequence):
     midpoints: np.ndarray
     edge_normals: np.ndarray
     duality_residual: np.ndarray
+    inverse_powers: np.ndarray
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -291,15 +289,23 @@ class ElementBases(Sequence):
         name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``, written
         into ``out[name]`` where ``out`` names an array.
         """
-        return dict(self.tables(points, orders, block, out))
-
-    def tables(self, points, orders, block=slice(None), out=None):
-        """Yield the (name, table) items of :meth:`evaluate` one at a time,
-        each formed when it is asked for, so that a caller done with a table
-        before the next holds one, not all."""
         local = (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
-        yield from _tables(local, _inverse_powers(self.diameter[block]), self.coeffs[block],
-                           orders, out)
+        return _tables(local, self.inverse_powers[block], self.coeffs[block], orders, out)
+
+    def polynomials(self, local: np.ndarray) -> np.ndarray:
+        """(T, 21) monomial coefficients of the field whose local DOFs are
+        ``local`` (T, 21): on triangle t, ``coeffs[t].T @ local[t]``."""
+        return np.einsum("tik,ti->tk", self.coeffs, local)
+
+    def derivatives(self, poly, points, tri, orders) -> dict[str, np.ndarray]:
+        """name -> (...) for each (name, (ax, ay)) in ``orders``: that derivative,
+        at ``points`` (..., 2) in triangles ``tri`` (...), of the field whose
+        monomial coefficients are ``poly`` (:meth:`polynomials`)."""
+        local = (points - self.centroid[tri]) / self.diameter[tri][..., None]
+        powers = _powers(local[..., None, :])  # one point per row: (..., 1, 6)
+        scale, poly = self.inverse_powers[tri], poly[tri]
+        return {name: np.vecdot(_monomials(powers, ax, ay, scale)[..., 0, :], poly)
+                for name, (ax, ay) in orders}
 
 
 def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None = None) -> ElementBases:
@@ -344,6 +350,7 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
         midpoints=midpoints,
         edge_normals=normals,
         duality_residual=residual,
+        inverse_powers=_inverse_powers(diameter),
     )
 
 
@@ -366,16 +373,6 @@ def build_element_basis(mesh: Mesh, triangle_index: int, edge_normal_convention=
 def build_all_bases(mesh: Mesh) -> ElementBases:
     """Element bases for every triangle of the mesh."""
     return _build_bases(mesh, np.arange(mesh.num_triangles))
-
-
-EVAL_ORDERS = (
-    ("value", (0, 0)),
-    ("dx", (1, 0)),
-    ("dy", (0, 1)),
-    ("dxx", (2, 0)),
-    ("dxy", (1, 1)),
-    ("dyy", (0, 2)),
-)
 
 
 def eval_shape(basis: ElementBasis, point) -> list[dict]:

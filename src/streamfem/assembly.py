@@ -298,9 +298,11 @@ def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> n
     lap_xi = np.einsum("tqk,tk->tq", tables.lap, xi_local)     # (T, nq)
     w = tables.weights * lap_xi
     local = np.empty((mesh.num_triangles, 21, 21))
-    for lo in range(0, mesh.num_triangles, BLOCK):  # no whole-mesh cross table
+    block = np.empty((min(BLOCK, mesh.num_triangles), 21, 21))  # one cross table, reused
+    for lo in range(0, mesh.num_triangles, BLOCK):
         blk = slice(lo, lo + BLOCK)
-        cross = np.einsum("tq,tqi,tqj->tij", w[blk], tables.dx[blk], tables.dy[blk])
+        cross = np.einsum("tq,tqi,tqj->tij", w[blk], tables.dx[blk], tables.dy[blk],
+                          out=block[:len(w[blk])])
         np.subtract(cross, np.transpose(cross, (0, 2, 1)), out=local[blk])
     if flip_convention:
         np.negative(local, out=local)

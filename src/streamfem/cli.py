@@ -48,7 +48,7 @@ PICARD_FAILED = "fixed-point iteration did not converge"
 # and matrices exist: 22.8 MiB traced at n = 32, alone. The convection step,
 # one element stack beside A, the plan and the tables, peaks at 26.7 MiB in
 # all, and BiCGSTAB at 22.5 MiB: every matrix shares the plan's indices.
-# For a G x G contour grid it is the field sampling, which peaked at 84-95
+# For a G x G contour grid it is the field sampling, which peaked at 61-86
 # bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96.
 MEMORY_BUDGET = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
@@ -69,6 +69,7 @@ def _read_config_file(path) -> dict:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _CONFIG_TYPES = {
     "n": int,
     "reynolds": float,
@@ -79,8 +80,8 @@ _CONFIG_TYPES = {
     "ordering": int,
     "out_dir": str,
     "grid_size": int,
-    "minimal_bc": lambda s: s.lower() in ("1", "true", "yes"),
-    "flip_sign_convention": lambda s: s.lower() in ("1", "true", "yes"),
+    "minimal_bc": lambda s: _BOOLEANS[s.lower()],
+    "flip_sign_convention": lambda s: _BOOLEANS[s.lower()],
 }
 
 
@@ -100,7 +101,7 @@ def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             continue  # key not relevant to this subcommand
         try:
             defaults[key] = _CONFIG_TYPES[key](val)
-        except ValueError:
+        except (KeyError, ValueError):
             parser.error(f"bad value for config key '{key}': {val!r}")
     return defaults
 

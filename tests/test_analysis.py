@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from streamfem.analysis import (
+    _locate,
     compute_errors,
     evaluate_field,
     export_contours,
@@ -12,7 +15,7 @@ from streamfem.analysis import (
     format_table,
     write_csv,
 )
-from streamfem.argyris import interpolate_field
+from streamfem.argyris import EVAL_ORDERS, build_all_bases, interpolate_field
 from streamfem.assembly import assemble_biharmonic
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
@@ -87,8 +90,47 @@ def test_evaluate_field_continuous_on_edges(mesh3, dofmap3, exact_solution, rng)
 
 
 def test_evaluate_field_rejects_outside(mesh3, dofmap3):
-    with pytest.raises(ValueError):
-        evaluate_field(mesh3, dofmap3, np.zeros(dofmap3.total_dofs), [(1.5, 0.5)])
+    for point in ((1.5, 0.5), (0.5, -1e-300), (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before it is located, with no warning
+            with pytest.raises(ValueError, match="not in the closed unit square"):
+                evaluate_field(mesh3, dofmap3, np.zeros(dofmap3.total_dofs), [(0.5, 0.5), point])
+
+
+def _on_diagonal(n):
+    """Points on the cell diagonals of an n x n mesh, edges shared by two triangles."""
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(0.0, 1.0)).map(
+        lambda ijs: ((ijs[0] + ijs[2]) / n, (ijs[1] + ijs[2]) / n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), ordering=st.sampled_from((1, 2, 3)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, data):
+    """Value and gradient against ``ElementBasis.evaluate(p) @ local`` in the
+    triangle the point is located in, to 1e-14 of that triangle's largest
+    monomial coefficient, over its diameter for the gradient (a first
+    derivative of the local coordinates). Points are drawn anywhere, on mesh
+    lines x or y = k / n (vertices and shared edges), on cell diagonals and on
+    the sides x or y = 1."""
+    mesh = build_uniform_mesh(n)
+    dm = enumerate_dofs(mesh, ordering)
+    coeffs = np.random.default_rng(seed).standard_normal(dm.total_dofs)
+    coordinate = st.one_of(st.floats(0.0, 1.0), st.integers(0, n).map(lambda k: k / n),
+                           st.just(1.0))
+    points = st.one_of(st.tuples(coordinate, coordinate), _on_diagonal(n))
+    pts = np.array(data.draw(st.lists(points, min_size=1, max_size=30)))
+    bases = build_all_bases(mesh)
+    values, grads = evaluate_field(mesh, dm, coeffs, pts, bases=bases, gradient=True)
+    for p, t, value, grad in zip(pts, _locate(mesh, pts), values, grads):
+        basis = bases[t]
+        assert basis.contains(p)
+        local = coeffs[dm.triangle_dofs(mesh, t)]
+        tables = basis.evaluate(p, EVAL_ORDERS[:3])
+        tol = 1e-14 * np.abs(basis.coeffs.T @ local).max()
+        assert abs(value - tables["value"][0] @ local) <= tol
+        want = np.array([tables["dx"][0] @ local, tables["dy"][0] @ local])
+        assert np.abs(grad - want).max() <= tol / basis.diameter
 
 
 def test_export_sparsity_identity(tmp_path):

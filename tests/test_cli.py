@@ -280,6 +280,17 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys, text):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("key", ["minimal_bc", "flip-sign-convention"])
+@pytest.mark.parametrize("text", ["maybe", "tru", "2", "on", ""])
+def test_config_file_unknown_boolean_exits_2_naming_the_key(tmp_path, capsys, key, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["mesh-info", "--config", str(cfg), "--n", "2"])
+    assert exc.value.code == 2
+    assert f"bad value for config key '{key.replace('-', '_')}'" in capsys.readouterr().err
+
+
 def test_config_file_does_not_leak_into_the_next_call(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nordering = 3\n")
@@ -306,7 +317,7 @@ ROUND_TRIP_OPTIONS = {
     "minimal_bc": st.booleans(),
     "flip_sign_convention": st.booleans(),
 }
-TRUE_SPELLINGS, FALSE_SPELLINGS = ("1", "true", "yes", "True", "YES"), ("0", "false", "no")
+TRUE_SPELLINGS, FALSE_SPELLINGS = ("1", "true", "yes", "True", "YES"), ("0", "false", "no", "No", "FALSE")
 
 
 def _parsed_args(monkeypatch, argv) -> dict:

@@ -3,11 +3,12 @@
 The reference below is the per-entry export code: a PBM written one
 character per matrix entry from a dense N x N grid, one SVG ``<rect>`` and
 one MatrixMarket line per stored entry, a contour CSV written one grid
-point at a time, and marching squares visiting one cell at a time. The
+point at a time, marching squares visiting one cell at a time, and contour
+segments chained with one rounded key computed per endpoint lookup. The
 row-block and table-driven writers must reproduce their bytes exactly, for
 every float including -0.0, NaN and inf, and the vectorized marching
-squares their segment lists bit for bit. The ``ref_*`` writers are never
-edited to follow the package.
+squares and the chaining their segment lists and polylines bit for bit.
+The ``ref_*`` writers are never edited to follow the package.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from streamfem import analysis, assembly
 from streamfem.analysis import (
     ROW_BLOCK,
+    _chain_segments,
     _marching_squares,
     evaluate_field,
     export_contours,
@@ -148,6 +150,45 @@ def ref_marching_squares(grid, xs, ys, level):
             for ea, eb in pairs:
                 segments.append((pt(ea), pt(eb)))
     return segments
+
+
+def ref_chain_segments(segments, tol=1e-9):
+    """Polylines joined with one ``round`` key computed per endpoint lookup."""
+    def key(pt):
+        return (round(pt[0] / tol), round(pt[1] / tol))
+
+    remaining = {}
+    for idx, (a, b) in enumerate(segments):
+        remaining.setdefault(key(a), []).append((idx, False))
+        remaining.setdefault(key(b), []).append((idx, True))
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        line = [a, b]
+        for head in (True, False):
+            while True:
+                end = line[-1] if head else line[0]
+                found = None
+                for idx, reverse in remaining.get(key(end), []):
+                    if not used[idx]:
+                        found = (idx, reverse)
+                        break
+                if found is None:
+                    break
+                idx, reverse = found
+                used[idx] = True
+                sa, sb = segments[idx]
+                nxt = sa if reverse else sb
+                if head:
+                    line.append(nxt)
+                else:
+                    line.insert(0, nxt)
+        polylines.append(line)
+    return polylines
 
 
 # --- matrices ----------------------------------------------------------------
@@ -477,10 +518,31 @@ def test_marching_squares_matches_reference(nj, ni, seed, kind, level):
     assert_same_segments(grid, float(np.round(level)), xs, ys)
 
 
+# endpoints on a coarse lattice, so that many coincide and chains branch,
+# each moved by less than half of the 1e-9 key spacing or by -0.0, and
+# points whose quotient by the spacing is a tie (k + 0.5 of it)
+LATTICE = st.integers(-3, 3).map(lambda k: k / 4)
+COORDINATE = st.one_of(
+    st.tuples(LATTICE, st.sampled_from((0.0, -0.0, 3e-10, -4.9e-10, 1e-16))).map(sum),
+    st.integers(-6, 6).map(lambda k: (k + 0.5) * 1e-9),
+    st.floats(-1.0, 1.0),
+)
+SEGMENT = st.tuples(st.tuples(COORDINATE, COORDINATE), st.tuples(COORDINATE, COORDINATE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SEGMENT, max_size=40))
+def test_chain_segments_matches_reference(segments):
+    got, want = _chain_segments(segments), ref_chain_segments(segments)
+    assert [[(float(x).hex(), float(y).hex()) for x, y in line] for line in got] == \
+        [[(float(x).hex(), float(y).hex()) for x, y in line] for line in want]
+
+
 def test_contour_files_match_reference(tmp_path, mesh5, dofmap5, bases5, monkeypatch):
     coeffs = np.random.default_rng(0).standard_normal(dofmap5.total_dofs)
     new = export_contours(mesh5, dofmap5, coeffs, tmp_path / "new", grid_size=40, bases=bases5)
     monkeypatch.setattr(analysis, "_marching_squares", ref_marching_squares)
+    monkeypatch.setattr(analysis, "_chain_segments", ref_chain_segments)
     export_contours(mesh5, dofmap5, coeffs, tmp_path / "ref", grid_size=40, bases=bases5)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
     assert sum(len(lines) for lines in new["polylines"].values()) > 0

@@ -172,13 +172,13 @@ def test_operator_holds_one_element_stack_and_no_second_csr():
     psi = field(disc.dofmap, np.random.default_rng(16).standard_normal(disc.dofmap.num_free))
     entries, slots = disc.mesh.num_triangles * 441, disc.plan.nnz
     assert (disc.A.data == 0).any()  # A's stored zeros are added like its other entries
-    # the element stack (8 B an entry) and two blocks' cross tables while it
-    # is formed (the next is computed before the last is freed); summing its
-    # slots adds only the data (8 B a slot) and a chunk's temporaries.
-    # Measured with numpy 2.4: 3.79 MB against a bound of 3.87 MB; keeping
-    # the stack through B's zero drop and then summing A and B as two CSR
-    # matrices peaked at 4.73 MB.
-    bound = 8 * entries + 2 * 8 * 441 * BLOCK + 2**18
+    # the element stack (8 B an entry) and the one block's cross table it is
+    # formed through; summing its slots adds only the data (8 B a slot) and
+    # a chunk's temporaries. Measured with numpy 2.4: 2.91 MB against a
+    # bound of 2.97 MB; a new cross table per block (the next formed before
+    # the last is freed) peaked at 3.79 MB, and keeping the stack through
+    # B's zero drop and then summing A and B as two CSR matrices at 4.73 MB.
+    bound = 8 * entries + 8 * 441 * BLOCK + 2**18
     peak, _ = traced_peak(lambda: disc.operator(psi))
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
     # the result holds its data and no index array of its own (4 B a slot)

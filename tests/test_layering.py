@@ -2,7 +2,8 @@
 
 Every import sits at module level, so a module's dependencies are read off
 its head. The lower layers never import the fixed-point driver or the CLI:
-``analysis`` and below must work without them.
+``analysis`` and below must work without them. No module imports another's
+``_``-prefixed names.
 """
 
 import ast
@@ -38,6 +39,13 @@ def imported_modules(tree) -> set[str]:
     return names
 
 
+def private_imports(tree) -> set[str]:
+    """The ``_``-prefixed streamfem modules and members that ``tree`` imports."""
+    return {name for name in imported_modules(tree)
+            if name.startswith("streamfem.") and any(part.startswith("_")
+                                                     for part in name.split(".")[1:])}
+
+
 def upper_layer_imports(tree) -> set[str]:
     return {name for name in imported_modules(tree)
             if any(name == up or name.startswith(f"{up}.") for up in UPPER_LAYERS)}
@@ -50,6 +58,10 @@ def test_the_checks_see_what_they_look_for():
     assert upper_layer_imports(ast.parse("from .picard import PicardConfig\n")) == {
         "streamfem.picard", "streamfem.picard.PicardConfig"}
     assert not upper_layer_imports(ast.parse("from .solvers import pcg\nimport pickle\n"))
+    assert private_imports(ast.parse(
+        "from .argyris import BLOCK, _powers\nfrom scipy.sparse._sparsetools import coo_tocsr\n"
+        "import streamfem._native\nfrom __future__ import annotations\n")) == {
+        "streamfem.argyris._powers", "streamfem._native"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -61,3 +73,9 @@ def test_no_import_inside_a_function(path):
 def test_lower_layers_import_neither_picard_nor_cli(layer):
     tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
     assert upper_layer_imports(tree) == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    """Helpers such as the monomial tables of ``argyris`` stay behind their module."""
+    assert private_imports(ast.parse(path.read_text())) == set(), path.name
