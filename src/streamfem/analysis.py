@@ -4,11 +4,11 @@ Error norms are always integrated with the degree-10 verification rule so
 that reported errors measure the discretization, not the assembly
 quadrature. The H2 seminorm uses the multi-index convention
 (e_xx^2 + e_xy^2 + e_yy^2). Sparsity patterns are written as bit-exact PBM
-plus annotated SVG; the PBM is streamed by blocks of ``ROW_BLOCK`` matrix
-rows, so no N x N grid is held in memory. Stream-function contours come
-from marching squares, one vectorized pass over all cells of a uniform
-sampling grid, and are written as SVG plus a full-precision CSV of the
-grid.
+plus an annotated SVG with one rect per run of stored columns; both are
+streamed by blocks of ``ROW_BLOCK`` matrix rows, so no N x N grid is held
+in memory. Stream-function contours come from marching squares, one
+vectorized pass over all cells of a uniform sampling grid, and are written
+as SVG plus a full-precision CSV of the grid.
 """
 
 from __future__ import annotations
@@ -144,20 +144,25 @@ def evaluate_field(
 
 # --- sparsity pattern export -------------------------------------------------
 
-ROW_BLOCK = 256  # matrix rows per PBM write
+ROW_BLOCK = 256  # matrix rows per PBM write and per SVG run search
 
 
 def export_sparsity(A: SparseMatrix, path_stem) -> dict:
     """Write the stored pattern as <stem>.pbm and <stem>.svg.
 
     The PBM has one pixel per matrix entry (1 = stored, an exact zero too)
-    and is bit-exact reproducible; the SVG has one ``<rect>`` per stored
-    entry and a bandwidth annotation. Both files are byte for byte what the per-entry
-    reference writers in the tests write. The PBM is written one block of
-    ROW_BLOCK rows at a time. Each SVG row is its columns' ``<rect x=".."
-    y="`` heads, formatted once per column, joined with the row's y and
-    size text, at most WRITE_CHUNK entries per write. Memory therefore
-    grows with the dimension, not with nnz.
+    and is byte for byte what the per-entry reference writer in the tests
+    writes. The SVG has one ``<rect>`` per run of consecutive stored
+    columns in a row, ``run length x cell`` wide, and a bandwidth
+    annotation: the rects cover exactly the stored entries, so the picture
+    is the one a rect per entry draws, in a fifth to a half of the bytes
+    on an assembled matrix, by ordering. Both files are written one block
+    of ROW_BLOCK rows at a time. A block's runs start at its row starts
+    and wherever a column is not its predecessor's plus one; each rect
+    line joins a column's ``<rect x=".." y="`` head, the row's y and the
+    run's width text, all from tables formatted once, at most WRITE_CHUNK
+    runs per write. The width table is no longer than the longest row, so
+    memory grows with the dimension, not with nnz.
     Returns the written paths and the bandwidth statistics.
     """
     stats = bandwidth_stats(A)
@@ -176,6 +181,7 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             block_rows = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
             block[block_rows, cols[indptr[r0]:indptr[r1]]] = ord("1")
             f.write(block)
+    del buffer, block  # the SVG's run search needs no PBM block
 
     svg_path = f"{path_stem}.svg"
     cell = max(1, 600 // n)
@@ -188,15 +194,30 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             f'viewBox="0 0 {size} {size + margin}">\n'
         )
         f.write(f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n')
-        # a row's <rect> lines differ only in x: join the per-column heads
-        # with the row's tail, at most WRITE_CHUNK entries per write
         heads = [f'<rect x="{c * cell}" y="' for c in range(n)]
-        bounds = indptr.tolist()
-        for r in range(n):
-            tail = f'{r * cell}" width="{cell}" height="{cell}" fill="black"/>\n'
-            for lo in range(bounds[r], bounds[r + 1], WRITE_CHUNK):
-                hi = min(lo + WRITE_CHUNK, bounds[r + 1])
-                f.write(tail.join(map(heads.__getitem__, cols[lo:hi].tolist())) + tail)
+        widths = [f'{w * cell}" height="{cell}" fill="black"/>\n'
+                  for w in range(int(np.diff(indptr).max(initial=0)) + 1)]
+        for r0 in range(0, n, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, n)
+            block = cols[indptr[r0]:indptr[r1]]
+            row_starts = indptr[r0:r1 + 1] - indptr[r0]
+            # a run starts at every row start and at every break in the columns
+            brk = np.ones(len(block) + 1, dtype=bool)
+            np.not_equal(block[1:], block[:-1] + 1, out=brk[1:-1])
+            brk[row_starts] = True
+            starts = np.flatnonzero(brk)  # then len(block), closing the last run
+            runs = np.diff(starts)
+            starts = starts[:-1]
+            # an empty row shares its start with the next row: take the last
+            rows = np.searchsorted(row_starts, starts, side="right") - 1
+            ys = [f'{r * cell}" width="' for r in range(r0, r1)]
+            for lo in range(0, len(starts), WRITE_CHUNK):
+                hi = lo + WRITE_CHUNK
+                f.write("".join(chain.from_iterable(zip(
+                    map(heads.__getitem__, block[starts[lo:hi]].tolist()),
+                    map(ys.__getitem__, rows[lo:hi].tolist()),
+                    map(widths.__getitem__, runs[lo:hi].tolist()),
+                ))))
         f.write(
             f'<text x="4" y="{size + margin - 8}" font-size="14" font-family="monospace">'
             f'n={n} nnz={stats["nnz"]} bandwidth={stats["bandwidth"]} '

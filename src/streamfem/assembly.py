@@ -242,27 +242,45 @@ def viscous_element_matrices(
     rule: QuadratureRule,
     reynolds: float = 1.0,
     bases: ElementBases | None = None,
+    tables: ElementTables | None = None,
 ) -> np.ndarray:
     """(T, 21, 21) element matrices of Re^-1 (lap psi, lap phi).
 
     The integration rule is promoted to one exact for the degree-6
     integrand when the requested rule is weaker (see module docstring).
-    The Laplacians are tabulated ``BLOCK`` triangles at a time from
-    ``bases``, or from new bases. The matrices depend on the mesh and the
-    Reynolds number only, not on the DOF numbering.
+    ``tables`` of ``rule`` over ``mesh`` lend their Laplacians and weights
+    when that rule is exact already; otherwise the Laplacians are
+    tabulated ``BLOCK`` triangles at a time from ``bases``, or from new
+    bases. Both give the same matrices bit for bit. They depend on the
+    mesh and the Reynolds number only, not on the DOF numbering.
     """
     _check_reynolds(reynolds)
+    blocks = _laplacian_blocks(mesh, rule, bases, tables)
+    local = np.empty((mesh.num_triangles, 21, 21))
+    for blk, weights, lap in blocks:
+        np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
+    local /= reynolds
+    return local
+
+
+def _laplacian_blocks(mesh, rule, bases, tables):
+    """(slice, weights, lap) of ``BLOCK`` triangles at a time, at a rule
+    exact for the viscous integrand, from ``tables`` when theirs is."""
+    if rule.exact_degree >= VISCOUS_EXACT_DEGREE and tables is not None:
+        if tables.mesh is not mesh or tables.rule is not rule:
+            raise ValueError("element tables must be over the same mesh and rule")
+        return ((slice(lo, lo + BLOCK), tables.weights[lo:lo + BLOCK], tables.lap[lo:lo + BLOCK])
+                for lo in range(0, mesh.num_triangles, BLOCK))
     if rule.exact_degree < VISCOUS_EXACT_DEGREE:
         rule = quad_rule(12)
     if bases is None:
         bases = build_all_bases(mesh)
-    local = np.empty((mesh.num_triangles, 21, 21))
-    for blk, points, weights in element_blocks(rule, bases):
-        tab = bases.evaluate(points, LAPLACIAN_ORDERS, blk)
-        lap = np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
-        np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
-    local /= reynolds
-    return local
+    return ((blk, weights, _laplacian(bases.evaluate(points, LAPLACIAN_ORDERS, blk)))
+            for blk, points, weights in element_blocks(rule, bases))
+
+
+def _laplacian(tab):
+    return np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
 
 
 def assemble_biharmonic(
@@ -274,6 +292,7 @@ def assemble_biharmonic(
     reduced: bool = True,
     plan: ScatterPlan | None = None,
     element_matrices: np.ndarray | None = None,
+    tables: ElementTables | None = None,
 ) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi).
 
@@ -281,15 +300,15 @@ def assemble_biharmonic(
     evaluations with inhomogeneous data). ``plan`` is the scatter plan of
     ``dofmap`` and ``reduced``, built here when not given.
     ``element_matrices`` are :func:`viscous_element_matrices` of the same
-    mesh, rule and Reynolds number, formed here from ``bases`` when not
-    given; a caller that assembles under several orderings forms them once.
+    mesh, rule and Reynolds number, formed here from ``tables`` or
+    ``bases`` when not given; a caller that assembles under several
+    orderings forms them once.
     """
     _check_reynolds(reynolds)
     plan = _scatter_plan(mesh, dofmap, reduced, plan)
-    if element_matrices is not None:
-        return plan.assemble(element_matrices, is_symmetric=True)
-    return plan.assemble(viscous_element_matrices(mesh, rule, reynolds, bases),
-                         is_symmetric=True)
+    if element_matrices is None:
+        element_matrices = viscous_element_matrices(mesh, rule, reynolds, bases, tables)
+    return plan.assemble(element_matrices, is_symmetric=True)
 
 
 def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> np.ndarray:

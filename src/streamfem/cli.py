@@ -97,12 +97,12 @@ def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     for key, val in raw.items():
         if key not in _CONFIG_TYPES:
             parser.error(f"unknown config key '{key}'")
-        if not hasattr(args, key):
-            continue  # key not relevant to this subcommand
         try:
-            defaults[key] = _CONFIG_TYPES[key](val)
+            value = _CONFIG_TYPES[key](val)
         except (KeyError, ValueError):
             parser.error(f"bad value for config key '{key}': {val!r}")
+        if hasattr(args, key):  # keys of other subcommands are checked, not used
+            defaults[key] = value
     return defaults
 
 
@@ -255,8 +255,8 @@ def cmd_compare_orderings(args) -> int:
             # the element tables and viscous element matrices depend on the
             # mesh and Re, not on the ordering: formed once, in ordering 1's time
             bases = build_all_bases(mesh)
-            viscous = viscous_element_matrices(mesh, q, base.reynolds, bases)
             tables = ElementTables(mesh, q, bases)
+            viscous = viscous_element_matrices(mesh, q, base.reynolds, bases, tables)
             del bases
         disc = discretize(mesh, replace(base, ordering=scheme), tables=tables, viscous=viscous)
         _, trace, failure = _solve(disc, "nse")

@@ -32,6 +32,7 @@ from .argyris import ElementBases, build_all_bases
 from .assembly import (
     ElementTables,
     ManufacturedSolution,
+    VISCOUS_EXACT_DEGREE,
     ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
@@ -169,7 +170,9 @@ def discretize(mesh: Mesh, config: PicardConfig,
                bases: ElementBases | None = None) -> Discretization:
     """Number the DOFs, build the scatter plan, assemble A and tabulate the
     elements for ``config``, in that order, so the plan's build peak is the
-    only large allocation alive.
+    only large allocation alive. For an n.q.p. rule exact for the viscous
+    integrand the tables come before A, which reads its Laplacians from
+    them, so they are tabulated once.
 
     ``tables`` reuses the element tables of another discretization of the
     same mesh and rule, e.g. under a different ordering: the tables do not
@@ -186,8 +189,11 @@ def discretize(mesh: Mesh, config: PicardConfig,
     plan = ScatterPlan.build(mesh, dofmap)
     if bases is None and tables is None:
         bases = build_all_bases(mesh)  # shared by A and the tables
+    if tables is None and viscous is None and q.exact_degree >= VISCOUS_EXACT_DEGREE:
+        tables = ElementTables(mesh, q, bases)
+        bases = None  # A reads the tables' Laplacians: bases built here are freed
     A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, bases=bases, plan=plan,
-                            element_matrices=viscous)
+                            element_matrices=viscous, tables=tables)
     if tables is None:
         tables = ElementTables(mesh, q, bases)
     return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)

@@ -280,6 +280,21 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys, text):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["grid_size = abc\n", "n = three\n"])
+def test_config_file_bad_value_of_another_subcommand_exits_2(tmp_path, capsys, text):
+    # mesh-info takes no --grid-size; its value is checked all the same
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-info", "--n", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"bad value for config key '{text.split()[0]}'" in capsys.readouterr().err
+    # a good value for it is accepted and not used
+    cfg.write_text("grid_size = 12\n")
+    assert main(["mesh-info", "--n", "1", "--config", str(cfg)]) == 0
+    assert "4 vertices" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("key", ["minimal_bc", "flip-sign-convention"])
 @pytest.mark.parametrize("text", ["maybe", "tru", "2", "on", ""])
 def test_config_file_unknown_boolean_exits_2_naming_the_key(tmp_path, capsys, key, text):

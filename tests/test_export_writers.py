@@ -8,9 +8,14 @@ segments chained with one rounded key computed per endpoint lookup. The
 row-block and table-driven writers must reproduce their bytes exactly, for
 every float including -0.0, NaN and inf, and the vectorized marching
 squares and the chaining their segment lists and polylines bit for bit.
+The one exception is the sparsity SVG, which draws one ``<rect>`` per run
+of consecutive stored columns: its rects must cover exactly the cells the
+reference's cover, one rect per maximal run and none overlapping, and its
+other lines must be the reference's bytes.
 The ``ref_*`` writers are never edited to follow the package.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -251,8 +256,61 @@ def assert_same_files(tmp_path, write, ref_write, A, suffixes):
         assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
 
 
+RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="black"/>')
+
+
+def decode_svg(path):
+    """(frame lines, the cells each black rect covers, one list per rect).
+
+    The frame is the header, the white frame and the annotation: every line
+    that is not a black rect. Rects must be one cell high and lie on the grid.
+    """
+    lines = path.read_text().splitlines()
+    cell = max(1, 600 // int(re.search(r"n=(\d+) ", lines[-2]).group(1)))
+    frame, rects = [], []
+    for line in lines:
+        m = RECT.fullmatch(line)
+        if m is None:
+            frame.append(line)
+            continue
+        x, y, w, h = map(int, m.groups())
+        assert h == cell and x % cell == y % cell == w % cell == 0 and w > 0, line
+        rects.append([(y // cell, x // cell + k) for k in range(w // cell)])
+    return frame, rects
+
+
+def stored_cells(A):
+    rows = np.repeat(np.arange(A.dimension), np.diff(A.indptr))
+    return set(zip(rows.tolist(), A.indices.tolist()))
+
+
+def maximal_runs(A):
+    """Runs of consecutive stored columns in a row, counted one entry at a time."""
+    runs = 0
+    for r in range(A.dimension):
+        row = A.indices[A.indptr[r]:A.indptr[r + 1]].tolist()
+        runs += sum(1 for k, c in enumerate(row) if k == 0 or c != row[k - 1] + 1)
+    return runs
+
+
+def assert_svg_covers_pattern(path, A, ref_path=None):
+    """The SVG's rects cover exactly A's stored cells, one rect per maximal
+    run and no two overlapping; with ``ref_path`` its other lines are the
+    reference SVG's bytes."""
+    frame, rects = decode_svg(path)
+    covered = [cell for rect in rects for cell in rect]
+    assert len(covered) == len(set(covered)), "overlapping rects"
+    assert set(covered) == stored_cells(A)
+    assert len(rects) == maximal_runs(A)
+    if ref_path is not None:
+        assert frame == decode_svg(ref_path)[0]
+        assert path.read_bytes().endswith(frame[-2].encode() + b"\n</svg>\n")
+
+
 def sparsity_files_equal(tmp_path, A):
-    assert_same_files(tmp_path, export_sparsity, ref_export_sparsity, A, (".pbm", ".svg"))
+    """The PBM is the reference's bytes; the SVG draws the reference's cells."""
+    assert_same_files(tmp_path, export_sparsity, ref_export_sparsity, A, (".pbm",))
+    assert_svg_covers_pattern(tmp_path / "new.svg", A, tmp_path / "ref.svg")
 
 
 def mtx_files_equal(tmp_path, A):
@@ -297,8 +355,38 @@ def test_sparsity_empty_matrix(tmp_path):
 
 
 def test_sparsity_assembled_matrix(tmp_path, mesh5):
-    A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, 2), rule(6))
-    sparsity_files_equal(tmp_path, A)
+    for ordering in (1, 2, 3):
+        A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, ordering), rule(6))
+        sparsity_files_equal(tmp_path, A)
+        _, rects = decode_svg(tmp_path / "new.svg")
+        assert len(rects) < A.nnz  # every ordering stores some runs of adjacent columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_sparsity_svg_runs_cover_random_patterns(tmp_path_factory, n, data):
+    # empty and full rows, lone entries and runs; N <= 40 draws each cell >= 15 units wide
+    rows = data.draw(st.lists(st.one_of(
+        st.just(set()), st.just(set(range(n))),
+        st.sets(st.integers(0, n - 1), max_size=n),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n)).map(lambda a: set(range(a[0], a[1]))),
+    ), min_size=n, max_size=n))
+    A = stored_matrix(n, {(r, c): 1.0 for r, row in enumerate(rows) for c in row})
+    sparsity_files_equal(tmp_path_factory.mktemp("runs"), A)
+
+
+def test_sparsity_svg_of_the_convection_operator(tmp_path):
+    # A + B(psi), as the CLI exports it, against its own MatrixMarket and PBM
+    argv = ["export-sparsity", "--n", "4", "--with-convection", "--out-dir", str(tmp_path)]
+    for ordering in ("1", "2", "3"):
+        assert cli_main([*argv, "--ordering", ordering]) == 0
+        stem = tmp_path / f"sparsity_nse_n4_ordering{ordering}"
+        A = read_matrix_market(f"{stem}.mtx")
+        assert not A.is_symmetric
+        assert_svg_covers_pattern(stem.with_suffix(".svg"), A)
+        pbm = stem.with_suffix(".pbm").read_text().split()[3:]
+        assert {(r, c) for r, line in enumerate(pbm) for c, v in enumerate(line) if v == "1"} \
+            == stored_cells(A)
 
 
 def test_sparsity_memory_has_no_dense_grid(tmp_path):

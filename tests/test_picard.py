@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from streamfem import assembly
 from streamfem.analysis import evaluate_field
 from streamfem.assembly import assemble_biharmonic, assemble_convection, assemble_load, manufactured_rhs
 from streamfem.mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs
@@ -45,6 +46,23 @@ def test_discretize_shares_tables_across_orderings(mesh3):
         discretize(mesh3, PicardConfig(n_quad_points=12), tables=first.tables)
     with pytest.raises(ValueError, match="same mesh and rule"):
         discretize(build_uniform_mesh(3), PicardConfig(n_quad_points=6), tables=first.tables)
+
+
+@pytest.mark.parametrize("n_points, tabulations", [(4, 2), (6, 2), (12, 1), (25, 1)])
+def test_discretize_tabulates_the_laplacians_once_for_an_exact_rule(n_points, tabulations,
+                                                                     monkeypatch):
+    # A weaker rule's A is tabulated at the 12-point rule, then its own tables;
+    # an exact rule's A reads the tables' Laplacians, bit for bit the same
+    mesh = build_uniform_mesh(12)  # 288 triangles: two blocks
+    mapped = []
+    original = assembly.map_to_triangle
+    monkeypatch.setattr(assembly, "map_to_triangle",
+                        lambda q, coords: mapped.append(q.n_points) or original(q, coords))
+    disc = discretize(mesh, PicardConfig(n_quad_points=n_points, reynolds=3.0))
+    assert len(mapped) == 2 * tabulations
+    want = assemble_biharmonic(mesh, disc.dofmap, disc.q, 3.0, plan=disc.plan)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(disc.A, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_zero_load_gives_zero_solution(mesh3):

@@ -27,10 +27,11 @@ def test_digests_cover_every_output_but_timings_in_sorted_order(tmp_path, snapsh
         (tmp_path / name).write_bytes(data)
     (tmp_path / "SHA256SUMS").write_text("stale\n")
 
-    digest = snapshot_tool.write_digests(tmp_path)
+    digest, total = snapshot_tool.write_digests(tmp_path)
 
     sums = (tmp_path / "SHA256SUMS").read_text()
     assert digest == hashlib.sha256(sums.encode()).hexdigest()
+    assert total == sum(len(data) for name, data in files.items() if "timings" not in name)
     assert sums == "".join(
         f"{hashlib.sha256(files[name]).hexdigest()}  {name}\n"
         for name in ("a-run/sub/y.npy", "a-run/x.mtx", "b-run/stdout.txt")

@@ -17,7 +17,9 @@ Snapshot two checkouts and compare them with
 outputs bitwise identical prints nothing. The script also writes
 ``OUT_DIR/SHA256SUMS``: the SHA-256 of every output but ``timings.csv``, in
 sorted relative-path order, in the format of ``sha256sum``, and prints that
-file's own SHA-256 last. Equal outputs give equal digests, and
+file's own SHA-256 last, followed by the total bytes of the files it lists,
+so a change in output volume shows without a benchmark run. Equal outputs
+give equal digests, and
 
     cd OUT_DIR && sha256sum -c SHA256SUMS
 
@@ -63,8 +65,9 @@ def snapshot(out_dir: Path) -> int:
     return failed
 
 
-def write_digests(out_dir: Path) -> str:
-    """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file."""
+def write_digests(out_dir: Path) -> tuple[str, int]:
+    """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file and the
+    total bytes of the files it lists."""
     paths = sorted(
         path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*")
         if path.is_file() and path.name != "timings.csv" and path != out_dir / "SHA256SUMS"
@@ -73,7 +76,8 @@ def write_digests(out_dir: Path) -> str:
         f"{hashlib.sha256((out_dir / path).read_bytes()).hexdigest()}  {path}\n" for path in paths
     )
     (out_dir / "SHA256SUMS").write_text(sums)
-    return hashlib.sha256(sums.encode()).hexdigest()
+    total = sum((out_dir / path).stat().st_size for path in paths)
+    return hashlib.sha256(sums.encode()).hexdigest(), total
 
 
 if __name__ == "__main__":
@@ -81,5 +85,6 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     out_dir = Path(sys.argv[1]).resolve()
     failed = snapshot(out_dir)
-    print(f"SHA256SUMS: {write_digests(out_dir)}")
+    digest, total = write_digests(out_dir)
+    print(f"SHA256SUMS: {digest}  {total} bytes")
     sys.exit(1 if failed else 0)
