@@ -120,9 +120,8 @@ def evaluate_field(
     coefficients: np.ndarray,
     points,
     bases: ElementBases | None = None,
-    gradient: bool = False,
-):
-    """Evaluate the Argyris field (optionally its gradient) at given points.
+) -> np.ndarray:
+    """Evaluate the Argyris field at given points.
 
     Points must lie in the closed unit square; points outside it or not
     finite are rejected. Each point is located in its triangle and the
@@ -133,18 +132,24 @@ def evaluate_field(
     if bases is None:
         bases = build_all_bases(mesh)
     poly = bases.polynomials(np.asarray(coefficients, dtype=float)[dof_arrays(mesh, dofmap)])
-    orders = EVAL_ORDERS[:3] if gradient else EVAL_ORDERS[:1]  # value, dx, dy
-    fields = np.empty((len(pts), len(orders)))
+    values = np.empty(len(pts))
     for lo in range(0, len(pts), POINT_CHUNK):
         chunk = pts[lo:lo + POINT_CHUNK]
-        derivatives = bases.derivatives(poly, chunk, _locate(mesh, chunk), orders)
-        fields[lo:lo + POINT_CHUNK] = np.column_stack(list(derivatives.values()))
-    return (fields[:, 0], fields[:, 1:]) if gradient else fields[:, 0]
+        values[lo:lo + POINT_CHUNK] = bases.derivatives(
+            poly, chunk, _locate(mesh, chunk), EVAL_ORDERS[:1])["value"]
+    return values
 
 
 # --- sparsity pattern export -------------------------------------------------
 
 ROW_BLOCK = 256  # matrix rows per PBM write and per SVG run search
+
+
+def pbm_bytes(dimension: int) -> int:
+    """Size of the PBM :func:`export_sparsity` writes for a matrix of this
+    dimension N: one byte per entry and a newline per row, N (N + 1) bytes,
+    plus its header."""
+    return len(f"P1\n{dimension} {dimension}\n") + dimension * (dimension + 1)
 
 
 def export_sparsity(A: SparseMatrix, path_stem) -> dict:
@@ -321,14 +326,14 @@ def export_contours(
     dofmap: DofMap,
     coefficients: np.ndarray,
     path_stem,
-    levels=None,
     grid_size: int = 64,
     bases: ElementBases | None = None,
 ) -> dict:
     """Sample the field on a uniform grid and write contour SVG + grid CSV.
 
-    ``levels=None`` picks 8 equally spaced levels between 0 and the sampled
-    maximum. Returns paths and the polylines per level.
+    The levels are 8 equally spaced values between 0 and the sampled
+    maximum, none when it is not positive. Returns paths and the polylines
+    per level.
 
     The CSV has one ``x,y,psi`` line per grid point with every float as its
     ``repr``, byte for byte what the per-point reference writer in the tests
@@ -343,10 +348,8 @@ def export_contours(
     vals = evaluate_field(mesh, dofmap, coefficients, pts, bases=bases)
     grid = vals.reshape(grid_size, grid_size)
 
-    if levels is None:
-        vmax = float(grid.max())
-        levels = [vmax * (k + 1) / 9.0 for k in range(8)] if vmax > 0 else []
-    levels = [float(l) for l in levels]
+    vmax = float(grid.max())
+    levels = [vmax * (k + 1) / 9.0 for k in range(8)] if vmax > 0 else []
 
     csv_path = f"{path_stem}.csv"
     with open(csv_path, "w") as f:
@@ -396,11 +399,11 @@ def export_contours(
 # --- tables ------------------------------------------------------------------
 
 
-def format_table(headers: list[str], rows: list[list], sig: int = 6) -> str:
-    """Fixed-width text table with floats at ``sig`` significant digits."""
+def format_table(headers: list[str], rows: list[list]) -> str:
+    """Fixed-width text table with floats at 6 significant digits."""
     def fmt(v):
         if isinstance(v, float):
-            return f"{v:.{sig}g}"
+            return f"{v:.6g}"
         return str(v)
 
     str_rows = [[fmt(v) for v in row] for row in rows]

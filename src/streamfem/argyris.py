@@ -233,18 +233,6 @@ class ElementBasis:
         local = (np.atleast_2d(np.asarray(points, dtype=float)) - self.centroid) / self.diameter
         return _tables(local, _inverse_powers(self.diameter), self.coeffs, orders)
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        def cross2(u, v):
-            return u[0] * v[1] - u[1] * v[0]
-
-        a, b, c = self.coords
-        area2 = cross2(b - a, c - a)
-        p = np.asarray(point, dtype=float)
-        l2 = cross2(p - a, c - a) / area2
-        l3 = cross2(b - a, p - a) / area2
-        l1 = 1.0 - l2 - l3
-        return bool(min(l1, l2, l3) >= -tol)
-
 
 @dataclass(frozen=True)
 class ElementBases(Sequence):
@@ -375,28 +363,6 @@ def build_all_bases(mesh: Mesh) -> ElementBases:
     return _build_bases(mesh, np.arange(mesh.num_triangles))
 
 
-def eval_shape(basis: ElementBasis, point) -> list[dict]:
-    """Value, gradient, Hessian and Laplacian of all 21 shapes at one point."""
-    tables = basis.evaluate(np.asarray(point, dtype=float)[None, :], EVAL_ORDERS)
-    out = []
-    for i in range(21):
-        hess = np.array(
-            [
-                [tables["dxx"][0, i], tables["dxy"][0, i]],
-                [tables["dxy"][0, i], tables["dyy"][0, i]],
-            ]
-        )
-        out.append(
-            {
-                "value": float(tables["value"][0, i]),
-                "gradient": np.array([tables["dx"][0, i], tables["dy"][0, i]]),
-                "hessian": hess,
-                "laplacian": float(hess[0, 0] + hess[1, 1]),
-            }
-        )
-    return out
-
-
 def interpolate_field(mesh: Mesh, dofmap, derivatives: dict) -> np.ndarray:
     """Argyris interpolant coefficients of an analytically known field.
 
@@ -414,14 +380,3 @@ def interpolate_field(mesh: Mesh, dofmap, derivatives: dict) -> np.ndarray:
     n = _unit_normals(mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]])
     coeffs[dofmap.edge_dofs] = n[:, 0] * gx + n[:, 1] * gy
     return coeffs
-
-
-def dump_duality_csv(basis: ElementBasis, path) -> None:
-    """Write the 21 x 21 duality matrix F_j(phi_i) of one element as CSV."""
-    F = _dual_matrices(basis.coords[None], basis.centroid[None], np.array([basis.diameter]),
-                       basis.midpoints[None], basis.edge_normals[None])[0]
-    duality = F @ basis.coeffs.T
-    with open(path, "w") as fh:
-        fh.write(",".join(f"shape_{i}" for i in range(21)) + "\n")
-        for j in range(21):
-            fh.write(",".join(repr(float(v)) for v in duality[j]) + "\n")

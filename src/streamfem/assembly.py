@@ -366,7 +366,6 @@ def assemble_load(
     rule: QuadratureRule,
     f: Callable,
     tables: ElementTables | None = None,
-    reduced: bool = True,
 ) -> np.ndarray:
     """Assemble l[i] = int f . (dphi_i/dy, -dphi_i/dx) over free DOFs.
 
@@ -381,14 +380,8 @@ def assemble_load(
     f2 = np.broadcast_to(np.asarray(f2, dtype=float), x.shape)
     local = np.einsum("tq,tqi->ti", tables.weights * f1, tables.dy)
     local -= np.einsum("tq,tqi->ti", tables.weights * f2, tables.dx)
-    tri_dofs = dof_arrays(mesh, dofmap)
-    if not reduced:
-        vec = np.zeros(dofmap.total_dofs)
-        np.add.at(vec, tri_dofs.ravel(), local.ravel())
-        return vec
     vec = np.zeros(dofmap.num_free)
-    free = dofmap.free_of_global
-    r = free[tri_dofs.ravel()]
+    r = dofmap.free_of_global[dof_arrays(mesh, dofmap).ravel()]
     keep = r >= 0
     np.add.at(vec, r[keep], local.ravel()[keep])
     return vec
@@ -436,9 +429,6 @@ class ManufacturedSolution:
 
     def exact_dyy(self, x, y):
         return _g(x) * _d2g(y)
-
-    def exact_gradient(self, x, y):
-        return self.exact_dx(x, y), self.exact_dy(x, y)
 
     def forcing(self, x, y):
         """f = -Re^-1 lap(u) + (u.grad)u + grad p, componentwise.

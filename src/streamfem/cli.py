@@ -27,6 +27,7 @@ from .analysis import (
     export_contours,
     export_sparsity,
     format_table,
+    pbm_bytes,
     write_csv,
 )
 from .argyris import build_all_bases
@@ -49,7 +50,8 @@ PICARD_FAILED = "fixed-point iteration did not converge"
 # one element stack beside A, the plan and the tables, peaks at 26.7 MiB in
 # all, and BiCGSTAB at 22.5 MiB: every matrix shares the plan's indices.
 # For a G x G contour grid it is the field sampling, which peaked at 61-86
-# bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96.
+# bytes per grid point (tracemalloc, G = 128 to 1024), taken as 96. The same
+# budget bounds the disk of export-sparsity's largest file, its PBM.
 MEMORY_BUDGET = 2**30
 MAX_N = math.isqrt(MEMORY_BUDGET // (7 * 2 * 25 * 21 * 8))
 MAX_GRID_SIZE = math.isqrt(MEMORY_BUDGET // 96)
@@ -283,9 +285,14 @@ def cmd_compare_orderings(args) -> int:
 
 
 def cmd_export_sparsity(args) -> int:
-    out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
+    dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
+    size = pbm_bytes(dofmap.num_free)  # checked before any matrix or file exists
+    if size > MEMORY_BUDGET:
+        raise ValueError(f"--n {args.n}: the sparsity PBM would take {size:,} bytes, above "
+                         f"the disk bound of {MEMORY_BUDGET // 2**20} MiB")
+    out = _ensure_out_dir(args)
     if args.with_convection:
         disc = discretize(mesh, config)
         coeffs, _, failure = _solve(disc, "biharmonic")
@@ -295,7 +302,6 @@ def cmd_export_sparsity(args) -> int:
         stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
         # only A is needed: no n.q.p. tables, which would add to this op's peak memory
-        dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
         matrix = assemble_biharmonic(mesh, dofmap, quad_rule(config.n_quad_points),
                                      config.reynolds)
         stem = out / f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
@@ -325,12 +331,11 @@ def cmd_export_contours(args) -> int:
 
 
 BIHARMONIC_TABLE_HEADERS = [
-    "h", "nqp", "ordering", "status", "nco", "error_nodal_max", "l2",
-    "pcg_itr", "cpu_s",
+    "h", "nqp", "ordering", "status", "nco", "error_nodal_max", "l2", "pcg_itr",
 ]
 NSE_TABLE_HEADERS = [
     "h", "nqp", "ordering", "status", "nco", "l2", "h1_semi", "h2_semi",
-    "bicgstab_itr_mean", "bicgstab_itr_total", "outer_iters", "cpu_s",
+    "bicgstab_itr_mean", "bicgstab_itr_total", "outer_iters",
 ]
 
 
@@ -339,35 +344,36 @@ def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
 
     Row layout mirrors the reference tables: mesh size, quadrature points,
     operation count, errors (both the vertex-value max and the L2 norm are
-    emitted) and iteration counts, with wall time isolated in the last
-    column. A failed solve marks its row and the run continues.
+    emitted) and iteration counts. A failed solve marks its row and the run
+    continues. Wall times are kept apart from the rows, one ``n_<n>`` step
+    per mesh, so the table is bitwise reproducible.
 
-    Returns {'headers', 'rows', 'text'}.
+    Returns {'headers', 'rows', 'text', 'timings'}.
     """
     if problem not in ("biharmonic", "nse"):
         raise ValueError(f"unknown problem '{problem}'")
     headers = BIHARMONIC_TABLE_HEADERS if problem == "biharmonic" else NSE_TABLE_HEADERS
-    rows = []
+    rows, timings = [], []
     for mesh, config in configs:
         t0 = time.perf_counter()
         base = [f"1/{mesh.n}", config.n_quad_points, config.ordering.value]
         disc = discretize(mesh, config)
         coeffs, result, failure = _solve(disc, problem, load)
-        elapsed = time.perf_counter() - t0
+        timings.append([f"n_{mesh.n}", time.perf_counter() - t0])
         if problem == "nse" and result.failure:  # stopped early: the row names why
-            rows.append(base + [f"failed: {failure}"] + [""] * (len(headers) - 5) + [elapsed])
+            rows.append(base + [f"failed: {failure}"] + [""] * (len(headers) - 4))
             continue
         status = "ok" if failure is None else "not-converged"
         errors = compute_errors(mesh, disc.dofmap, coeffs, disc.ms)
         if problem == "biharmonic":
             rows.append(base + [status, result.flops, errors.nodal_max, errors.l2,
-                                result.iterations, elapsed])
+                                result.iterations])
         else:
             rows.append(base + [status, result.total_flops, errors.l2, errors.h1_semi,
                                 errors.h2_semi, result.mean_inner_iterations,
-                                result.total_inner_iterations, len(result.iterations),
-                                elapsed])
-    return {"headers": headers, "rows": rows, "text": format_table(headers, rows)}
+                                result.total_inner_iterations, len(result.iterations)])
+    return {"headers": headers, "rows": rows, "text": format_table(headers, rows),
+            "timings": timings}
 
 
 def cmd_convergence_table(args) -> int:
@@ -377,6 +383,7 @@ def cmd_convergence_table(args) -> int:
     name = f"table_{args.problem}_nqp{args.nqp}"
     (out / f"{name}.txt").write_text(result["text"])
     write_csv(out / f"{name}.csv", result["headers"], result["rows"])
+    _write_timings(out, result["timings"])
     print(result["text"], end="")
     failed = [row[0] for row in result["rows"] if row[3] != "ok"]
     return _fail(f"no converged solve at h = {', '.join(failed)}") if failed else 0

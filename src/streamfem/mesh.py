@@ -86,19 +86,6 @@ class Mesh:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    def triangle_coords(self, t: int) -> np.ndarray:
-        """(3, 2) vertex coordinates of triangle t."""
-        return self.vertices[self.triangles[t]]
-
-    def signed_area(self, t: int) -> float:
-        p = self.triangle_coords(t)
-        u, v = p[1] - p[0], p[2] - p[0]
-        return 0.5 * float(u[0] * v[1] - u[1] * v[0])
-
     def summary(self) -> str:
         nb_v = int(self.vertex_on_boundary.sum())
         nb_e = int(self.edge_on_boundary.sum())

@@ -229,14 +229,12 @@ def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
     return _expand(disc.dofmap, x), report
 
 
-def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
+def solve_linearized_nse(disc: Discretization):
     """Run the fixed-point iteration for the linearized problem.
 
     Returns (full-DOF coefficients, PicardTrace). After an early stop the
     coefficients are the last iterate: the initial PCG's when it failed, the
-    one before the breakdown otherwise. ``include_convection=False``
-    degenerates to the biharmonic problem solved iteratively (a consistency
-    check: the result must match solve_biharmonic_problem).
+    one before the breakdown otherwise.
     """
     dofmap, config, A = disc.dofmap, disc.config, disc.A
     ell = assemble_load(disc.mesh, dofmap, disc.q, disc.ms.forcing, tables=disc.tables)
@@ -250,11 +248,8 @@ def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
         trace.failure = "initial biharmonic PCG solve did not converge"
         return psi_full, trace
 
-    def system_at(psi):
-        return disc.operator(psi) if include_convection else A
-
     free = dofmap.globals_of_free
-    system = system_at(psi_full)
+    system = disc.operator(psi_full)
     for outer in range(1, config.max_outer + 1):
         x, report = bicgstab(system, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
         del system  # released before the next operator is assembled
@@ -271,7 +266,7 @@ def solve_linearized_nse(disc: Discretization, include_convection: bool = True):
 
         # nonlinear residual of the discrete equation with the new iterate;
         # its operator is also the system of the next outer iteration
-        system = system_at(psi_full)
+        system = disc.operator(psi_full)
         residual = float(np.linalg.norm(system.matvec(x) - ell)) / scale
 
         trace.iterations.append(

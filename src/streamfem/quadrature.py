@@ -12,7 +12,6 @@ Newton iteration on the moment equations before freezing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,12 +25,6 @@ class QuadratureRule:
     points: np.ndarray   # (nq, 2) reference coordinates
     weights: np.ndarray  # (nq,)
     symmetric: bool      # invariant under all 6 triangle symmetries
-
-    @property
-    def barycentric(self) -> np.ndarray:
-        """(nq, 3) barycentric coordinates of the points."""
-        x, y = self.points[:, 0], self.points[:, 1]
-        return np.column_stack([1.0 - x - y, x, y])
 
 
 def _orbit_s2(a: float) -> list[tuple[float, float]]:
@@ -158,23 +151,3 @@ def map_to_triangle(q: QuadratureRule, coords: np.ndarray) -> tuple[np.ndarray, 
     pts = a + q.points[:, 0, None] * u + q.points[:, 1, None] * v
     area = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     return pts, q.weights * area
-
-
-def integrate_on_triangle(q: QuadratureRule, coords: np.ndarray, integrand: Callable) -> float:
-    """Integrate ``integrand(x, y)`` over the triangle with vertices ``coords``."""
-    coords = np.asarray(coords, dtype=float)
-    u, v = coords[1] - coords[0], coords[2] - coords[0]
-    area2 = float(u[0] * v[1] - u[1] * v[0])
-    if area2 <= 0.0:
-        raise ValueError("triangle must have positive area (counterclockwise vertices)")
-    pts, wts = map_to_triangle(q, coords)
-    vals = np.array([integrand(px, py) for px, py in pts], dtype=float)
-    return float(np.dot(wts, vals))
-
-
-def integrate_on_mesh(q: QuadratureRule, mesh, integrand: Callable) -> float:
-    """Sum of :func:`integrate_on_triangle` over all triangles of a mesh."""
-    total = 0.0
-    for t in range(mesh.num_triangles):
-        total += integrate_on_triangle(q, mesh.triangle_coords(t), integrand)
-    return total

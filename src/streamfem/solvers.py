@@ -218,19 +218,17 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000,
-        callback=None):
+def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000):
     """Diagonally preconditioned conjugate gradients for SPD systems.
 
     Convergence is declared on the relative 2-norm of the recurrence
     residual and confirmed against the recomputed true residual; the
     recurrence residual is refreshed from the true one every 10 iterations
     to guard against drift. Nonconvergence is reported, not raised.
-    ``callback(iteration, x)`` runs after every iteration and receives the
-    solver's live iterate buffer, which later iterations overwrite in
-    place: copy it to keep it. The iterates are monotone in the energy norm
-    of the error, which is what tests track (the residual 2-norm itself
-    oscillates, as it does for any CG).
+    ``max_iter=k`` returns iterate k of a longer solve, bit for bit. The
+    iterates are monotone in the energy norm of the error, which is what
+    tests track (the residual 2-norm itself oscillates, as it does for any
+    CG).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -278,8 +276,6 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
         else:
             r -= np.multiply(alpha, Ap, out=tmp)
             flops += 2 * n
-        if callback is not None:
-            callback(iterations, x)
         rel = _norm(r) / norm_b
         flops += 2 * n
         history.append(rel)

@@ -7,7 +7,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from streamfem.analysis import (
+    _chain_segments,
     _locate,
+    _marching_squares,
     compute_errors,
     evaluate_field,
     export_contours,
@@ -16,7 +18,7 @@ from streamfem.analysis import (
     write_csv,
 )
 from streamfem.argyris import EVAL_ORDERS, build_all_bases, interpolate_field
-from streamfem.assembly import assemble_biharmonic
+from streamfem.assembly import assemble_biharmonic, dof_arrays
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats, finalize_csr
@@ -121,16 +123,21 @@ def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, d
     points = st.one_of(st.tuples(coordinate, coordinate), _on_diagonal(n))
     pts = np.array(data.draw(st.lists(points, min_size=1, max_size=30)))
     bases = build_all_bases(mesh)
-    values, grads = evaluate_field(mesh, dm, coeffs, pts, bases=bases, gradient=True)
-    for p, t, value, grad in zip(pts, _locate(mesh, pts), values, grads):
+    values = evaluate_field(mesh, dm, coeffs, pts, bases=bases)
+    located = _locate(mesh, pts)
+    grads = bases.derivatives(bases.polynomials(coeffs[dof_arrays(mesh, dm)]), pts, located,
+                              EVAL_ORDERS[1:3])
+    for p, t, value, gx, gy in zip(pts, located, values, grads["dx"], grads["dy"]):
         basis = bases[t]
-        assert basis.contains(p)
+        # barycentric coordinates of p in its triangle: none below -1e-12
+        bary = np.linalg.solve(np.vstack([basis.coords.T, np.ones(3)]), [*p, 1.0])
+        assert bary.min() >= -1e-12
         local = coeffs[dm.triangle_dofs(mesh, t)]
         tables = basis.evaluate(p, EVAL_ORDERS[:3])
         tol = 1e-14 * np.abs(basis.coeffs.T @ local).max()
         assert abs(value - tables["value"][0] @ local) <= tol
         want = np.array([tables["dx"][0] @ local, tables["dy"][0] @ local])
-        assert np.abs(grad - want).max() <= tol / basis.diameter
+        assert np.abs(np.array([gx, gy]) - want).max() <= tol / basis.diameter
 
 
 def test_export_sparsity_identity(tmp_path):
@@ -172,10 +179,12 @@ def test_export_sparsity_ordering_comparison(tmp_path, mesh5):
 
 def test_contours_zero_field(tmp_path, mesh3, dofmap3):
     result = export_contours(
-        mesh3, dofmap3, np.zeros(dofmap3.total_dofs), tmp_path / "zero",
-        levels=[0.5, 0.9], grid_size=24,
+        mesh3, dofmap3, np.zeros(dofmap3.total_dofs), tmp_path / "zero", grid_size=24,
     )
-    assert all(len(lines) == 0 for lines in result["polylines"].values())
+    assert result["levels"] == [] and result["polylines"] == {}
+    xs = np.linspace(0.0, 1.0, 24)
+    for level in (0.5, 0.9):
+        assert _marching_squares(np.zeros((24, 24)), xs, xs, level) == []
 
 
 def _polyline_closed(line, tol=1e-9):
@@ -186,25 +195,32 @@ def test_contours_nested_closed_curves(tmp_path, exact_solution):
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
     coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+    result = export_contours(mesh, dm, coeffs, tmp_path / "exact", grid_size=64)
+    assert len(result["levels"]) == 8 and result["levels"] == sorted(result["levels"])
+    _assert_nested_closed_curves([result["polylines"][level] for level in result["levels"]])
+    # explicit levels of the exact maximum, on the grid the export sampled
     vmax = (1 / 16) ** 2
-    result = export_contours(
-        mesh, dm, coeffs, tmp_path / "exact",
-        levels=[0.5 * vmax, 0.9 * vmax], grid_size=64,
-    )
-    lo, hi = sorted(result["levels"])
-    lines_lo = result["polylines"][lo]
-    lines_hi = result["polylines"][hi]
-    assert len(lines_lo) == 1 and len(lines_hi) == 1
-    assert _polyline_closed(lines_lo[0]) and _polyline_closed(lines_hi[0])
-    # both enclose the center, and the higher level nests inside the lower
-    for line, level in ((lines_lo[0], lo), (lines_hi[0], hi)):
-        arr = np.array(line)
+    xs = np.linspace(0.0, 1.0, 64)
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    grid = evaluate_field(mesh, dm, coeffs, np.column_stack([gx.ravel(), gy.ravel()]))
+    grid = grid.reshape(64, 64)
+    _assert_nested_closed_curves([_chain_segments(_marching_squares(grid, xs, xs, level))
+                                  for level in (0.5 * vmax, 0.9 * vmax)])
+
+
+def _assert_nested_closed_curves(polylines_by_level):
+    """One closed curve per level, each around the center, each level's
+    curve strictly inside the one of the level below it."""
+    curves = []
+    for lines in polylines_by_level:
+        assert len(lines) == 1 and _polyline_closed(lines[0])
+        arr = np.array(lines[0])
         assert arr[:, 0].min() < 0.5 < arr[:, 0].max()
         assert arr[:, 1].min() < 0.5 < arr[:, 1].max()
-    outer = np.array(lines_lo[0])
-    inner = np.array(lines_hi[0])
-    assert inner[:, 0].min() > outer[:, 0].min() and inner[:, 0].max() < outer[:, 0].max()
-    assert inner[:, 1].min() > outer[:, 1].min() and inner[:, 1].max() < outer[:, 1].max()
+        curves.append(arr)
+    for outer, inner in zip(curves, curves[1:]):
+        assert inner[:, 0].min() > outer[:, 0].min() and inner[:, 0].max() < outer[:, 0].max()
+        assert inner[:, 1].min() > outer[:, 1].min() and inner[:, 1].max() < outer[:, 1].max()
 
 
 def test_contour_csv_matches_evaluate_field(tmp_path, mesh3, dofmap3, exact_solution):
@@ -296,7 +312,7 @@ def test_error_norms_insensitive_to_evaluation_rule(exact_solution):
               ("dxx", (2, 0)), ("dxy", (1, 1)), ("dyy", (0, 2)))
     sums = {"l2": 0.0, "h1_semi": 0.0, "h2_semi": 0.0}
     for t in range(mesh.num_triangles):
-        a, b, c = mesh.triangle_coords(t)
+        a, b, c = mesh.vertices[mesh.triangles[t]]
         ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
         local = coeffs[dm.triangle_dofs(mesh, t)]
         for child in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)):

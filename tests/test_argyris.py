@@ -6,11 +6,10 @@ from streamfem.argyris import (
     ElementConstructionError,
     build_all_bases,
     build_element_basis,
-    dump_duality_csv,
     edge_normal,
-    eval_shape,
     interpolate_field,
 )
+from streamfem.assembly import dof_arrays
 from streamfem.mesh import Mesh, build_uniform_mesh, enumerate_dofs
 
 DERIV_NAMES = ("value", "dx", "dy", "dxx", "dxy", "dyy")
@@ -52,12 +51,14 @@ def test_quintic_reproduction_symbolic(mesh3, dofmap3, bases3, rng):
     table = sympy_derivatives(x ** 5 - 3 * x ** 2 * y ** 3)
     coeffs = interpolate_field(mesh3, dofmap3, table)
     pts = rng.random((30, 2))
-    from streamfem.analysis import evaluate_field
+    from streamfem.analysis import _locate, evaluate_field
 
-    vals, grads = evaluate_field(mesh3, dofmap3, coeffs, pts, bases=bases3, gradient=True)
+    vals = evaluate_field(mesh3, dofmap3, coeffs, pts, bases=bases3)
+    poly = bases3.polynomials(coeffs[dof_arrays(mesh3, dofmap3)])
+    grads = bases3.derivatives(poly, pts, _locate(mesh3, pts), (("dx", (1, 0)), ("dy", (0, 1))))
     assert np.abs(vals - table["value"](pts[:, 0], pts[:, 1])).max() < 1e-8
-    assert np.abs(grads[:, 0] - table["dx"](pts[:, 0], pts[:, 1])).max() < 1e-8
-    assert np.abs(grads[:, 1] - table["dy"](pts[:, 0], pts[:, 1])).max() < 1e-8
+    assert np.abs(grads["dx"] - table["dx"](pts[:, 0], pts[:, 1])).max() < 1e-8
+    assert np.abs(grads["dy"] - table["dy"](pts[:, 0], pts[:, 1])).max() < 1e-8
 
 
 def test_p5_exactness_random_quintics(mesh3, dofmap3, rng):
@@ -87,23 +88,6 @@ def test_p5_exactness_random_quintics(mesh3, dofmap3, rng):
         exact = table["value"](sample[:, 0], sample[:, 1])
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(interp - exact).max() / scale < 1e-9
-
-
-def test_eval_shape_duality_records(mesh3):
-    basis = build_element_basis(mesh3, 0)
-    coords = basis.coords
-    records = eval_shape(basis, coords[0])
-    # value shape of vertex 0 is 1 at vertex 0, 0 at the others
-    assert records[0]["value"] == pytest.approx(1.0, abs=1e-9)
-    for other in (1, 2):
-        rec = eval_shape(basis, coords[other])[0]
-        assert rec["value"] == pytest.approx(0.0, abs=1e-9)
-    # normal-derivative shape of local edge 0 has unit normal slope there
-    f = basis.functionals[18]
-    rec = eval_shape(basis, f.anchor)[18]
-    assert float(rec["gradient"] @ f.normal) == pytest.approx(1.0, abs=1e-8)
-    # laplacian equals the Hessian trace by construction
-    assert rec["laplacian"] == pytest.approx(np.trace(rec["hessian"]), abs=0.0)
 
 
 def test_laplacian_matches_finite_differences(mesh3):
@@ -206,18 +190,3 @@ def test_edge_normal_convention(mesh3):
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-14)
         assert float(d[0] * n[1] - d[1] * n[0]) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_duality_dump(tmp_path, mesh3):
-    basis = build_element_basis(mesh3, 7)
-    path = tmp_path / "duality.csv"
-    dump_duality_csv(basis, path)
-    rows = open(path).read().splitlines()
-    assert len(rows) == 22
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    assert np.abs(data - np.eye(21)).max() < 1e-8
-
-
-def test_contains(mesh3):
-    basis = build_element_basis(mesh3, 0)
-    assert basis.contains(basis.centroid)
-    assert not basis.contains(basis.centroid + 10.0)

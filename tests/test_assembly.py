@@ -163,7 +163,7 @@ def test_exact_solution_values(exact_solution):
         (np.ones_like(t), t, (1, 0)),
     ):
         assert np.abs(exact_solution.exact(xs, ys)).max() == 0.0
-        gx, gy = exact_solution.exact_gradient(xs, ys)
+        gx, gy = exact_solution.exact_dx(xs, ys), exact_solution.exact_dy(xs, ys)
         assert np.abs(gx * normal[0] + gy * normal[1]).max() == 0.0
 
 

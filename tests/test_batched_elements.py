@@ -60,7 +60,7 @@ def ref_edge_normal(mesh, e):
 
 
 def ref_basis(mesh, t):
-    coords = mesh.triangle_coords(t)
+    coords = mesh.vertices[mesh.triangles[t]]
     edges = mesh.triangle_edges[t]
     normals = np.array([ref_edge_normal(mesh, e) for e in edges])
     midpoints = np.array([mesh.edge_midpoints[e] for e in edges])
@@ -168,7 +168,7 @@ def jittered_mesh(n, seed, amplitude):
     mesh = build_uniform_mesh(n)
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * np.pi, mesh.num_vertices)
-    radius = amplitude * mesh.h * rng.uniform(0.0, 1.0, mesh.num_vertices)
+    radius = amplitude / mesh.n * rng.uniform(0.0, 1.0, mesh.num_vertices)
     shift = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     shift[mesh.vertex_on_boundary] = 0.0
     vertices = mesh.vertices + shift

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamfem import cli, picard
-from streamfem.analysis import MIN_GRID_SIZE
+from streamfem.analysis import MIN_GRID_SIZE, pbm_bytes
 from streamfem.assembly import assemble_biharmonic
 from streamfem.cli import main
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
@@ -200,7 +200,7 @@ def test_convergence_table_marks_an_early_stop_failed(tmp_path, capsys, monkeypa
     assert run_cli(argv) == 1
     row = (tmp_path / "table_nse_nqp6.csv").read_text().splitlines()[1].split(",")
     assert row[3] == "failed: BiCGSTAB rho breakdown at outer iteration 1"
-    assert row[4:-1] == [""] * 7  # no errors or counts, only the wall time
+    assert row[4:] == [""] * 7  # no errors or counts
     assert capsys.readouterr().err == "error: no converged solve at h = 1/2\n"
 
 
@@ -234,9 +234,24 @@ def test_convergence_table_biharmonic(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "table_biharmonic_nqp4.csv").read_text().splitlines()
     assert len(rows) == 3
+    assert rows[0].split(",") == cli.BIHARMONIC_TABLE_HEADERS
     assert rows[0].split(",")[:5] == ["h", "nqp", "ordering", "status", "nco"]
-    assert rows[0].split(",")[-1] == "cpu_s"  # timing isolated in the last column
     assert all(r.split(",")[3] == "ok" for r in rows[1:])
+    # wall times go to timings.csv only, one step per mesh size
+    timings = list(csv.reader(open(tmp_path / "timings.csv")))
+    assert [row[0] for row in timings] == ["step", "n_2", "n_3"]
+    assert all(float(row[1]) >= 0.0 for row in timings[1:])
+
+
+@pytest.mark.parametrize("problem", ["biharmonic", "nse"])
+def test_convergence_table_bitwise_deterministic(tmp_path, problem):
+    args = ["convergence-table", "--problem", problem, "--mesh-sizes", "3,4"]
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(args + ["--out-dir", str(d1)]) == 0
+    assert run_cli(args + ["--out-dir", str(d2)]) == 0
+    t1 = _tree_bytes(d1, skip={"timings.csv"})
+    assert sorted(t1) == [f"table_{problem}_nqp6.{ext}" for ext in ("csv", "txt")]
+    assert t1 == _tree_bytes(d2, skip={"timings.csv"})
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -471,3 +486,45 @@ def test_size_bound_applies_to_config_file_values(tmp_path, capsys, no_mesh):
     cfg.write_text(f"n = {cli.MAX_N + 1}\n")
     assert run_cli(["solve-biharmonic", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"--n {cli.MAX_N + 1} is above the limit" in capsys.readouterr().err
+
+
+def test_pbm_size_formula_matches_the_written_files(tmp_path):
+    # the benchmark's n = 16 export: N = 2,086 free DOFs
+    assert pbm_bytes(enumerate_dofs(build_uniform_mesh(16), 1).num_free) == 4_353_495
+    for extra in ([], ["--minimal-bc"]):
+        assert run_cli(["export-sparsity", "--n", "3", *extra, "--out-dir", str(tmp_path)]) == 0
+        dimension = enumerate_dofs(build_uniform_mesh(3), 1, minimal_bc=bool(extra)).num_free
+        pbm = tmp_path / "sparsity_biharmonic_n3_ordering1.pbm"
+        assert pbm.stat().st_size == pbm_bytes(dimension)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--n", "62"], 1_138_016_505),
+    (["--n", "61", "--minimal-bc"], 1_081_193_057),
+    (["--n", "61", "--minimal-bc", "--with-convection"], 1_081_193_057),
+])
+def test_export_sparsity_above_the_disk_bound_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, argv, size):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a matrix was assembled")
+
+    monkeypatch.setattr(cli, "assemble_biharmonic", no_assembly)
+    monkeypatch.setattr(cli, "discretize", no_assembly)
+    out = tmp_path / "out"
+    assert run_cli(["export-sparsity", *argv, "--out-dir", str(out)]) == 2
+    assert f"the sparsity PBM would take {size:,} bytes, above the disk bound of 1024 MiB" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_sparsity_at_the_disk_bound_reaches_the_assembly(tmp_path, monkeypatch):
+    class _Assembled(Exception):
+        pass
+
+    def assembled(*args, **kwargs):
+        raise _Assembled
+
+    monkeypatch.setattr(cli, "assemble_biharmonic", assembled)
+    assert pbm_bytes(enumerate_dofs(build_uniform_mesh(61), 1).num_free) == 1_065_467_537
+    with pytest.raises(_Assembled):
+        run_cli(["export-sparsity", "--n", "61", "--out-dir", str(tmp_path)])

@@ -449,14 +449,6 @@ def test_bicgstab_matches_reference(system, tol, max_iter):
             event(branch)
 
 
-def test_pcg_callback_sees_the_reference_iterates():
-    (A, b), tol, max_iter = PCG_CASES["refresh convergence"]
-    seen, seen_ref = [], []
-    solvers.pcg(A, b, tol, max_iter, lambda k, x: seen.append((k, x.tobytes())))
-    ref_pcg(_CountedMatrix(A), b, tol, max_iter, lambda k, x: seen_ref.append((k, x.tobytes())))
-    assert seen == seen_ref and seen[-1][0] % 10 == 0
-
-
 @pytest.fixture(scope="module")
 def picard_systems():
     """The n = 5 viscous system A psi = l and the first Picard system

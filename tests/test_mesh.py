@@ -39,7 +39,8 @@ def test_geometry_invariants(n):
     mesh = build_uniform_mesh(n)
     assert np.all(mesh.vertices >= 0.0) and np.all(mesh.vertices <= 1.0)
     for t in range(mesh.num_triangles):
-        assert mesh.signed_area(t) > 0.0
+        u, v = mesh.vertices[mesh.triangles[t, 1:]] - mesh.vertices[mesh.triangles[t, 0]]
+        assert u[0] * v[1] - u[1] * v[0] > 0.0
     # interior edges in exactly 2 triangles, boundary edges in exactly 1
     counts = np.zeros(mesh.num_edges, dtype=int)
     for te in mesh.triangle_edges:

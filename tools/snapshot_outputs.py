@@ -3,8 +3,12 @@
     python tools/snapshot_outputs.py OUT_DIR
 
 Runs every argv of ``perfbench.workloads.Workload(name, 1).base`` for the
-four workloads, plus ``compare-orderings --n 5 --nqp 6`` (43 runs), through
-``streamfem.cli.main`` of this checkout. Each run writes into its own
+four workloads, plus the argvs of ``EXTRA`` (47 runs in all), through
+``streamfem.cli.main`` of this checkout. ``EXTRA`` reaches what the
+workloads do not: ``mesh-info --csv``, ``convergence-table``,
+``solve-biharmonic --load zero`` and the symmetric MatrixMarket encoding
+(the empty matrix of ``export-sparsity --n 1``); new argvs go at its end, so
+earlier runs keep their directory names. Each run writes into its own
 directory ``OUT_DIR/NN-<command>``, named by a relative path so the printed
 paths do not depend on where OUT_DIR lives; its stdout goes to
 ``stdout.txt`` and its exit code to ``exit_code.txt`` in that directory.
@@ -41,7 +45,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
 from streamfem.cli import main  # noqa: E402
 
-EXTRA = [["compare-orderings", "--n", "5", "--nqp", "6"]]
+EXTRA = [
+    ["compare-orderings", "--n", "5", "--nqp", "6"],
+    ["mesh-info", "--n", "3", "--csv"],
+    ["convergence-table", "--problem", "nse", "--mesh-sizes", "3,4"],
+    ["solve-biharmonic", "--n", "3", "--load", "zero"],
+    ["export-sparsity", "--n", "1"],
+]
 
 
 def argv_lists() -> list[list[str]]:
