@@ -232,7 +232,7 @@ def _scatter_plan(mesh, dofmap, reduced, plan) -> ScatterPlan:
     return plan
 
 
-def _check_reynolds(reynolds) -> None:
+def check_reynolds(reynolds) -> None:
     if not (np.isfinite(reynolds) and reynolds > 0):
         raise ValueError(f"Reynolds number must be positive and finite, got {reynolds}")
 
@@ -254,7 +254,7 @@ def viscous_element_matrices(
     bases. Both give the same matrices bit for bit. They depend on the
     mesh and the Reynolds number only, not on the DOF numbering.
     """
-    _check_reynolds(reynolds)
+    check_reynolds(reynolds)
     blocks = _laplacian_blocks(mesh, rule, bases, tables)
     local = np.empty((mesh.num_triangles, 21, 21))
     for blk, weights, lap in blocks:
@@ -304,7 +304,7 @@ def assemble_biharmonic(
     ``bases`` when not given; a caller that assembles under several
     orderings forms them once.
     """
-    _check_reynolds(reynolds)
+    check_reynolds(reynolds)
     plan = _scatter_plan(mesh, dofmap, reduced, plan)
     if element_matrices is None:
         element_matrices = viscous_element_matrices(mesh, rule, reynolds, bases, tables)
@@ -476,5 +476,5 @@ class ManufacturedSolution:
 
 def manufactured_rhs(reynolds: float = 1.0, flip_convention: bool = False) -> ManufacturedSolution:
     """Forcing and exact-solution evaluators for the unit-square test case."""
-    _check_reynolds(reynolds)
+    check_reynolds(reynolds)
     return ManufacturedSolution(reynolds=float(reynolds), flip_convention=flip_convention)

@@ -171,7 +171,6 @@ class DofMap:
     vertex_dofs: np.ndarray
     edge_dofs: np.ndarray
     constrained: np.ndarray
-    minimal_bc: bool = False
     free_of_global: np.ndarray = field(repr=False, default=None)
     globals_of_free: np.ndarray = field(repr=False, default=None)
 
@@ -244,7 +243,6 @@ def enumerate_dofs(
         vertex_dofs=vertex_dofs,
         edge_dofs=edge_dofs,
         constrained=constrained,
-        minimal_bc=minimal_bc,
         free_of_global=free_of_global,
         globals_of_free=globals_of_free,
     )

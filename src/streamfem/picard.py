@@ -37,6 +37,7 @@ from .assembly import (
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
+    check_reynolds,
     manufactured_rhs,
 )
 from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
@@ -68,8 +69,7 @@ class PicardConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ordering", OrderingScheme.from_int(self.ordering))
-        if not (np.isfinite(self.reynolds) and self.reynolds > 0):
-            raise ValueError(f"Reynolds number must be positive and finite, got {self.reynolds}")
+        check_reynolds(self.reynolds)
         for name in ("tol", "linear_tol"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
@@ -205,6 +205,19 @@ def _expand(dofmap, reduced: np.ndarray) -> np.ndarray:
     return full
 
 
+def _load(disc: Discretization, f) -> tuple[np.ndarray, float]:
+    """The load vector of the forcing f and its 2-norm, which must be finite:
+    entries above about 1e154 (a tiny Re) overflow the sum of squares, and
+    no solve could converge. The solvers report such a b as nonconverged."""
+    ell = assemble_load(disc.mesh, disc.dofmap, disc.q, f, tables=disc.tables)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(ell))
+    if not np.isfinite(norm):
+        raise ValueError(f"the load vector's 2-norm overflows at Reynolds number "
+                         f"{disc.config.reynolds}")
+    return ell, norm
+
+
 def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
     """Solve the biharmonic problem A psi = l with PCG.
 
@@ -223,7 +236,7 @@ def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
         f = lambda x, y: (np.zeros_like(x), np.zeros_like(y))
     else:
         raise ValueError(f"unknown load '{load}'")
-    ell = assemble_load(disc.mesh, disc.dofmap, disc.q, f, tables=disc.tables)
+    ell, _ = _load(disc, f)
     x, report = pcg(disc.A, ell, tol=disc.config.biharmonic_tol,
                     max_iter=disc.config.linear_max_iter)
     return _expand(disc.dofmap, x), report
@@ -237,8 +250,7 @@ def solve_linearized_nse(disc: Discretization):
     one before the breakdown otherwise.
     """
     dofmap, config, A = disc.dofmap, disc.config, disc.A
-    ell = assemble_load(disc.mesh, dofmap, disc.q, disc.ms.forcing, tables=disc.tables)
-    norm_ell = float(np.linalg.norm(ell))
+    ell, norm_ell = _load(disc, disc.ms.forcing)
     scale = norm_ell if norm_ell > 0 else 1.0
 
     trace = PicardTrace()

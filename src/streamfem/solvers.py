@@ -2,8 +2,7 @@
 
 The matrix wrapper holds one scipy CSR matrix (sorted, deduplicated,
 stored zeros kept) and reads its bandwidth statistics straight off the CSR
-arrays. The solvers tally every matvec, inner product and flop, so
-iteration and operation counts in the reports are exact.
+arrays.
 
 Both solvers carry a diagonal preconditioner of l1 type (row sums of
 absolute values) rather than the plain matrix diagonal: the plain diagonal
@@ -14,25 +13,39 @@ recurrence residual is the residual of the original system, and converging
 at the early check after the first of its two matvecs counts as half an
 iteration, which is how fractional iteration counts arise.
 
-Multiply-adds count as 2 flops in matvecs (2 nnz), inner products, norms
-and vector updates (2 n each); diagonal scaling counts n.
+Both solvers run on one frame, ``_Krylov``: it checks tol and b, holds
+x, r, ||b||, the work vector ``tmp``, the residual history and the exact
+work tallies, and owns what the loops share:
+
+- b = 0 returns x = 0 as converged, with no iteration and no matvec;
+- the stop rule of every full step: record ||r|| / ||b||; stop as diverged
+  when it is not finite or above 1e8; at or below tol, confirm it against
+  the true residual b - A x, or refresh r from that when it is above tol
+  (BiCGSTAB's early check confirms the same way but never refreshes);
+- the one ``SolveReport``, whose final residual is the true one at x.
+
+The frame counts each matvec (2 nnz flops, one matvec), inner product
+(2 n flops, one inner product), relative norm (2 n flops) and the n flops
+of the subtraction in b - A x. A solver adds only the flops of its own
+vector updates: 2 n per multiply-add, n per diagonal scaling.
 
 The iterates, residual histories and counts are reproducible to the last
 bit (the paper's iteration counts and the ordering study rest on them), and
 the loops allocate nothing per iteration. Four rules keep both true:
 
-- One kernel path. Every product with A, in the solvers and in
+- One kernel path. Every product with A, in the frame and in
   ``SparseMatrix.matvec``, is ``_csr_matvec``: scipy's ``csr_matvec``
   kernel, the one ``csr @ x`` runs, writing into a caller-owned buffer.
 - Operand order kept. Each vector update is split into in-place ufunc
   calls on work vectors allocated once per solve, in the order the plain
   expression evaluates: ``x += alpha*p_hat + omega*s_hat`` is two products
-  into two buffers, their sum, then the add into ``x``.
+  into two buffers, their sum, then the add into ``x``. ``dot(u, v)`` is
+  ``u.dot(v)``, operands in the order the solver passes them.
 - No fused multiply-add. Never BLAS ``axpy`` or anything else that may
   contract a multiply and an add: that rounds once where the update rounds
   twice.
 - A 2-norm is ``sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes
-  for a contiguous 1-D float64 vector.
+  for a contiguous 1-D float64 vector; the frame makes b contiguous.
 """
 
 from __future__ import annotations
@@ -52,25 +65,6 @@ def _csr_matvec(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarra
     out.fill(0.0)  # the kernel adds each row's sum into out
     csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data, x, out)
     return out
-
-
-def _residual(csr: sp.csr_matrix, b: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = b - csr @ x."""
-    return np.subtract(b, _csr_matvec(csr, x, out), out=out)
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(v.dot(v))
-
-
-def _rhs(A: "SparseMatrix", b) -> np.ndarray:
-    """b as a contiguous float64 vector of A's dimension (contiguous, so its
-    norm sums in the order ``np.linalg.norm`` does)."""
-    b = np.ascontiguousarray(b, dtype=float)
-    if b.shape != (A.dimension,):
-        raise ValueError(f"dimension mismatch: matrix is {A.dimension}x{A.dimension}, "
-                         f"right-hand side has shape {b.shape}")
-    return b
 
 
 @dataclass(frozen=True)
@@ -198,10 +192,10 @@ class SolveReport:
     final_residual: float
     flops: int
     converged: bool
+    residual_history: list
+    matvecs: int
+    inner_products: int
     breakdown: str | None = None
-    residual_history: list = field(default_factory=list)
-    matvecs: int = 0
-    inner_products: int = 0
 
     def as_text(self) -> str:
         lines = [
@@ -218,6 +212,93 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+class _Krylov:
+    """The frame of one PCG or BiCGSTAB solve of A x = b, from x = 0 and
+    r = b: every matvec, inner product and norm of the solve is taken and
+    counted here."""
+
+    __slots__ = ("csr", "n", "mv", "b", "tol", "x", "r", "tmp", "norm_b", "history",
+                 "converged", "flops", "matvecs", "inner_products")
+
+    def __init__(self, A: SparseMatrix, b, tol: float):
+        if tol <= 0:
+            raise ValueError("tolerance must be positive")
+        b = np.ascontiguousarray(b, dtype=float)  # so its norm sums as np.linalg.norm's does
+        if b.shape != (A.dimension,):
+            raise ValueError(f"dimension mismatch: matrix is {A.dimension}x{A.dimension}, "
+                             f"right-hand side has shape {b.shape}")
+        self.csr, self.n, self.mv, self.b, self.tol = A._csr, A.dimension, 2 * A.nnz, b, tol
+        self.x, self.r, self.tmp = np.zeros(self.n), b.copy(), np.empty(self.n)
+        self.norm_b = math.sqrt(b.dot(b))
+        self.history, self.converged = [], False
+        self.flops, self.matvecs, self.inner_products = 2 * self.n, 0, 0
+
+    def matvec(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = A v."""
+        self.flops += self.mv
+        self.matvecs += 1
+        return _csr_matvec(self.csr, v, out)
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        self.flops += 2 * self.n
+        self.inner_products += 1
+        return float(u.dot(v))
+
+    def rel(self, v: np.ndarray) -> float:
+        """||v|| / ||b||."""
+        self.flops += 2 * self.n
+        return math.sqrt(v.dot(v)) / self.norm_b
+
+    def residual(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = b - A x."""
+        self.flops += self.n
+        return np.subtract(self.b, self.matvec(x, out), out=out)
+
+    def true_rel(self, x: np.ndarray) -> float:
+        """||b - A x|| / ||b||, formed in ``tmp``."""
+        return self.rel(self.residual(x, self.tmp))
+
+    def end_step(self) -> bool:
+        """The stop rule of a full step, which has updated x and r.
+
+        Records ||r|| / ||b|| in the history and returns True when it is not
+        finite or above 1e8: the solve diverged and ends at once. At or
+        below tol the true residual confirms convergence, or else replaces r.
+        """
+        rel = self.rel(self.r)
+        self.history.append(rel)
+        if not math.isfinite(rel) or rel > 1e8:
+            return True
+        if rel <= self.tol:
+            if self.true_rel(self.x) <= self.tol:
+                self.converged = True
+            else:
+                self.residual(self.x, self.r)
+        return False
+
+    def solve(self, method: str, iterate) -> tuple[np.ndarray, SolveReport]:
+        """x and the report of the solve that ``iterate()`` runs.
+
+        b = 0 is solved by x = 0 without iterating. Otherwise the history
+        starts with ||b|| / ||b||, ``iterate`` returns (iterations, breakdown
+        or None), and the report's final residual is the true one at x.
+        """
+        if self.norm_b == 0.0:
+            self.history.append(0.0)
+            iterations, breakdown, final = 0, None, 0.0
+        else:
+            rel = self.rel(self.r)
+            self.history.append(rel)
+            self.converged = rel <= self.tol
+            iterations, breakdown = iterate()
+            final = self.true_rel(self.x)
+        return self.x, SolveReport(
+            method=method, iterations=iterations, final_residual=final, flops=self.flops,
+            converged=bool(final <= self.tol), residual_history=self.history,
+            matvecs=self.matvecs, inner_products=self.inner_products, breakdown=breakdown,
+        )
+
+
 def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000):
     """Diagonally preconditioned conjugate gradients for SPD systems.
 
@@ -230,86 +311,40 @@ def pcg(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 10000
     tests track (the residual 2-norm itself oscillates, as it does for any
     CG).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    b = _rhs(A, b)
-    n, csr, mv = A.dimension, A._csr, 2 * A.nnz
-
+    k = _Krylov(A, b, tol)
     if np.any(A.diagonal() <= 0):
         raise ValueError("PCG requires a positive diagonal (SPD matrix)")
     inv_diag = 1.0 / A.l1_diagonal()
 
-    x = np.zeros(n)
-    r = b.copy()
-    norm_b = _norm(b)
-    flops, matvecs, inner_products = 2 * n, 0, 0
-    history = []
-    if norm_b == 0.0:
-        return x, SolveReport(
-            method="pcg", iterations=0, final_residual=0.0, flops=flops,
-            converged=True, residual_history=[0.0],
-        )
-
-    z = inv_diag * r
-    p = z.copy()
-    Ap, tmp = np.empty(n), np.empty(n)
-    rz = float(r.dot(z))
-    rel = _norm(r) / norm_b
-    flops += 5 * n
-    inner_products += 1
-    history.append(rel)
-    iterations = 0
-    converged = rel <= tol
-
-    while not converged and iterations < max_iter:
-        _csr_matvec(csr, p, Ap)
-        alpha = rz / float(p.dot(Ap))
-        x += np.multiply(alpha, p, out=tmp)
-        flops += mv + 4 * n
-        matvecs += 1
-        inner_products += 1
-        iterations += 1
-        if iterations % 10 == 0:
-            _residual(csr, b, x, r)
-            flops += mv + n
-            matvecs += 1
-        else:
-            r -= np.multiply(alpha, Ap, out=tmp)
-            flops += 2 * n
-        rel = _norm(r) / norm_b
-        flops += 2 * n
-        history.append(rel)
-        if not math.isfinite(rel) or rel > 1e8:
-            break  # diverged; report nonconvergence below
-        if rel <= tol:
-            true_rel = _norm(_residual(csr, b, x, tmp)) / norm_b
-            flops += mv + 3 * n
-            matvecs += 1
-            if true_rel <= tol:
-                converged = True
+    def iterate():
+        n, x, r, tmp = k.n, k.x, k.r, k.tmp
+        z = inv_diag * r
+        p = z.copy()
+        Ap = np.empty(n)
+        rz = k.dot(r, z)
+        k.flops += n
+        iterations = 0
+        while not k.converged and iterations < max_iter:
+            alpha = rz / k.dot(p, k.matvec(p, Ap))
+            x += np.multiply(alpha, p, out=tmp)
+            k.flops += 2 * n
+            iterations += 1
+            if iterations % 10 == 0:
+                k.residual(x, r)
             else:
-                _residual(csr, b, x, r)
-                flops += mv + n
-                matvecs += 1
-        np.multiply(inv_diag, r, out=z)
-        rz_new = float(r.dot(z))
-        beta = rz_new / rz
-        rz = rz_new
-        np.add(z, np.multiply(beta, p, out=tmp), out=p)
-        flops += 5 * n
-        inner_products += 1
+                r -= np.multiply(alpha, Ap, out=tmp)
+                k.flops += 2 * n
+            if k.end_step():
+                break  # diverged
+            np.multiply(inv_diag, r, out=z)
+            rz_new = k.dot(r, z)
+            beta = rz_new / rz
+            rz = rz_new
+            np.add(z, np.multiply(beta, p, out=tmp), out=p)
+            k.flops += n + 2 * n
+        return iterations, None
 
-    final = _norm(_residual(csr, b, x, tmp)) / norm_b
-    return x, SolveReport(
-        method="pcg",
-        iterations=iterations,
-        final_residual=final,
-        flops=flops + mv + 3 * n,
-        converged=bool(final <= tol),
-        residual_history=history,
-        matvecs=matvecs + 1,
-        inner_products=inner_products,
-    )
+    return k.solve("pcg", iterate)
 
 
 BREAKDOWN_EPS = 1e-30
@@ -325,124 +360,66 @@ def bicgstab(A: SparseMatrix, b: np.ndarray, tol: float = 1e-5, max_iter: int = 
     relative residual exceeds 1e8 (or is not finite) ends the solve, which
     is then reported as not converged.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    b = _rhs(A, b)
-    n, csr, mv = A.dimension, A._csr, 2 * A.nnz
-
+    k = _Krylov(A, b, tol)
     diag = A.l1_diagonal()
     if np.any(diag == 0):
         raise ValueError("diagonal preconditioning requires nonempty rows")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n)
-    r = b.copy()
-    norm_b = _norm(b)
-    flops, matvecs, inner_products = 2 * n, 0, 0
-    history = []
-    if norm_b == 0.0:
-        return x, SolveReport(
-            method="bicgstab", iterations=0, final_residual=0.0, flops=flops,
-            converged=True, residual_history=[0.0],
-        )
-    r_hat = r.copy()
-    rel = _norm(r) / norm_b
-    flops += 2 * n
-    history.append(rel)
-
-    iterations = 0.0
-    converged = rel <= tol
-    breakdown = None
-    rho_old = alpha = omega = 1.0
-    p, p_hat, v, s, s_hat, t, tmp, tmp2 = (np.empty(n) for _ in range(8))
-
-    while not converged and breakdown is None and iterations < max_iter:
-        rho = float(r_hat.dot(r))
-        flops += 2 * n
-        inner_products += 1
-        if abs(rho) < BREAKDOWN_EPS * norm_b * norm_b:
-            breakdown = "rho breakdown"
-            break
-        if iterations == 0.0:
-            np.copyto(p, r)
-        else:
-            beta = (rho / rho_old) * (alpha / omega)
-            np.subtract(p, np.multiply(omega, v, out=tmp), out=tmp)
-            np.add(r, np.multiply(beta, tmp, out=tmp), out=p)
-            flops += 4 * n
-        np.multiply(inv_diag, p, out=p_hat)
-        _csr_matvec(csr, p_hat, v)
-        rhv = float(r_hat.dot(v))
-        flops += n + mv + 2 * n
-        matvecs += 1
-        inner_products += 1
-        if abs(rhv) < BREAKDOWN_EPS * norm_b * norm_b:
-            breakdown = "alpha breakdown"
-            break
-        alpha = rho / rhv
-        np.subtract(r, np.multiply(alpha, v, out=s), out=s)
-        rel = _norm(s) / norm_b
-        flops += 4 * n
-        if rel <= tol:
-            x_half = np.add(x, np.multiply(alpha, p_hat, out=tmp2), out=tmp2)
-            true_rel = _norm(_residual(csr, b, x_half, tmp)) / norm_b
-            flops += 2 * n + mv + 3 * n
-            matvecs += 1
-            if true_rel <= tol:
-                x = x_half
-                iterations += 0.5
-                history.append(rel)
-                converged = True
-                break
-            # provisional convergence rejected; continue the full step
-        np.multiply(inv_diag, s, out=s_hat)
-        _csr_matvec(csr, s_hat, t)
-        tt = float(t.dot(t))
-        flops += n + mv + 2 * n
-        matvecs += 1
-        inner_products += 1
-        if tt == 0.0:
-            breakdown = "omega breakdown"
-            break
-        omega = float(t.dot(s)) / tt
-        flops += 2 * n
-        inner_products += 1
-        if abs(omega) < BREAKDOWN_EPS:
-            breakdown = "omega breakdown"
-            break
-        np.add(np.multiply(alpha, p_hat, out=tmp), np.multiply(omega, s_hat, out=tmp2), out=tmp)
-        x += tmp
-        np.subtract(s, np.multiply(omega, t, out=r), out=r)
-        iterations += 1.0
-        rel = _norm(r) / norm_b
-        flops += 4 * n + 2 * n + 2 * n
-        history.append(rel)
-        if not math.isfinite(rel) or rel > 1e8:
-            break  # diverged; report nonconvergence below
-        if rel <= tol:
-            true_rel = _norm(_residual(csr, b, x, tmp)) / norm_b
-            flops += mv + 3 * n
-            matvecs += 1
-            if true_rel <= tol:
-                converged = True
+    def iterate():
+        n, x, r, tmp, eps = k.n, k.x, k.r, k.tmp, BREAKDOWN_EPS * k.norm_b * k.norm_b
+        r_hat = r.copy()
+        rho_old = alpha = omega = 1.0
+        p, p_hat, v, s, s_hat, t, tmp2 = (np.empty(n) for _ in range(7))
+        iterations = 0.0
+        while not k.converged and iterations < max_iter:
+            rho = k.dot(r_hat, r)
+            if abs(rho) < eps:
+                return iterations, "rho breakdown"
+            if iterations == 0.0:
+                np.copyto(p, r)
             else:
-                _residual(csr, b, x, r)
-                flops += mv + n
-                matvecs += 1
-        rho_old = rho
+                beta = (rho / rho_old) * (alpha / omega)
+                np.subtract(p, np.multiply(omega, v, out=tmp), out=tmp)
+                np.add(r, np.multiply(beta, tmp, out=tmp), out=p)
+                k.flops += 4 * n
+            np.multiply(inv_diag, p, out=p_hat)
+            rhv = k.dot(r_hat, k.matvec(p_hat, v))
+            k.flops += n
+            if abs(rhv) < eps:
+                return iterations, "alpha breakdown"
+            alpha = rho / rhv
+            np.subtract(r, np.multiply(alpha, v, out=s), out=s)
+            k.flops += 2 * n
+            rel = k.rel(s)
+            if rel <= tol:  # the early check: confirmed, never refreshed
+                x_half = np.add(x, np.multiply(alpha, p_hat, out=tmp2), out=tmp2)
+                k.flops += 2 * n
+                if k.true_rel(x_half) <= tol:
+                    k.x = x_half
+                    k.history.append(rel)
+                    return iterations + 0.5, None
+                # provisional convergence rejected; continue the full step
+            np.multiply(inv_diag, s, out=s_hat)
+            k.matvec(s_hat, t)
+            tt = k.dot(t, t)
+            k.flops += n
+            if tt == 0.0:
+                return iterations, "omega breakdown"
+            omega = k.dot(t, s) / tt
+            if abs(omega) < BREAKDOWN_EPS:
+                return iterations, "omega breakdown"
+            np.add(np.multiply(alpha, p_hat, out=tmp), np.multiply(omega, s_hat, out=tmp2), out=tmp)
+            x += tmp
+            np.subtract(s, np.multiply(omega, t, out=r), out=r)
+            k.flops += 4 * n + 2 * n
+            iterations += 1.0
+            if k.end_step():
+                break  # diverged
+            rho_old = rho
+        return iterations, None
 
-    final = _norm(_residual(csr, b, x, tmp)) / norm_b
-    return x, SolveReport(
-        method="bicgstab",
-        iterations=iterations,
-        final_residual=final,
-        flops=flops + mv + 3 * n,
-        converged=bool(final <= tol),
-        breakdown=breakdown,
-        residual_history=history,
-        matvecs=matvecs + 1,
-        inner_products=inner_products,
-    )
+    return k.solve("bicgstab", iterate)
 
 
 def _bitwise_symmetric(csr) -> bool:

@@ -302,7 +302,6 @@ def ref_enumerate_dofs(mesh: Mesh, scheme: OrderingScheme, minimal_bc: bool) -> 
         vertex_dofs=vertex_dofs,
         edge_dofs=edge_dofs,
         constrained=constrained,
-        minimal_bc=minimal_bc,
         free_of_global=free_of_global,
         globals_of_free=globals_of_free,
     )
