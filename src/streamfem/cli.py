@@ -158,6 +158,7 @@ def _check_sizes(args) -> None:
 
 
 def _ensure_out_dir(args) -> pathlib.Path:
+    """Make --out-dir just before the first write: a run that exits 2 makes none."""
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -205,7 +206,6 @@ def _solve(disc, problem: str, load: str = "full"):
 def cmd_solve(args) -> int:
     """solve-biharmonic or solve-nse, as ``args.problem`` selects; a failed
     solve writes the same files as a converged one."""
-    out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     t0 = time.perf_counter()
@@ -215,7 +215,7 @@ def cmd_solve(args) -> int:
     dofmap, ms = disc.dofmap, disc.ms
     del disc  # free its tables and A before the error pass builds its own tables
     errors = compute_errors(mesh, dofmap, coeffs, ms)
-
+    out = _ensure_out_dir(args)
     if args.problem == "nse":
         result.export_csv(out / "picard_trace.csv")
         summary = (
@@ -239,7 +239,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare_orderings(args) -> int:
-    out = _ensure_out_dir(args)
     mesh = build_uniform_mesh(args.n)
     headers = [
         "ordering", "bandwidth", "profile", "nnz",
@@ -275,6 +274,7 @@ def cmd_compare_orderings(args) -> int:
         ])
         timing_rows.append([f"ordering_{scheme}", elapsed])
     table = format_table(headers, rows)
+    out = _ensure_out_dir(args)
     (out / "ordering_study.txt").write_text(table)
     write_csv(out / "ordering_study.csv", headers, rows)
     _write_timings(out, timing_rows)
@@ -292,19 +292,19 @@ def cmd_export_sparsity(args) -> int:
     if size > MEMORY_BUDGET:
         raise ValueError(f"--n {args.n}: the sparsity PBM would take {size:,} bytes, above "
                          f"the disk bound of {MEMORY_BUDGET // 2**20} MiB")
-    out = _ensure_out_dir(args)
     if args.with_convection:
         disc = discretize(mesh, config)
         coeffs, _, failure = _solve(disc, "biharmonic")
         if failure:
             return _fail(failure)
         matrix = disc.operator(coeffs)
-        stem = out / f"sparsity_nse_n{args.n}_ordering{args.ordering}"
+        name = f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
         # only A is needed: no n.q.p. tables, which would add to this op's peak memory
         matrix = assemble_biharmonic(mesh, dofmap, quad_rule(config.n_quad_points),
                                      config.reynolds)
-        stem = out / f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
+        name = f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
+    stem = _ensure_out_dir(args) / name
     result = export_sparsity(matrix, stem)
     write_matrix_market(matrix, f"{stem}.mtx")
     print(
@@ -315,7 +315,6 @@ def cmd_export_sparsity(args) -> int:
 
 
 def cmd_export_contours(args) -> int:
-    out = _ensure_out_dir(args)
     config = _config_from_args(args)
     mesh = build_uniform_mesh(args.n)
     bases = build_all_bases(mesh)  # kept for the field evaluation after the solve
@@ -323,7 +322,7 @@ def cmd_export_contours(args) -> int:
     coeffs, _, failure = _solve(disc, args.problem)
     if failure:
         return _fail(failure)
-    stem = out / f"contours_{args.problem}_n{args.n}"
+    stem = _ensure_out_dir(args) / f"contours_{args.problem}_n{args.n}"
     result = export_contours(mesh, disc.dofmap, coeffs, stem, grid_size=args.grid_size,
                              bases=bases)
     print(f"wrote {result['svg']} and {result['csv']} ({len(result['levels'])} levels)")
@@ -377,10 +376,10 @@ def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
 
 
 def cmd_convergence_table(args) -> int:
-    out = _ensure_out_dir(args)
     configs = [(build_uniform_mesh(n), _config_from_args(args)) for n in _mesh_sizes(args)]
     result = run_tables(configs, problem=args.problem, load=args.load)
     name = f"table_{args.problem}_nqp{args.nqp}"
+    out = _ensure_out_dir(args)
     (out / f"{name}.txt").write_text(result["text"])
     write_csv(out / f"{name}.csv", result["headers"], result["rows"])
     _write_timings(out, result["timings"])

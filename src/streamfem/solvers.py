@@ -33,9 +33,11 @@ The iterates, residual histories and counts are reproducible to the last
 bit (the paper's iteration counts and the ordering study rest on them), and
 the loops allocate nothing per iteration. Four rules keep both true:
 
-- One kernel path. Every product with A, in the frame and in
-  ``SparseMatrix.matvec``, is ``_csr_matvec``: scipy's ``csr_matvec``
-  kernel, the one ``csr @ x`` runs, writing into a caller-owned buffer.
+- One kernel path. Every product with A sums each row with scipy's
+  ``csr_matvec``, the kernel ``csr @ x`` runs, in storage order, into a
+  caller-owned buffer. A solve whose A holds ``SPLIT_NNZ`` entries or more,
+  in a process that may run on two CPUs, cuts the rows in two, one part per
+  thread (``_RowSplit``); every other product is ``_csr_matvec``.
 - Operand order kept. Each vector update is split into in-place ufunc
   calls on work vectors allocated once per solve, in the order the plain
   expression evaluates: ``x += alpha*p_hat + omega*s_hat`` is two products
@@ -51,6 +53,8 @@ the loops allocate nothing per iteration. Four rules keep both true:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -65,6 +69,62 @@ def _csr_matvec(csr: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarra
     out.fill(0.0)  # the kernel adds each row's sum into out
     csr_matvec(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data, x, out)
     return out
+
+
+# Stored entries from which a solve splits its products over two threads:
+# n >= 28. Timed per Krylov iteration on 2 vCPUs, the split won 8 to 16 of
+# 12 to 16 blocks at n = 28 (290,944 entries) and 32 (385,000), was mixed at
+# n = 24 (210,040) and lost at n = 16 (87,688).
+SPLIT_NNZ = 2**18
+
+
+class _RowSplit:
+    """out = A v, bitwise ``_csr_matvec``'s, with the rows cut once at half the
+    stored entries: a worker thread runs ``csr_matvec`` on the first rows
+    while the caller runs it on the rest (the kernel releases the GIL). The
+    two hand off through a pair of locks; ``close`` ends the worker."""
+
+    def __init__(self, csr: sp.csr_matrix):
+        (n, cols), ptr = csr.shape, csr.indptr
+        self.m = m = int(np.searchsorted(ptr, csr.nnz // 2))
+        self.job = self.error = None
+        self.head = (m, cols, ptr[:m + 1], csr.indices, csr.data)
+        self.tail = (n - m, cols, ptr[m:], csr.indices, csr.data)
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.worker = threading.Thread(target=self._work, daemon=True)
+        self.worker.start()
+
+    def _work(self) -> None:
+        while True:
+            self.go.acquire()
+            if self.job is None:
+                return
+            v, out = self.job
+            try:
+                out[:self.m] = 0.0  # each side zeroes only its own rows
+                csr_matvec(*self.head, v, out[:self.m])
+            except BaseException as exc:  # handed to the caller, which raises it
+                self.error = exc
+            self.done.release()
+
+    def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.job = v, out
+        self.go.release()
+        try:
+            out[self.m:] = 0.0
+            csr_matvec(*self.tail, v, out[self.m:])
+        finally:
+            self.done.acquire()
+        if self.error is not None:
+            raise self.error
+        return out
+
+    def close(self) -> None:
+        self.job = None
+        self.go.release()
+        self.worker.join()
 
 
 @dataclass(frozen=True)
@@ -217,7 +277,7 @@ class _Krylov:
     r = b: every matvec, inner product and norm of the solve is taken and
     counted here."""
 
-    __slots__ = ("csr", "n", "mv", "b", "tol", "x", "r", "tmp", "norm_b", "history",
+    __slots__ = ("csr", "split", "n", "mv", "b", "tol", "x", "r", "tmp", "norm_b", "history",
                  "converged", "flops", "matvecs", "inner_products")
 
     def __init__(self, A: SparseMatrix, b, tol: float):
@@ -228,6 +288,7 @@ class _Krylov:
             raise ValueError(f"dimension mismatch: matrix is {A.dimension}x{A.dimension}, "
                              f"right-hand side has shape {b.shape}")
         self.csr, self.n, self.mv, self.b, self.tol = A._csr, A.dimension, 2 * A.nnz, b, tol
+        self.split = None  # a _RowSplit while solve() runs, for a large A
         self.x, self.r, self.tmp = np.zeros(self.n), b.copy(), np.empty(self.n)
         self.norm_b = math.sqrt(b.dot(b))
         self.history, self.converged = [], False
@@ -237,7 +298,7 @@ class _Krylov:
         """out = A v."""
         self.flops += self.mv
         self.matvecs += 1
-        return _csr_matvec(self.csr, v, out)
+        return _csr_matvec(self.csr, v, out) if self.split is None else self.split(v, out)
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> float:
         self.flops += 2 * self.n
@@ -287,11 +348,19 @@ class _Krylov:
             self.history.append(0.0)
             iterations, breakdown, final = 0, None, 0.0
         else:
-            rel = self.rel(self.r)
-            self.history.append(rel)
-            self.converged = rel <= self.tol
-            iterations, breakdown = iterate()
-            final = self.true_rel(self.x)
+            if self.csr.nnz >= SPLIT_NNZ and hasattr(os, "sched_getaffinity") \
+                    and len(os.sched_getaffinity(0)) >= 2:
+                self.split = _RowSplit(self.csr)
+            try:
+                rel = self.rel(self.r)
+                self.history.append(rel)
+                self.converged = rel <= self.tol
+                iterations, breakdown = iterate()
+                final = self.true_rel(self.x)
+            finally:
+                if self.split is not None:
+                    self.split.close()
+                    self.split = None
         return self.x, SolveReport(
             method=method, iterations=iterations, final_residual=final, flops=self.flops,
             converged=bool(final <= self.tol), residual_history=self.history,

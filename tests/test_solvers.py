@@ -1,8 +1,14 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse._sparsetools import csr_matvec
 
+from streamfem import solvers
 from streamfem.argyris import build_all_bases
 from streamfem.assembly import (
     ElementTables,
@@ -15,6 +21,9 @@ from streamfem.assembly import (
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import (
+    SPLIT_NNZ,
+    _csr_matvec,
+    _RowSplit,
     bandwidth_stats,
     bicgstab,
     finalize_csr,
@@ -385,3 +394,178 @@ def test_solve_report_text(biharmonic_system):
 def test_matvec_integer_entries():
     A = from_coo(2, [0, 0, 1], [0, 1, 1], [2, 1, 3])
     assert np.array_equal(A.matvec(np.array([0.5, 0.25])), np.array([1.25, 0.75]))
+
+
+@st.composite
+def _split_cases(draw):
+    """A square CSR matrix of 1 to 12 rows, stored zeros of both signs kept,
+    with empty rows or with every entry in one row, and a vector of any
+    floats, -0.0, infinities and NaN among them."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):  # every entry in one row
+        rows = [[]] * n
+        rows[draw(st.integers(0, n - 1))] = sorted(draw(st.sets(st.integers(0, n - 1))))
+    else:
+        rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=6))) for _ in range(n)]
+    indptr = np.cumsum([0, *map(len, rows)]).astype(np.int32)
+    indices = np.array([c for row in rows for c in row], dtype=np.int32)
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    data = np.array(draw(st.lists(values, min_size=len(indices), max_size=len(indices))))
+    vector = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+    v = np.array(draw(st.lists(vector, min_size=n, max_size=n)))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_the_row_split_product_is_bitwise_the_serial_one(case):
+    csr, v = case
+    expected = _csr_matvec(csr, v, np.empty(csr.shape[0])).tobytes()
+    split = _RowSplit(csr)
+    try:
+        for _ in range(2):  # two handoffs, each into a buffer holding stale values
+            assert split(v, np.full(csr.shape[0], 1.5)).tobytes() == expected
+    finally:
+        split.close()
+    assert not split.worker.is_alive()
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """Let solves see two CPUs on any host; the list records every split."""
+    started = []
+
+    class Recorded(solvers._RowSplit):
+        def __init__(self, csr):
+            super().__init__(csr)
+            started.append(self)
+
+    monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(solvers, "_RowSplit", Recorded)
+    return started
+
+
+@pytest.fixture
+def split_everything(splits, monkeypatch):
+    """Split the products of every solve with b != 0, however small its A."""
+    monkeypatch.setattr(solvers, "SPLIT_NNZ", 0)
+    return splits
+
+
+def _serially(solve):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "SPLIT_NNZ", math.inf)
+        return solve()
+
+
+def _same_solve(got, expected):
+    (x, report), (y, other) = got, expected
+    assert x.tobytes() == y.tobytes() and report == other
+
+
+def _bounded(run, timeout=60.0):
+    """run() on a daemon thread, joined with a timeout: its result, or its error raised."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, run()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the call hung"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _dense(rows, b):
+    return finalize_csr(sp.csr_matrix(np.array(rows, float))), np.array(b, float)
+
+
+_EXITS = {  # each exit a split solve can take, with the number of workers it starts
+    "converged": (lambda A, b: pcg(A, b, tol=1e-6), 1),
+    "max_iter": (lambda A, b: bicgstab(A, b, tol=1e-13, max_iter=2), 1),
+    "b = 0": (lambda A, b: pcg(A, np.zeros_like(b)), 0),
+    "alpha breakdown": (lambda A, b: bicgstab(*_dense([[1, -2], [-1, 0]], [0, -2])), 1),
+    "omega breakdown": (lambda A, b: bicgstab(*_dense([[0, 2], [-1, -2]], [0, -2])), 1),
+    "rho breakdown": (lambda A, b: bicgstab(
+        *_dense([[0, -2, -1], [0, -1, -2], [0, 2, 1]], [-2, 1, -1]), tol=1e-8), 1),
+    "diverged": (lambda A, b: bicgstab(
+        *_dense([[2, -2, -1], [-3, 3, 3], [-3, 3, 2]], [2, -1, 2]), tol=1e-8), 1),
+}
+
+
+@pytest.mark.parametrize("exit", list(_EXITS))
+def test_a_split_solve_ends_its_worker_on_every_exit(biharmonic_system, split_everything, exit):
+    solve, workers = _EXITS[exit]
+    expected = _serially(lambda: solve(*biharmonic_system))
+    threads = threading.active_count()
+    got = solve(*biharmonic_system)
+    assert threading.active_count() == threads
+    assert len(split_everything) == workers
+    assert not any(split.worker.is_alive() for split in split_everything)
+    _same_solve(got, expected)
+    if "breakdown" in exit:
+        assert got[1].breakdown == exit
+    elif exit == "diverged":
+        assert got[1].residual_history[-1] > 1e8
+
+
+def test_pcg_rejects_a_non_positive_diagonal_before_any_worker_starts(split_everything):
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="positive diagonal"):
+        pcg(from_coo(2, [0, 1], [0, 1], [1.0, -1.0]), np.ones(2))
+    assert threading.active_count() == threads and split_everything == []
+
+
+def test_an_error_in_the_worker_reaches_the_caller(biharmonic_system, split_everything,
+                                                   monkeypatch):
+    def kernel(*args):
+        if any(threading.current_thread() is split.worker for split in split_everything):
+            raise MemoryError("in the worker")
+        return csr_matvec(*args)
+
+    monkeypatch.setattr(solvers, "csr_matvec", kernel)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="in the worker"):
+        _bounded(lambda: pcg(*biharmonic_system))
+    assert threading.active_count() == threads
+    assert len(split_everything) == 1 and not split_everything[0].worker.is_alive()
+
+
+def test_split_solves_on_three_threads_at_once_are_bitwise_serial(biharmonic_system,
+                                                                   split_everything):
+    A, b = biharmonic_system
+    solves = (lambda: pcg(A, b, tol=1e-8), lambda: bicgstab(A, b, tol=1e-8))
+    expected = [_serially(solve) for solve in solves]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [[] for _ in range(3)]
+        threads = [threading.Thread(daemon=True, target=lambda out=out: out.extend(
+            solve() for _ in range(3) for solve in solves)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for out in results:
+        assert len(out) == 6
+        for got, want in zip(out, expected * 3):
+            _same_solve(got, want)
+    assert len(split_everything) == 18
+
+
+def test_the_gate_splits_from_split_nnz_entries_on_two_cpus(splits, monkeypatch):
+    for entries, cpus, started in ((SPLIT_NNZ - 1, 2, 0), (SPLIT_NNZ, 2, 1), (SPLIT_NNZ, 1, 0)):
+        monkeypatch.setattr(solvers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        splits.clear()
+        x, report = pcg(identity(entries), np.ones(entries))
+        assert report.converged and len(splits) == started
