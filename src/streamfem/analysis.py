@@ -4,11 +4,11 @@ Error norms are always integrated with the degree-10 verification rule so
 that reported errors measure the discretization, not the assembly
 quadrature. The H2 seminorm uses the multi-index convention
 (e_xx^2 + e_xy^2 + e_yy^2). Sparsity patterns are written as bit-exact PBM
-plus an annotated SVG with one rect per run of stored columns; both are
-streamed by blocks of ``ROW_BLOCK`` matrix rows, so no N x N grid is held
-in memory. Stream-function contours come from marching squares, one
-vectorized pass over all cells of a uniform sampling grid, and are written
-as SVG plus a full-precision CSV of the grid.
+plus an annotated SVG with one path per block of ``ROW_BLOCK`` matrix rows
+and one closed subpath per run of stored columns; both are streamed by
+those blocks, so no N x N grid is held in memory. Stream-function contours
+come from marching squares, one vectorized pass over all cells of a uniform
+sampling grid, and are written as SVG plus a full-precision CSV of the grid.
 """
 
 from __future__ import annotations
@@ -157,17 +157,19 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
 
     The PBM has one pixel per matrix entry (1 = stored, an exact zero too)
     and is byte for byte what the per-entry reference writer in the tests
-    writes. The SVG has one ``<rect>`` per run of consecutive stored
-    columns in a row, ``run length x cell`` wide, and a bandwidth
-    annotation: the rects cover exactly the stored entries, so the picture
-    is the one a rect per entry draws, in a fifth to a half of the bytes
-    on an assembled matrix, by ordering. Both files are written one block
-    of ROW_BLOCK rows at a time. A block's runs start at its row starts
-    and wherever a column is not its predecessor's plus one; each rect
-    line joins a column's ``<rect x=".." y="`` head, the row's y and the
-    run's width text, all from tables formatted once, at most WRITE_CHUNK
-    runs per write. The width table is no longer than the longest row, so
-    memory grows with the dimension, not with nnz.
+    writes. The SVG draws each block of ROW_BLOCK rows that stores entries
+    as one black ``<path>``, whose closed subpaths
+    ``M{x} {y}h{w}v{cell}h-{w}z`` are the block's runs of consecutive
+    stored columns, one cell high and ``run length x cell`` wide, and adds a
+    bandwidth annotation: the runs never overlap and cover exactly the
+    stored entries, so the picture is the one a rect per entry draws, in a
+    sixteenth to a seventh of the bytes on an assembled matrix, by ordering.
+    Both files are written one block of ROW_BLOCK rows at a time. A block's
+    runs start at its row starts and wherever a column is not its
+    predecessor's plus one; each subpath joins a column's ``M{x} `` head,
+    the row's y and the run's width text, all from tables formatted once, at
+    most WRITE_CHUNK runs per write. The width table is no longer than the
+    longest row, so memory grows with the dimension, not with nnz.
     Returns the written paths and the bandwidth statistics.
     """
     stats = bandwidth_stats(A)
@@ -199,12 +201,14 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             f'viewBox="0 0 {size} {size + margin}">\n'
         )
         f.write(f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n')
-        heads = [f'<rect x="{c * cell}" y="' for c in range(n)]
-        widths = [f'{w * cell}" height="{cell}" fill="black"/>\n'
+        heads = [f"M{c * cell} " for c in range(n)]
+        widths = [f"{w * cell}v{cell}h-{w * cell}z"
                   for w in range(int(np.diff(indptr).max(initial=0)) + 1)]
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
             block = cols[indptr[r0]:indptr[r1]]
+            if not len(block):
+                continue  # a block without entries writes no path
             row_starts = indptr[r0:r1 + 1] - indptr[r0]
             # a run starts at every row start and at every break in the columns
             brk = np.ones(len(block) + 1, dtype=bool)
@@ -215,7 +219,8 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
             starts = starts[:-1]
             # an empty row shares its start with the next row: take the last
             rows = np.searchsorted(row_starts, starts, side="right") - 1
-            ys = [f'{r * cell}" width="' for r in range(r0, r1)]
+            ys = [f"{r * cell}h" for r in range(r0, r1)]
+            f.write('<path fill="black" d="')
             for lo in range(0, len(starts), WRITE_CHUNK):
                 hi = lo + WRITE_CHUNK
                 f.write("".join(chain.from_iterable(zip(
@@ -223,6 +228,7 @@ def export_sparsity(A: SparseMatrix, path_stem) -> dict:
                     map(ys.__getitem__, rows[lo:hi].tolist()),
                     map(widths.__getitem__, runs[lo:hi].tolist()),
                 ))))
+            f.write('"/>\n')
         f.write(
             f'<text x="4" y="{size + margin - 8}" font-size="14" font-family="monospace">'
             f'n={n} nnz={stats["nnz"]} bandwidth={stats["bandwidth"]} '

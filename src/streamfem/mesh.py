@@ -270,40 +270,26 @@ def free_permutation(dm_from: DofMap, dm_to: DofMap) -> np.ndarray:
 def export_mesh_csv(mesh: Mesh, dofmap: DofMap, directory) -> list[str]:
     """Write vertices.csv, edges.csv and triangles.csv under ``directory``.
 
-    Returns the written file paths. Coordinates at full precision; intended
-    for debugging and plotting, not re-import.
+    Returns the written file paths. Coordinates at full precision (``repr``);
+    intended for debugging and plotting, not re-import. Each file is one
+    ``"".join`` of its rows, each row formatted from ``tolist()`` columns.
     """
     os.makedirs(directory, exist_ok=True)
+    files = (
+        ("vertices.csv", "vertex,x,y,on_boundary," + ",".join(f"dof_{s}" for s in VERTEX_SLOTS),
+         "{},{!r},{!r},{}" + ",{}" * len(VERTEX_SLOTS),
+         [*mesh.vertices.T, mesh.vertex_on_boundary.astype(int), *dofmap.vertex_dofs.T]),
+        ("edges.csv", "edge,v_lo,v_hi,mid_x,mid_y,on_boundary,dof_normal",
+         "{},{},{},{!r},{!r},{},{}",
+         [*mesh.edges.T, *mesh.edge_midpoints.T, mesh.edge_on_boundary.astype(int),
+          dofmap.edge_dofs]),
+        ("triangles.csv", "triangle,v0,v1,v2,e01,e12,e20", "{},{},{},{},{},{},{}",
+         [*mesh.triangles.T, *mesh.triangle_edges.T]),
+    )
     paths = []
-
-    path = os.path.join(directory, "vertices.csv")
-    with open(path, "w") as f:
-        f.write("vertex,x,y,on_boundary," + ",".join(f"dof_{s}" for s in VERTEX_SLOTS) + "\n")
-        for v in range(mesh.num_vertices):
-            x, y = (float(c) for c in mesh.vertices[v])
-            dofs = ",".join(str(d) for d in dofmap.vertex_dofs[v])
-            f.write(f"{v},{x!r},{y!r},{int(mesh.vertex_on_boundary[v])},{dofs}\n")
-    paths.append(path)
-
-    path = os.path.join(directory, "edges.csv")
-    with open(path, "w") as f:
-        f.write("edge,v_lo,v_hi,mid_x,mid_y,on_boundary,dof_normal\n")
-        for e in range(mesh.num_edges):
-            a, b = mesh.edges[e]
-            mx, my = (float(c) for c in mesh.edge_midpoints[e])
-            f.write(
-                f"{e},{a},{b},{mx!r},{my!r},"
-                f"{int(mesh.edge_on_boundary[e])},{dofmap.edge_dofs[e]}\n"
-            )
-    paths.append(path)
-
-    path = os.path.join(directory, "triangles.csv")
-    with open(path, "w") as f:
-        f.write("triangle,v0,v1,v2,e01,e12,e20\n")
-        for t in range(mesh.num_triangles):
-            v = mesh.triangles[t]
-            e = mesh.triangle_edges[t]
-            f.write(f"{t},{v[0]},{v[1]},{v[2]},{e[0]},{e[1]},{e[2]}\n")
-    paths.append(path)
-
+    for name, header, row, columns in files:
+        paths.append(os.path.join(directory, name))
+        lines = map(f"{row}\n".format, range(len(columns[0])), *(c.tolist() for c in columns))
+        with open(paths[-1], "w") as f:
+            f.write(header + "\n" + "".join(lines))
     return paths

@@ -8,10 +8,14 @@ segments chained with one rounded key computed per endpoint lookup. The
 row-block and table-driven writers must reproduce their bytes exactly, for
 every float including -0.0, NaN and inf, and the vectorized marching
 squares and the chaining their segment lists and polylines bit for bit.
-The one exception is the sparsity SVG, which draws one ``<rect>`` per run
-of consecutive stored columns: its rects must cover exactly the cells the
-reference's cover, one rect per maximal run and none overlapping, and its
-other lines must be the reference's bytes.
+The one exception is the sparsity SVG, which draws each block of rows as
+one ``<path>`` whose closed subpaths are the block's runs of consecutive
+stored columns. The decoder reads both the reference's ``<rect>`` lines
+and those paths, each subpath one cell high, on the grid and closed back by
+its own width. The runs must cover exactly the cells the reference's rects
+cover, one subpath per maximal run and none overlapping; the other lines
+must be the reference's bytes, and the file must stay within a byte bound
+per run that a rect per run (about 52 bytes) exceeds.
 The ``ref_*`` writers are never edited to follow the package.
 """
 
@@ -257,26 +261,35 @@ def assert_same_files(tmp_path, write, ref_write, A, suffixes):
 
 
 RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="black"/>')
+PATH = re.compile(r'<path fill="black" d="((?:M\d+ \d+h\d+v\d+h-\d+z)+)"/>')
+SUBPATH = re.compile(r"M(\d+) (\d+)h(\d+)v(\d+)h-(\d+)z")
 
 
 def decode_svg(path):
-    """(frame lines, the cells each black rect covers, one list per rect).
+    """(frame lines, the cells each black rect or path subpath covers, one
+    list per rect or subpath).
 
     The frame is the header, the white frame and the annotation: every line
-    that is not a black rect. Rects must be one cell high and lie on the grid.
+    that is neither a black rect nor a black path. Rects and subpaths must be
+    one cell high and lie on the grid, and a subpath must close back by its
+    own width.
     """
     lines = path.read_text().splitlines()
     cell = max(1, 600 // int(re.search(r"n=(\d+) ", lines[-2]).group(1)))
-    frame, rects = [], []
+    frame, runs = [], []
     for line in lines:
-        m = RECT.fullmatch(line)
-        if m is None:
+        if m := RECT.fullmatch(line):
+            boxes = [m.groups()]
+        elif m := PATH.fullmatch(line):
+            boxes = [(x, y, w, h) for x, y, w, h, back in SUBPATH.findall(m.group(1))
+                     if back == w or pytest.fail(f"subpath not closed: {line}")]
+        else:
             frame.append(line)
             continue
-        x, y, w, h = map(int, m.groups())
-        assert h == cell and x % cell == y % cell == w % cell == 0 and w > 0, line
-        rects.append([(y // cell, x // cell + k) for k in range(w // cell)])
-    return frame, rects
+        for x, y, w, h in (map(int, box) for box in boxes):
+            assert h == cell and x % cell == y % cell == w % cell == 0 and w > 0, line
+            runs.append([(y // cell, x // cell + k) for k in range(w // cell)])
+    return frame, runs
 
 
 def stored_cells(A):
@@ -294,17 +307,27 @@ def maximal_runs(A):
 
 
 def assert_svg_covers_pattern(path, A, ref_path=None):
-    """The SVG's rects cover exactly A's stored cells, one rect per maximal
-    run and no two overlapping; with ``ref_path`` its other lines are the
-    reference SVG's bytes."""
-    frame, rects = decode_svg(path)
-    covered = [cell for rect in rects for cell in rect]
-    assert len(covered) == len(set(covered)), "overlapping rects"
+    """The SVG's runs cover exactly A's stored cells, one rect or subpath
+    per maximal run and no two overlapping; with ``ref_path`` its other lines
+    are the reference SVG's bytes."""
+    frame, runs = decode_svg(path)
+    covered = [cell for run in runs for cell in run]
+    assert len(covered) == len(set(covered)), "overlapping runs"
     assert set(covered) == stored_cells(A)
-    assert len(rects) == maximal_runs(A)
+    assert len(runs) == maximal_runs(A)
     if ref_path is not None:
         assert frame == decode_svg(ref_path)[0]
         assert path.read_bytes().endswith(frame[-2].encode() + b"\n</svg>\n")
+
+
+def assert_svg_within_byte_bound(path, A):
+    """At most the frame's bytes, 24 bytes per maximal run (the widest
+    subpath, at N <= 40, is 22) and 32 per row block that stores entries (a
+    path's opening and closing text is 26): a rect per run takes about 52."""
+    frame, _ = decode_svg(path)
+    blocks = np.count_nonzero(np.diff(A.indptr[::ROW_BLOCK].tolist() + [A.nnz]))
+    bound = sum(len(line) + 1 for line in frame) + 24 * maximal_runs(A) + 32 * blocks
+    assert path.stat().st_size <= bound
 
 
 def sparsity_files_equal(tmp_path, A):
@@ -358,8 +381,9 @@ def test_sparsity_assembled_matrix(tmp_path, mesh5):
     for ordering in (1, 2, 3):
         A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, ordering), rule(6))
         sparsity_files_equal(tmp_path, A)
-        _, rects = decode_svg(tmp_path / "new.svg")
-        assert len(rects) < A.nnz  # every ordering stores some runs of adjacent columns
+        assert_svg_within_byte_bound(tmp_path / "new.svg", A)
+        _, runs = decode_svg(tmp_path / "new.svg")
+        assert len(runs) < A.nnz  # every ordering stores some runs of adjacent columns
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,7 +396,9 @@ def test_sparsity_svg_runs_cover_random_patterns(tmp_path_factory, n, data):
         st.tuples(st.integers(0, n - 1), st.integers(0, n)).map(lambda a: set(range(a[0], a[1]))),
     ), min_size=n, max_size=n))
     A = stored_matrix(n, {(r, c): 1.0 for r, row in enumerate(rows) for c in row})
-    sparsity_files_equal(tmp_path_factory.mktemp("runs"), A)
+    tmp_path = tmp_path_factory.mktemp("runs")
+    sparsity_files_equal(tmp_path, A)
+    assert_svg_within_byte_bound(tmp_path / "new.svg", A)
 
 
 def test_sparsity_svg_of_the_convection_operator(tmp_path):
@@ -432,12 +458,14 @@ def test_sparsity_memory_does_not_grow_with_nnz(tmp_path, assembled):
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B (nnz {assembled.nnz})"
 
 
-def test_matrix_market_memory_grows_with_nnz_only_by_its_sort(tmp_path, assembled):
+def test_matrix_market_memory_grows_with_nnz_only_by_its_csc(tmp_path, assembled):
     n = assembled.dimension
     peak = traced_peak(lambda: write_matrix_market(assembled, tmp_path / "a.mtx"))
-    # the column-major sort holds a row index (4 B) and a sort index (8 B) per
-    # entry, plus lexsort's scratch; the index text table holds N strings
-    bound = 16 * assembled.nnz + 128 * n + 2**17
+    # converting the entry numbers to CSC holds three int32 arrays at once:
+    # the numbers, and the CSC's row index and entry order (12 B an entry,
+    # within 10 B plus the N term at an assembled A's ~42 entries a row); the
+    # index text table holds N strings. A sort index (8 B) more fails it.
+    bound = 10 * assembled.nnz + 128 * n + 2**17
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B (nnz {assembled.nnz})"
 
 
@@ -475,6 +503,30 @@ def test_matrix_market_prints_integer_and_float32_entries_as_python_does(tmp_pat
         csr = sp.csr_matrix((np.asarray(data), [1, 0], [0, 1, 2]), shape=(2, 2))
         write_matrix_market(SparseMatrix(csr), tmp_path / "m.mtx")
         assert (tmp_path / "m.mtx").read_text().splitlines()[2:] == want
+
+
+def tridiagonal(n, last=1.0):
+    """Symmetric but for entry (n - 1, n - 2), which is ``last``: 3 n - 2
+    entries, so n = 600 puts it past the first WRITE_CHUNK."""
+    entries = {(r, c): 1.0 + min(r, c) for r in range(n) for c in range(r - 1, r + 2) if 0 <= c < n}
+    entries[(n - 1, n - 2)] = last
+    return n, entries
+
+
+@pytest.mark.parametrize("case, kind", [
+    ((3, {(0, 1): 1.0, (1, 0): 1.0, (2, 2): 3.0}), "symmetric"),
+    ((3, {(0, 1): 1.0, (1, 0): 2.0, (2, 2): 3.0}), "general"),
+    ((2, {(0, 1): 0.0, (1, 0): -0.0}), "symmetric"),  # equal as numbers
+    ((2, {(0, 1): NANS[0], (1, 0): NANS[0]}), "general"),  # NaN equals nothing
+    # every row and every column holds one entry, but not the transposed one
+    ((3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0}), "general"),
+    (tridiagonal(600, last=599.0), "symmetric"),
+    (tridiagonal(600), "general"),
+], ids=["equal", "values differ", "signed zeros", "nan", "cycle", "long", "long, last differs"])
+def test_matrix_market_symmetric_encoding_needs_a_bitwise_equal_transpose(tmp_path, case, kind):
+    mtx_files_equal(tmp_path, stored_matrix(*case, is_symmetric=True))
+    with open(tmp_path / "new.mtx") as f:
+        assert f.readline().split()[4] == kind
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from streamfem.mesh import (
     SLOT_INDEX,
+    VERTEX_SLOTS,
     DofMap,
     Mesh,
     OrderingScheme,
@@ -152,6 +154,45 @@ def test_triangle_dofs_layout(mesh3, dofmap3):
     assert list(dofs[6:12]) == list(dofmap3.vertex_dofs[v1])
     assert list(dofs[12:18]) == list(dofmap3.vertex_dofs[v2])
     assert list(dofs[18:]) == [dofmap3.edge_dofs[e] for e in mesh3.triangle_edges[0]]
+
+
+def ref_export_mesh_csv(mesh, dofmap, directory):
+    """The per-entity writer: one f-string per vertex, edge and triangle."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "vertices.csv"), "w") as f:
+        f.write("vertex,x,y,on_boundary," + ",".join(f"dof_{s}" for s in VERTEX_SLOTS) + "\n")
+        for v in range(mesh.num_vertices):
+            x, y = (float(c) for c in mesh.vertices[v])
+            dofs = ",".join(str(d) for d in dofmap.vertex_dofs[v])
+            f.write(f"{v},{x!r},{y!r},{int(mesh.vertex_on_boundary[v])},{dofs}\n")
+    with open(os.path.join(directory, "edges.csv"), "w") as f:
+        f.write("edge,v_lo,v_hi,mid_x,mid_y,on_boundary,dof_normal\n")
+        for e in range(mesh.num_edges):
+            a, b = mesh.edges[e]
+            mx, my = (float(c) for c in mesh.edge_midpoints[e])
+            f.write(
+                f"{e},{a},{b},{mx!r},{my!r},"
+                f"{int(mesh.edge_on_boundary[e])},{dofmap.edge_dofs[e]}\n"
+            )
+    with open(os.path.join(directory, "triangles.csv"), "w") as f:
+        f.write("triangle,v0,v1,v2,e01,e12,e20\n")
+        for t in range(mesh.num_triangles):
+            v = mesh.triangles[t]
+            e = mesh.triangle_edges[t]
+            f.write(f"{t},{v[0]},{v[1]},{v[2]},{e[0]},{e[1]},{e[2]}\n")
+
+
+@pytest.mark.parametrize("minimal_bc", [False, True])
+@pytest.mark.parametrize("ordering", [1, 2, 3])
+def test_csv_export_matches_per_entity_reference(tmp_path, ordering, minimal_bc):
+    for n in range(1, 13):
+        mesh = build_uniform_mesh(n)
+        dofmap = enumerate_dofs(mesh, ordering, minimal_bc=minimal_bc)
+        paths = export_mesh_csv(mesh, dofmap, tmp_path / f"new{n}")
+        ref_export_mesh_csv(mesh, dofmap, tmp_path / f"ref{n}")
+        for path in paths:
+            name = os.path.basename(path)
+            assert open(path, "rb").read() == (tmp_path / f"ref{n}" / name).read_bytes(), name
 
 
 def test_csv_export(tmp_path, mesh3, dofmap3):

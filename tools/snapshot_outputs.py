@@ -21,9 +21,10 @@ Snapshot two checkouts and compare them with
 outputs bitwise identical prints nothing. The script also writes
 ``OUT_DIR/SHA256SUMS``: the SHA-256 of every output but ``timings.csv``, in
 sorted relative-path order, in the format of ``sha256sum``, and prints that
-file's own SHA-256 last, followed by the total bytes of the files it lists,
-so a change in output volume shows without a benchmark run. Equal outputs
-give equal digests, and
+file's own SHA-256 last, followed by the total bytes of the files it lists
+and then those bytes per file suffix, so a change in output volume, and the
+kind of file it is in, shows without a benchmark run. Equal outputs give
+equal digests, and
 
     cd OUT_DIR && sha256sum -c SHA256SUMS
 
@@ -75,9 +76,10 @@ def snapshot(out_dir: Path) -> int:
     return failed
 
 
-def write_digests(out_dir: Path) -> tuple[str, int]:
+def write_digests(out_dir: Path) -> tuple[str, dict[str, int]]:
     """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file and the
-    total bytes of the files it lists."""
+    bytes of the files it lists per suffix (``""`` for none), in suffix
+    order."""
     paths = sorted(
         path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*")
         if path.is_file() and path.name != "timings.csv" and path != out_dir / "SHA256SUMS"
@@ -86,8 +88,18 @@ def write_digests(out_dir: Path) -> tuple[str, int]:
         f"{hashlib.sha256((out_dir / path).read_bytes()).hexdigest()}  {path}\n" for path in paths
     )
     (out_dir / "SHA256SUMS").write_text(sums)
-    total = sum((out_dir / path).stat().st_size for path in paths)
-    return hashlib.sha256(sums.encode()).hexdigest(), total
+    sizes = {}
+    for path in paths:
+        suffix = Path(path).suffix
+        sizes[suffix] = sizes.get(suffix, 0) + (out_dir / path).stat().st_size
+    return hashlib.sha256(sums.encode()).hexdigest(), dict(sorted(sizes.items()))
+
+
+def summary(digest: str, sizes: dict[str, int]) -> str:
+    """The digest line with the total bytes, then one line per suffix."""
+    lines = [f"SHA256SUMS: {digest}  {sum(sizes.values())} bytes"]
+    lines += [f"  {suffix or '(none)'}: {size} bytes" for suffix, size in sizes.items()]
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":
@@ -95,6 +107,5 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     out_dir = Path(sys.argv[1]).resolve()
     failed = snapshot(out_dir)
-    digest, total = write_digests(out_dir)
-    print(f"SHA256SUMS: {digest}  {total} bytes")
+    print(summary(*write_digests(out_dir)))
     sys.exit(1 if failed else 0)
