@@ -281,8 +281,9 @@ def decode_svg(path):
         if m := RECT.fullmatch(line):
             boxes = [m.groups()]
         elif m := PATH.fullmatch(line):
-            boxes = [(x, y, w, h) for x, y, w, h, back in SUBPATH.findall(m.group(1))
-                     if back == w or pytest.fail(f"subpath not closed: {line}")]
+            subpaths = SUBPATH.findall(m.group(1))
+            assert all(back == w for _, _, w, _, back in subpaths), f"not closed: {line}"
+            boxes = [subpath[:4] for subpath in subpaths]
         else:
             frame.append(line)
             continue
@@ -325,7 +326,7 @@ def assert_svg_within_byte_bound(path, A):
     subpath, at N <= 40, is 22) and 32 per row block that stores entries (a
     path's opening and closing text is 26): a rect per run takes about 52."""
     frame, _ = decode_svg(path)
-    blocks = np.count_nonzero(np.diff(A.indptr[::ROW_BLOCK].tolist() + [A.nnz]))
+    blocks = len({r // ROW_BLOCK for r, _ in stored_cells(A)})
     bound = sum(len(line) + 1 for line in frame) + 24 * maximal_runs(A) + 32 * blocks
     assert path.stat().st_size <= bound
 
