@@ -119,18 +119,17 @@ def evaluate_field(
     dofmap: DofMap,
     coefficients: np.ndarray,
     points,
-    bases: ElementBases | None = None,
+    bases: ElementBases,
 ) -> np.ndarray:
     """Evaluate the Argyris field at given points.
 
     Points must lie in the closed unit square; points outside it or not
     finite are rejected. Each point is located in its triangle and the
-    field read from that triangle's monomial coefficients
-    (:meth:`ElementBases.derivatives`), ``POINT_CHUNK`` points at a time.
+    field read from that triangle's monomial coefficients in ``bases``, the
+    element bases of ``mesh`` (:meth:`ElementBases.derivatives`),
+    ``POINT_CHUNK`` points at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if bases is None:
-        bases = build_all_bases(mesh)
     poly = bases.polynomials(np.asarray(coefficients, dtype=float)[dof_arrays(mesh, dofmap)])
     values = np.empty(len(pts))
     for lo in range(0, len(pts), POINT_CHUNK):
@@ -332,8 +331,8 @@ def export_contours(
     dofmap: DofMap,
     coefficients: np.ndarray,
     path_stem,
+    bases: ElementBases,
     grid_size: int = 64,
-    bases: ElementBases | None = None,
 ) -> dict:
     """Sample the field on a uniform grid and write contour SVG + grid CSV.
 
@@ -351,7 +350,7 @@ def export_contours(
     ys = np.linspace(0.0, 1.0, grid_size)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    vals = evaluate_field(mesh, dofmap, coefficients, pts, bases=bases)
+    vals = evaluate_field(mesh, dofmap, coefficients, pts, bases)
     grid = vals.reshape(grid_size, grid_size)
 
     vmax = float(grid.max())

@@ -38,6 +38,14 @@ the plan's structural pattern and shares its read-only ``indptr`` and
 ``indices``: nnz, bandwidth and profile are properties of the mesh and
 the ordering, never of roundoff.
 
+A caller builds the plan and the tables once and hands them to every
+assembly, which reads what it covers off them: the mesh, the DOF map and
+the reduction (the free DOFs, or all of them under ``reduced=False``) off
+the plan, and the mesh and n.q.p. rule off the :class:`ElementTables`,
+which are evaluated from the element bases the caller passes in. The
+convection form checks that its tables and plan share one mesh. The load
+vector, which needs no plan, takes the tables and the DOF map.
+
 The linearized operator A + B(xi) of a fixed-point step is one such pass:
 B's slots are summed and A's data is added slot by slot, A's entry first.
 No CSR matrix of B exists. A caller that passes the (T, 21, 21) element
@@ -96,9 +104,7 @@ class ElementTables:
     keep no reference to the element bases they were evaluated from.
     """
 
-    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases | None = None):
-        if bases is None:
-            bases = build_all_bases(mesh)
+    def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases):
         self.mesh = mesh
         self.rule = rule
         nt, nq = mesh.num_triangles, rule.n_points
@@ -140,7 +146,6 @@ class ScatterPlan:
 
     mesh: Mesh
     dofmap: DofMap
-    reduced: bool
     indptr: np.ndarray
     indices: np.ndarray
     first: np.ndarray
@@ -163,42 +168,41 @@ class ScatterPlan:
         keep = ((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)).ravel()
         rows = np.repeat(dofs, 21, axis=1).ravel()[keep]
         cols = np.tile(dofs, (1, 21)).ravel()[keep]
-        # scipy's conversion carries the entry numbers as float64 data, the
-        # type of the values, so its sort runs the code it runs on them
-        numbers = np.flatnonzero(keep).astype(float)
+        # scipy's conversion carries the entry numbers as its data; both of
+        # its sorts permute by the row and column indices alone, so int32
+        # numbers come out in the order float64 values would
+        numbers = np.arange(len(keep), dtype=np.int32)[keep]
         del keep
         indptr = np.empty(n + 1, dtype=np.int32)
         indices = np.empty(len(rows), dtype=np.int32)
-        entries = np.empty(len(rows))
+        entries = np.empty(len(rows), dtype=np.int32)
         coo_tocsr(n, n, len(rows), rows, cols, numbers, indptr, indices, entries)
         del rows, cols, numbers
         if not csr_has_sorted_indices(n, indptr, indices):  # what csr.sort_indices() does
             csr_sort_indices(n, indptr, indices, entries)
-        entries = entries.astype(np.int32)
         # a slot starts at every row start and at every change of column
         head = np.ones(len(indices) + 1, dtype=bool)
         np.not_equal(indices[1:], indices[:-1], out=head[1:-1])
         head[indptr] = True
-        starts = np.flatnonzero(head)  # then len(indices), closing the last slot
+        starts = np.flatnonzero(head).astype(np.int32)  # then len(indices), closing the last slot
         del head
         runs = np.diff(starts)
         ranks = []
         for r in range(1, runs.max(initial=1)):
-            slots = np.flatnonzero(runs > r)
-            ranks.append((_read_only(slots.astype(np.int32)),
-                          _read_only(entries[starts[slots] + r])))
+            slots = np.flatnonzero(runs > r).astype(np.int32)
+            at = starts[slots]
+            at += r
+            ranks.append((_read_only(slots), _read_only(entries[at])))
         return cls(
             mesh=mesh,
             dofmap=dofmap,
-            reduced=reduced,
             indptr=_read_only(np.searchsorted(starts, indptr).astype(np.int32)),
             indices=_read_only(indices[starts[:-1]]),
             first=_read_only(entries[starts[:-1]]),
             ranks=tuple(ranks),
         )
 
-    def assemble(self, local: np.ndarray, is_symmetric: bool = False,
-                 plus: SparseMatrix | None = None) -> SparseMatrix:
+    def assemble(self, local: np.ndarray, plus: SparseMatrix | None = None) -> SparseMatrix:
         """Sum (T, 21, 21) element matrices into the global CSR matrix, plus
         ``plus``, a matrix this plan assembled, in the same pass (see the
         module docstring); ``local`` passed straight in is freed once summed."""
@@ -220,16 +224,7 @@ class ScatterPlan:
         csr = sp.csr_matrix((data, self.indices, self.indptr),
                             shape=(self.dimension, self.dimension))
         csr.has_canonical_format = True
-        return SparseMatrix(csr, is_symmetric=is_symmetric)
-
-
-def _scatter_plan(mesh, dofmap, reduced, plan) -> ScatterPlan:
-    """``plan``, checked against the assembly's arguments, or a new one."""
-    if plan is None:
-        return ScatterPlan.build(mesh, dofmap, reduced)
-    if plan.mesh is not mesh or plan.dofmap is not dofmap or plan.reduced != reduced:
-        raise ValueError("the scatter plan was built for another mesh, DOF map or reduction")
-    return plan
+        return SparseMatrix(csr)
 
 
 def check_reynolds(reynolds) -> None:
@@ -284,31 +279,25 @@ def _laplacian(tab):
 
 
 def assemble_biharmonic(
-    mesh: Mesh,
-    dofmap: DofMap,
+    plan: ScatterPlan,
     rule: QuadratureRule,
     reynolds: float = 1.0,
     bases: ElementBases | None = None,
-    reduced: bool = True,
-    plan: ScatterPlan | None = None,
     element_matrices: np.ndarray | None = None,
     tables: ElementTables | None = None,
 ) -> SparseMatrix:
-    """Assemble the viscous form Re^-1 (lap psi, lap phi).
+    """Assemble the viscous form Re^-1 (lap psi, lap phi) on ``plan``'s
+    mesh, DOF map and reduction.
 
-    ``reduced=False`` keeps the constrained DOFs (for quadratic-form
-    evaluations with inhomogeneous data). ``plan`` is the scatter plan of
-    ``dofmap`` and ``reduced``, built here when not given.
     ``element_matrices`` are :func:`viscous_element_matrices` of the same
     mesh, rule and Reynolds number, formed here from ``tables`` or
     ``bases`` when not given; a caller that assembles under several
     orderings forms them once.
     """
     check_reynolds(reynolds)
-    plan = _scatter_plan(mesh, dofmap, reduced, plan)
     if element_matrices is None:
-        element_matrices = viscous_element_matrices(mesh, rule, reynolds, bases, tables)
-    return plan.assemble(element_matrices, is_symmetric=True)
+        element_matrices = viscous_element_matrices(plan.mesh, rule, reynolds, bases, tables)
+    return plan.assemble(element_matrices)
 
 
 def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> np.ndarray:
@@ -329,50 +318,40 @@ def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> n
 
 
 def assemble_convection(
-    mesh: Mesh,
-    dofmap: DofMap,
-    rule: QuadratureRule,
+    plan: ScatterPlan,
+    tables: ElementTables,
     xi: np.ndarray,
-    tables: ElementTables | None = None,
     flip_convention: bool = False,
-    reduced: bool = True,
-    plan: ScatterPlan | None = None,
     plus: SparseMatrix | None = None,
 ) -> SparseMatrix:
-    """Assemble the linearized convection form with frozen field xi.
+    """Assemble the linearized convection form with frozen field xi on
+    ``plan``, from ``tables`` of the n.q.p. rule over the plan's mesh.
 
     xi is a full-DOF coefficient vector (constrained entries zero). The
     result is antisymmetric; ``flip_convention`` negates it (the opposite
-    velocity sign convention). ``plan`` is as in :func:`assemble_biharmonic`.
-    ``plus``, a matrix assembled on the same plan such as the viscous A,
-    is summed in the same pass, each slot ``plus``'s entry plus B's.
+    velocity sign convention). ``plus``, a matrix assembled on the same
+    plan such as the viscous A, is summed in the same pass, each slot
+    ``plus``'s entry plus B's.
     """
+    if tables.mesh is not plan.mesh:
+        raise ValueError("element tables and scatter plan must be over the same mesh")
+    mesh, dofmap = plan.mesh, plan.dofmap
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dofmap.total_dofs,):
         raise ValueError(
             f"xi must have full DOF length {dofmap.total_dofs}, got shape {xi.shape}"
         )
-    plan = _scatter_plan(mesh, dofmap, reduced, plan)
-    if tables is None:
-        tables = ElementTables(mesh, rule)
     # handed straight to the plan, which frees the stack once it is summed
     return plan.assemble(_convection_element_matrices(mesh, dofmap, xi, tables, flip_convention),
                          plus=plus)
 
 
-def assemble_load(
-    mesh: Mesh,
-    dofmap: DofMap,
-    rule: QuadratureRule,
-    f: Callable,
-    tables: ElementTables | None = None,
-) -> np.ndarray:
-    """Assemble l[i] = int f . (dphi_i/dy, -dphi_i/dx) over free DOFs.
+def assemble_load(tables: ElementTables, dofmap: DofMap, f: Callable) -> np.ndarray:
+    """Assemble l[i] = int f . (dphi_i/dy, -dphi_i/dx) over the free DOFs of
+    ``dofmap``, at the points of ``tables``.
 
     ``f(x, y)`` takes coordinate arrays and returns (f1, f2) arrays.
     """
-    if tables is None:
-        tables = ElementTables(mesh, rule)
     x = tables.points[:, :, 0]
     y = tables.points[:, :, 1]
     f1, f2 = f(x, y)
@@ -381,7 +360,7 @@ def assemble_load(
     local = np.einsum("tq,tqi->ti", tables.weights * f1, tables.dy)
     local -= np.einsum("tq,tqi->ti", tables.weights * f2, tables.dx)
     vec = np.zeros(dofmap.num_free)
-    r = dofmap.free_of_global[dof_arrays(mesh, dofmap).ravel()]
+    r = dofmap.free_of_global[dof_arrays(tables.mesh, dofmap).ravel()]
     keep = r >= 0
     np.add.at(vec, r[keep], local.ravel()[keep])
     return vec

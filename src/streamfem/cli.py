@@ -31,7 +31,7 @@ from .analysis import (
     write_csv,
 )
 from .argyris import build_all_bases
-from .assembly import ElementTables, assemble_biharmonic, viscous_element_matrices
+from .assembly import ElementTables, ScatterPlan, assemble_biharmonic, viscous_element_matrices
 from .mesh import build_uniform_mesh, enumerate_dofs, export_mesh_csv
 from .picard import PicardConfig, discretize, solve_biharmonic_problem, solve_linearized_nse
 from .quadrature import SUPPORTED_POINT_COUNTS, rule as quad_rule
@@ -44,9 +44,9 @@ PICARD_FAILED = "fixed-point iteration did not converge"
 # the README). For a mesh of n x n cells the bound is 58,800 n^2 bytes, the
 # size of the seven (2 n^2, 25, 21) float64 tables the error pass held
 # before it was streamed; kept as a conservative cap. The largest step is
-# now the scatter plan build, 28 bytes per element-matrix entry with a free
-# row and column, at most 24,700 n^2 bytes. It runs before the bases, tables
-# and matrices exist: 22.8 MiB traced at n = 32, alone. The convection step,
+# now the scatter plan build, 20 bytes per element-matrix entry with a free
+# row and column, at most 17,640 n^2 bytes. It runs before the bases, tables
+# and matrices exist: 16.0 MiB traced at n = 32, alone. The convection step,
 # one element stack beside A, the plan and the tables, peaks at 26.7 MiB in
 # all, and BiCGSTAB at 22.5 MiB: every matrix shares the plan's indices.
 # For a G x G contour grid it is the field sampling, which peaked at 61-86
@@ -300,9 +300,11 @@ def cmd_export_sparsity(args) -> int:
         matrix = disc.operator(coeffs)
         name = f"sparsity_nse_n{args.n}_ordering{args.ordering}"
     else:
-        # only A is needed: no n.q.p. tables, which would add to this op's peak memory
-        matrix = assemble_biharmonic(mesh, dofmap, quad_rule(config.n_quad_points),
-                                     config.reynolds)
+        # only A is needed: no n.q.p. tables, which would add to this op's peak
+        # memory. The plan is built first, so its build peak comes before the
+        # bases exist: peak RSS moves with the order of allocation
+        plan = ScatterPlan.build(mesh, dofmap)
+        matrix = assemble_biharmonic(plan, quad_rule(config.n_quad_points), config.reynolds)
         name = f"sparsity_biharmonic_n{args.n}_ordering{args.ordering}"
     stem = _ensure_out_dir(args) / name
     result = export_sparsity(matrix, stem)
@@ -323,8 +325,7 @@ def cmd_export_contours(args) -> int:
     if failure:
         return _fail(failure)
     stem = _ensure_out_dir(args) / f"contours_{args.problem}_n{args.n}"
-    result = export_contours(mesh, disc.dofmap, coeffs, stem, grid_size=args.grid_size,
-                             bases=bases)
+    result = export_contours(mesh, disc.dofmap, coeffs, stem, bases, grid_size=args.grid_size)
     print(f"wrote {result['svg']} and {result['csv']} ({len(result['levels'])} levels)")
     return 0
 

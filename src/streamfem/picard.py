@@ -158,10 +158,8 @@ class Discretization:
     def operator(self, psi: np.ndarray) -> SparseMatrix:
         """A + B(psi), the linearized operator frozen at the full-DOF field psi,
         summed in one scatter-plan pass on the plan's structural pattern."""
-        return assemble_convection(
-            self.mesh, self.dofmap, self.q, psi, tables=self.tables,
-            flip_convention=self.config.flip_convention, plan=self.plan, plus=self.A,
-        )
+        return assemble_convection(self.plan, self.tables, psi,
+                                   flip_convention=self.config.flip_convention, plus=self.A)
 
 
 def discretize(mesh: Mesh, config: PicardConfig,
@@ -192,8 +190,8 @@ def discretize(mesh: Mesh, config: PicardConfig,
     if tables is None and viscous is None and q.exact_degree >= VISCOUS_EXACT_DEGREE:
         tables = ElementTables(mesh, q, bases)
         bases = None  # A reads the tables' Laplacians: bases built here are freed
-    A = assemble_biharmonic(mesh, dofmap, q, config.reynolds, bases=bases, plan=plan,
-                            element_matrices=viscous, tables=tables)
+    A = assemble_biharmonic(plan, q, config.reynolds, bases=bases, element_matrices=viscous,
+                            tables=tables)
     if tables is None:
         tables = ElementTables(mesh, q, bases)
     return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)
@@ -209,7 +207,7 @@ def _load(disc: Discretization, f) -> tuple[np.ndarray, float]:
     """The load vector of the forcing f and its 2-norm, which must be finite:
     entries above about 1e154 (a tiny Re) overflow the sum of squares, and
     no solve could converge. The solvers report such a b as nonconverged."""
-    ell = assemble_load(disc.mesh, disc.dofmap, disc.q, f, tables=disc.tables)
+    ell = assemble_load(disc.tables, disc.dofmap, f)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(ell))
     if not np.isfinite(norm):

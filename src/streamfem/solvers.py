@@ -129,7 +129,7 @@ class _RowSplit:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Square CSR matrix with bandwidth statistics and a symmetry flag.
+    """Square CSR matrix with bandwidth statistics.
 
     The one copy of the entries is the wrapped scipy CSR matrix (sorted,
     deduplicated, stored zeros kept); ``indptr``, ``indices`` and ``data``
@@ -142,7 +142,6 @@ class SparseMatrix:
     """
 
     _csr: sp.csr_matrix = field(repr=False)
-    is_symmetric: bool = False
 
     @property
     def dimension(self) -> int:
@@ -219,10 +218,10 @@ class SparseMatrix:
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch in matrix sum")
-        return finalize_csr(self._csr + other._csr, is_symmetric=False)
+        return finalize_csr(self._csr + other._csr)
 
 
-def finalize_csr(matrix, is_symmetric: bool = False) -> SparseMatrix:
+def finalize_csr(matrix) -> SparseMatrix:
     """Wrap a scipy sparse matrix: dedupe and sort; stored zeros stay."""
     csr = sp.csr_matrix(matrix)
     csr.sum_duplicates()
@@ -230,12 +229,12 @@ def finalize_csr(matrix, is_symmetric: bool = False) -> SparseMatrix:
     n, m = csr.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {n}x{m}")
-    return SparseMatrix(csr, is_symmetric=is_symmetric)
+    return SparseMatrix(csr)
 
 
-def from_coo(dimension: int, rows, cols, values, is_symmetric: bool = False) -> SparseMatrix:
+def from_coo(dimension: int, rows, cols, values) -> SparseMatrix:
     coo = sp.coo_matrix((values, (rows, cols)), shape=(dimension, dimension))
-    return finalize_csr(coo, is_symmetric=is_symmetric)
+    return finalize_csr(coo)
 
 
 def bandwidth_stats(A: SparseMatrix) -> dict:
@@ -281,8 +280,8 @@ class _Krylov:
                  "converged", "flops", "matvecs", "inner_products")
 
     def __init__(self, A: SparseMatrix, b, tol: float):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
         b = np.ascontiguousarray(b, dtype=float)  # so its norm sums as np.linalg.norm's does
         if b.shape != (A.dimension,):
             raise ValueError(f"dimension mismatch: matrix is {A.dimension}x{A.dimension}, "
@@ -517,10 +516,8 @@ def write_matrix_market(A: SparseMatrix, path) -> None:
     order, rows, col_starts = csc.data, csc.indices, csc.indptr
     chunks = [slice(k, k + WRITE_CHUNK) for k in range(0, len(order), WRITE_CHUNK)]
     # A equals its transpose when the CSC, A's transpose in CSR, is A's CSR
-    symmetric = A.is_symmetric and (
-        np.array_equal(col_starts, csr.indptr) and np.array_equal(rows, csr.indices)
-        and all(np.array_equal(data[order[at]], data[at]) for at in chunks)
-    )
+    symmetric = (np.array_equal(col_starts, csr.indptr) and np.array_equal(rows, csr.indices)
+                 and all(np.array_equal(data[order[at]], data[at]) for at in chunks))
 
     def entries():  # (rows, cols, values) to write, a chunk at a time
         for at in chunks:
@@ -587,4 +584,4 @@ def read_matrix_market(path) -> SparseMatrix:
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
-    return from_coo(n, rows, cols, vals, is_symmetric=symmetric)
+    return from_coo(n, rows, cols, vals)

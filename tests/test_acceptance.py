@@ -17,6 +17,7 @@ from streamfem.analysis import compute_errors, evaluate_field
 from streamfem.argyris import build_all_bases, build_element_basis, edge_normal, interpolate_field
 from streamfem.assembly import (
     ElementTables,
+    ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
@@ -126,7 +127,7 @@ def test_criterion_3_ordering_study():
     nco = {}
     for scheme in (1, 2, 3):
         dm = enumerate_dofs(mesh, scheme)
-        A = assemble_biharmonic(mesh, dm, rule(6), 1.0)
+        A = assemble_biharmonic(ScatterPlan.build(mesh, dm), rule(6), 1.0)
         bw[scheme] = bandwidth_stats(A)["bandwidth"]
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=6, ordering=scheme)
         _, trace = solve_linearized_nse(discretize(mesh, config))
@@ -249,13 +250,15 @@ def test_criterion_4d_quadrature_exactness():
 def test_criterion_4e_form_structure(exact):
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
-    tab = ElementTables(mesh, rule(6))
-    A = assemble_biharmonic(mesh, dm, rule(6), 1.0).toarray()
+    bases = build_all_bases(mesh)
+    tab = ElementTables(mesh, rule(6), bases)
+    plan = ScatterPlan.build(mesh, dm)
+    A = assemble_biharmonic(plan, rule(6), 1.0, bases=bases).toarray()
     sym = np.abs(A - A.T).max() / np.abs(A).max()
     rng = np.random.default_rng(3)
     xi = np.zeros(dm.total_dofs)
     xi[dm.globals_of_free] = rng.standard_normal(dm.num_free)
-    B = assemble_convection(mesh, dm, rule(6), xi, tables=tab)
+    B = assemble_convection(plan, tab, xi)
     Bd = B.toarray()
     anti = np.abs(Bd + Bd.T).max() / np.abs(Bd).max()
     psi = rng.standard_normal(dm.num_free)
@@ -267,9 +270,9 @@ def test_criterion_4e_form_structure(exact):
 def test_criterion_4f_gradient_load(exact):
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
-    tab = ElementTables(mesh, rule(25))
-    grad_p = assemble_load(mesh, dm, rule(25), lambda x, y: (3 * x ** 2, 3 * y ** 2), tables=tab)
-    full = assemble_load(mesh, dm, rule(25), exact.forcing, tables=tab)
+    tab = ElementTables(mesh, rule(25), build_all_bases(mesh))
+    grad_p = assemble_load(tab, dm, lambda x, y: (3 * x ** 2, 3 * y ** 2))
+    full = assemble_load(tab, dm, exact.forcing)
     ratio = np.abs(grad_p).max() / np.abs(full).max()
     check("4f", ratio <= 1e-8, f"gradient load / manufactured load = {ratio:.2e}")
 
@@ -279,11 +282,13 @@ def test_criterion_4g_ordering_invariance(exact):
     dm1 = enumerate_dofs(mesh, 1)
     ok = True
     details = []
+    bases = build_all_bases(mesh)
     # matrix equivariance
-    A1 = assemble_biharmonic(mesh, dm1, rule(6), 1.0).toarray()
+    A1 = assemble_biharmonic(ScatterPlan.build(mesh, dm1), rule(6), 1.0, bases=bases).toarray()
     for scheme in (2, 3):
         dm2 = enumerate_dofs(mesh, scheme)
-        A2 = assemble_biharmonic(mesh, dm2, rule(6), 1.0).toarray()
+        A2 = assemble_biharmonic(ScatterPlan.build(mesh, dm2), rule(6), 1.0,
+                                 bases=bases).toarray()
         p = free_permutation(dm1, dm2)
         permuted = np.zeros_like(A1)
         permuted[np.ix_(p, p)] = A1
@@ -300,7 +305,7 @@ def test_criterion_4g_ordering_invariance(exact):
         coeffs, trace = solve_linearized_nse(discretize(mesh, cfg))
         assert trace.converged
         dm = enumerate_dofs(mesh, scheme)
-        fields.append(evaluate_field(mesh, dm, coeffs, pts))
+        fields.append(evaluate_field(mesh, dm, coeffs, pts, bases))
     worst = max(np.abs(fields[0] - f).max() for f in fields[1:])
     field_ok = worst <= 10 * config.inner_tol
     ok = ok and field_ok
@@ -312,7 +317,7 @@ def test_criterion_4h_energy_oracle(exact):
     mesh = build_uniform_mesh(5)
     dm = enumerate_dofs(mesh, 1)
     coeffs = interpolate_field(mesh, dm, exact.interpolation_data())
-    A = assemble_biharmonic(mesh, dm, rule(25), 1.0, reduced=False)
+    A = assemble_biharmonic(ScatterPlan.build(mesh, dm, reduced=False), rule(25), 1.0)
     energy = float(coeffs @ A.matvec(coeffs))
     target = 4.0 / 1225.0
     check("4h", abs(energy - target) <= 1e-5,
@@ -330,9 +335,10 @@ def test_criterion_5_convergence(exact):
     for n in (3, 5, 9):
         mesh = build_uniform_mesh(n)
         dm = enumerate_dofs(mesh, 1, minimal_bc=True)
-        tab = ElementTables(mesh, rule(25))
-        A = assemble_biharmonic(mesh, dm, rule(25), 1.0)
-        ell = assemble_load(mesh, dm, rule(25), exact.forcing_linear, tables=tab)
+        bases = build_all_bases(mesh)
+        tab = ElementTables(mesh, rule(25), bases)
+        A = assemble_biharmonic(ScatterPlan.build(mesh, dm), rule(25), 1.0, bases=bases)
+        ell = assemble_load(tab, dm, exact.forcing_linear)
         x = spl.spsolve(A._csr.tocsc(), ell)
         full = np.zeros(dm.total_dofs)
         full[dm.globals_of_free] = x

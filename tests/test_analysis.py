@@ -18,7 +18,7 @@ from streamfem.analysis import (
     write_csv,
 )
 from streamfem.argyris import EVAL_ORDERS, build_all_bases, interpolate_field
-from streamfem.assembly import assemble_biharmonic, dof_arrays
+from streamfem.assembly import ScatterPlan, assemble_biharmonic, dof_arrays
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats, finalize_csr
@@ -56,47 +56,48 @@ def test_errors_reject_wrong_length(mesh3, dofmap3, exact_solution):
         compute_errors(mesh3, dofmap3, np.zeros(5), exact_solution)
 
 
-def test_evaluate_field_clamped_corner(mesh3, dofmap3, exact_solution):
+def test_evaluate_field_clamped_corner(mesh3, dofmap3, bases3, exact_solution):
     from streamfem.picard import PicardConfig, discretize, solve_biharmonic_problem
 
     coeffs, _ = solve_biharmonic_problem(discretize(mesh3, PicardConfig(n_quad_points=6)))
     for corner in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        assert evaluate_field(mesh3, dofmap3, coeffs, [corner])[0] == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_field(mesh3, dofmap3, coeffs, [corner], bases3)[0] == pytest.approx(
+            0.0, abs=1e-12)
 
 
-def test_evaluate_field_center_value(exact_solution):
+def test_evaluate_field_center_value(mesh3, bases3, exact_solution):
     # (0.5, 0.5) is a vertex of the n=4 mesh, so the interpolant is exact there
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
     coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
-    val = evaluate_field(mesh, dm, coeffs, [(0.5, 0.5)])[0]
+    val = evaluate_field(mesh, dm, coeffs, [(0.5, 0.5)], build_all_bases(mesh))[0]
     assert val == pytest.approx(0.00390625, abs=1e-12)
     # off-vertex evaluation matches to interpolation accuracy
-    mesh3 = build_uniform_mesh(3)
     dm3 = enumerate_dofs(mesh3, 1)
     c3 = interpolate_field(mesh3, dm3, exact_solution.interpolation_data())
-    val3 = evaluate_field(mesh3, dm3, c3, [(0.5, 0.5)])[0]
+    val3 = evaluate_field(mesh3, dm3, c3, [(0.5, 0.5)], bases3)[0]
     assert val3 == pytest.approx(0.00390625, abs=1e-4)
 
 
-def test_evaluate_field_continuous_on_edges(mesh3, dofmap3, exact_solution, rng):
+def test_evaluate_field_continuous_on_edges(mesh3, dofmap3, bases3, exact_solution, rng):
     coeffs = interpolate_field(mesh3, dofmap3, exact_solution.interpolation_data())
     interior = np.flatnonzero(~mesh3.edge_on_boundary)
     for e in interior[:6]:
         a, b = mesh3.edges[e]
         s = rng.uniform(0.1, 0.9)
         p = mesh3.vertices[a] * (1 - s) + mesh3.vertices[b] * s
-        got = evaluate_field(mesh3, dofmap3, coeffs, [p])[0]
+        got = evaluate_field(mesh3, dofmap3, coeffs, [p], bases3)[0]
         want = exact_solution.exact(p[0], p[1])
         assert got == pytest.approx(want, abs=1e-6)
 
 
-def test_evaluate_field_rejects_outside(mesh3, dofmap3):
+def test_evaluate_field_rejects_outside(mesh3, dofmap3, bases3):
     for point in ((1.5, 0.5), (0.5, -1e-300), (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before it is located, with no warning
             with pytest.raises(ValueError, match="not in the closed unit square"):
-                evaluate_field(mesh3, dofmap3, np.zeros(dofmap3.total_dofs), [(0.5, 0.5), point])
+                evaluate_field(mesh3, dofmap3, np.zeros(dofmap3.total_dofs), [(0.5, 0.5), point],
+                               bases3)
 
 
 def _on_diagonal(n):
@@ -123,7 +124,7 @@ def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, d
     points = st.one_of(st.tuples(coordinate, coordinate), _on_diagonal(n))
     pts = np.array(data.draw(st.lists(points, min_size=1, max_size=30)))
     bases = build_all_bases(mesh)
-    values = evaluate_field(mesh, dm, coeffs, pts, bases=bases)
+    values = evaluate_field(mesh, dm, coeffs, pts, bases)
     located = _locate(mesh, pts)
     grads = bases.derivatives(bases.polynomials(coeffs[dof_arrays(mesh, dm)]), pts, located,
                               EVAL_ORDERS[1:3])
@@ -143,7 +144,7 @@ def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, d
 def test_export_sparsity_identity(tmp_path):
     import scipy.sparse as sp
 
-    A = finalize_csr(sp.eye(8, format="csr"), is_symmetric=True)
+    A = finalize_csr(sp.eye(8, format="csr"))
     result = export_sparsity(A, tmp_path / "eye")
     lines = open(result["pbm"]).read().splitlines()
     assert lines[0] == "P1"
@@ -159,7 +160,7 @@ def test_export_sparsity_identity(tmp_path):
 
 def test_export_sparsity_annotation_matches_stats(tmp_path, mesh5):
     dm = enumerate_dofs(mesh5, 1)
-    A = assemble_biharmonic(mesh5, dm, rule(6), 1.0)
+    A = assemble_biharmonic(ScatterPlan.build(mesh5, dm), rule(6), 1.0)
     stats = bandwidth_stats(A)
     result = export_sparsity(A, tmp_path / "bih")
     assert result["bandwidth"] == stats["bandwidth"]
@@ -171,15 +172,15 @@ def test_export_sparsity_ordering_comparison(tmp_path, mesh5):
     bws = {}
     for scheme in (1, 2):
         dm = enumerate_dofs(mesh5, scheme)
-        A = assemble_biharmonic(mesh5, dm, rule(6), 1.0)
+        A = assemble_biharmonic(ScatterPlan.build(mesh5, dm), rule(6), 1.0)
         result = export_sparsity(A, tmp_path / f"ord{scheme}")
         bws[scheme] = result["bandwidth"]
     assert bws[2] > bws[1]
 
 
-def test_contours_zero_field(tmp_path, mesh3, dofmap3):
+def test_contours_zero_field(tmp_path, mesh3, dofmap3, bases3):
     result = export_contours(
-        mesh3, dofmap3, np.zeros(dofmap3.total_dofs), tmp_path / "zero", grid_size=24,
+        mesh3, dofmap3, np.zeros(dofmap3.total_dofs), tmp_path / "zero", bases3, grid_size=24,
     )
     assert result["levels"] == [] and result["polylines"] == {}
     xs = np.linspace(0.0, 1.0, 24)
@@ -195,14 +196,15 @@ def test_contours_nested_closed_curves(tmp_path, exact_solution):
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
     coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
-    result = export_contours(mesh, dm, coeffs, tmp_path / "exact", grid_size=64)
+    bases = build_all_bases(mesh)
+    result = export_contours(mesh, dm, coeffs, tmp_path / "exact", bases, grid_size=64)
     assert len(result["levels"]) == 8 and result["levels"] == sorted(result["levels"])
     _assert_nested_closed_curves([result["polylines"][level] for level in result["levels"]])
     # explicit levels of the exact maximum, on the grid the export sampled
     vmax = (1 / 16) ** 2
     xs = np.linspace(0.0, 1.0, 64)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    grid = evaluate_field(mesh, dm, coeffs, np.column_stack([gx.ravel(), gy.ravel()]))
+    grid = evaluate_field(mesh, dm, coeffs, np.column_stack([gx.ravel(), gy.ravel()]), bases)
     grid = grid.reshape(64, 64)
     _assert_nested_closed_curves([_chain_segments(_marching_squares(grid, xs, xs, level))
                                   for level in (0.5 * vmax, 0.9 * vmax)])
@@ -223,21 +225,21 @@ def _assert_nested_closed_curves(polylines_by_level):
         assert inner[:, 1].min() > outer[:, 1].min() and inner[:, 1].max() < outer[:, 1].max()
 
 
-def test_contour_csv_matches_evaluate_field(tmp_path, mesh3, dofmap3, exact_solution):
+def test_contour_csv_matches_evaluate_field(tmp_path, mesh3, dofmap3, bases3, exact_solution):
     coeffs = interpolate_field(mesh3, dofmap3, exact_solution.interpolation_data())
-    result = export_contours(mesh3, dofmap3, coeffs, tmp_path / "grid", grid_size=16)
+    result = export_contours(mesh3, dofmap3, coeffs, tmp_path / "grid", bases3, grid_size=16)
     rows = open(result["csv"]).read().splitlines()[1:]
     xs = np.array([float(r.split(",")[0]) for r in rows])
     ys = np.array([float(r.split(",")[1]) for r in rows])
     vals = np.array([float(r.split(",")[2]) for r in rows])
-    direct = evaluate_field(mesh3, dofmap3, coeffs, np.column_stack([xs, ys]))
+    direct = evaluate_field(mesh3, dofmap3, coeffs, np.column_stack([xs, ys]), bases3)
     assert np.array_equal(vals, direct)
 
 
-def test_contour_grid_size_validation(mesh3, dofmap3, tmp_path):
+def test_contour_grid_size_validation(mesh3, dofmap3, bases3, tmp_path):
     with pytest.raises(ValueError):
         export_contours(mesh3, dofmap3, np.zeros(dofmap3.total_dofs),
-                        tmp_path / "bad", grid_size=8)
+                        tmp_path / "bad", bases3, grid_size=8)
 
 
 def test_format_table_and_csv(tmp_path):

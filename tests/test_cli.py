@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamfem import cli, picard
 from streamfem.analysis import MIN_GRID_SIZE, pbm_bytes
-from streamfem.assembly import assemble_biharmonic
+from streamfem.assembly import ScatterPlan, assemble_biharmonic
 from streamfem.cli import main
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.picard import PicardTrace
@@ -85,7 +85,8 @@ def test_ordering_study_matches_separate_assemblies(tmp_path):
     with open(tmp_path / "ordering_study.csv") as f:
         rows = list(csv.DictReader(f))
     for scheme, row in zip((1, 2, 3), rows):
-        A = assemble_biharmonic(mesh, enumerate_dofs(mesh, scheme), rule(6), 1.0)
+        plan = ScatterPlan.build(mesh, enumerate_dofs(mesh, scheme))
+        A = assemble_biharmonic(plan, rule(6), 1.0)
         stats = bandwidth_stats(A)
         assert row["ordering"] == str(scheme)
         assert {k: int(row[k]) for k in stats} == stats

@@ -99,7 +99,7 @@ def ref_bitwise_symmetric(csr):
 
 def ref_write_matrix_market(A, path):
     with open(path, "w") as f:
-        symmetric = A.is_symmetric and ref_bitwise_symmetric(A._csr)
+        symmetric = ref_bitwise_symmetric(A._csr)
         kind = "symmetric" if symmetric else "general"
         f.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
         coo = A._csr.tocoo()
@@ -212,7 +212,7 @@ EXTREME_VALUES = (
 )
 
 
-def stored_matrix(n, entries, is_symmetric=False):
+def stored_matrix(n, entries):
     """CSR with exactly ``entries`` ({(row, col): value}) stored, zeros
     (0.0 and -0.0) included, so the writers' formatting of them is compared
     too.
@@ -223,7 +223,7 @@ def stored_matrix(n, entries, is_symmetric=False):
     data = np.array([entries[k] for k in keys], dtype=float)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseMatrix(sp.csr_matrix((data, cols, indptr), shape=(n, n)), is_symmetric)
+    return SparseMatrix(sp.csr_matrix((data, cols, indptr), shape=(n, n)))
 
 
 # "nan" carries no sign or payload, so only non-NaN values round-trip bitwise
@@ -380,7 +380,8 @@ def test_sparsity_empty_matrix(tmp_path):
 
 def test_sparsity_assembled_matrix(tmp_path, mesh5):
     for ordering in (1, 2, 3):
-        A = assembly.assemble_biharmonic(mesh5, enumerate_dofs(mesh5, ordering), rule(6))
+        A = assembly.assemble_biharmonic(
+            assembly.ScatterPlan.build(mesh5, enumerate_dofs(mesh5, ordering)), rule(6))
         sparsity_files_equal(tmp_path, A)
         assert_svg_within_byte_bound(tmp_path / "new.svg", A)
         _, runs = decode_svg(tmp_path / "new.svg")
@@ -408,8 +409,9 @@ def test_sparsity_svg_of_the_convection_operator(tmp_path):
     for ordering in ("1", "2", "3"):
         assert cli_main([*argv, "--ordering", ordering]) == 0
         stem = tmp_path / f"sparsity_nse_n4_ordering{ordering}"
+        with open(f"{stem}.mtx") as f:
+            assert f.readline().split()[4] == "general"
         A = read_matrix_market(f"{stem}.mtx")
-        assert not A.is_symmetric
         assert_svg_covers_pattern(stem.with_suffix(".svg"), A)
         pbm = stem.with_suffix(".pbm").read_text().split()[3:]
         assert {(r, c) for r, line in enumerate(pbm) for c, v in enumerate(line) if v == "1"} \
@@ -434,7 +436,8 @@ def test_sparsity_memory_has_no_dense_grid(tmp_path):
 @pytest.fixture(scope="module", params=[16, 24], ids=["n16", "n24"])
 def assembled(request):
     mesh = build_uniform_mesh(request.param)
-    return assembly.assemble_biharmonic(mesh, enumerate_dofs(mesh, 1), rule(6))
+    return assembly.assemble_biharmonic(assembly.ScatterPlan.build(mesh, enumerate_dofs(mesh, 1)),
+                                        rule(6))
 
 
 def traced_peak(write) -> int:
@@ -473,17 +476,17 @@ def test_matrix_market_memory_grows_with_nnz_only_by_its_csc(tmp_path, assembled
 # --- MatrixMarket ------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_entries(), st.booleans())
-def test_matrix_market_matches_reference(tmp_path_factory, case, is_symmetric):
+@given(sparse_entries())
+def test_matrix_market_matches_reference(tmp_path_factory, case):
     n, entries = case
-    mtx_files_equal(tmp_path_factory.mktemp("mm"), stored_matrix(n, entries, is_symmetric))
+    mtx_files_equal(tmp_path_factory.mktemp("mm"), stored_matrix(n, entries))
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_entries(pool=True), st.booleans())
-def test_matrix_market_repeated_values_match_reference(tmp_path_factory, case, is_symmetric):
+@given(sparse_entries(pool=True))
+def test_matrix_market_repeated_values_match_reference(tmp_path_factory, case):
     n, entries = case
-    mtx_files_equal(tmp_path_factory.mktemp("mmp"), stored_matrix(n, entries, is_symmetric))
+    mtx_files_equal(tmp_path_factory.mktemp("mmp"), stored_matrix(n, entries))
 
 
 def test_matrix_market_keeps_signed_zeros_and_nans_apart(tmp_path):
@@ -525,7 +528,7 @@ def tridiagonal(n, last=1.0):
     (tridiagonal(600), "general"),
 ], ids=["equal", "values differ", "signed zeros", "nan", "cycle", "long", "long, last differs"])
 def test_matrix_market_symmetric_encoding_needs_a_bitwise_equal_transpose(tmp_path, case, kind):
-    mtx_files_equal(tmp_path, stored_matrix(*case, is_symmetric=True))
+    mtx_files_equal(tmp_path, stored_matrix(*case))
     with open(tmp_path / "new.mtx") as f:
         assert f.readline().split()[4] == kind
 
@@ -535,14 +538,12 @@ def test_matrix_market_symmetric_encoding_needs_a_bitwise_equal_transpose(tmp_pa
 def test_matrix_market_symmetric_matches_reference_and_round_trips(tmp_path_factory, case):
     n, entries = case
     tmp = tmp_path_factory.mktemp("mms")
-    mtx_files_equal(tmp, stored_matrix(n, entries, is_symmetric=True))  # stored zeros too
-    A = finalize_csr(stored_matrix(n, entries)._csr, is_symmetric=True)
+    mtx_files_equal(tmp, stored_matrix(n, entries))  # stored zeros too
+    A = finalize_csr(stored_matrix(n, entries)._csr)
     mtx_files_equal(tmp, A)
     with open(tmp / "new.mtx") as f:
         assert f.readline().split()[4] == "symmetric"
-    back = read_matrix_market(tmp / "new.mtx")
-    assert back.is_symmetric
-    assert_bitwise_same(back, A)
+    assert_bitwise_same(read_matrix_market(tmp / "new.mtx"), A)
 
 
 @settings(max_examples=30, deadline=None)
@@ -557,7 +558,8 @@ def test_matrix_market_general_round_trip_is_bitwise(tmp_path_factory, case):
 
 def test_assembled_matrix_round_trips_with_its_structural_zeros(tmp_path):
     mesh = build_uniform_mesh(16)
-    A = assembly.assemble_biharmonic(mesh, enumerate_dofs(mesh, 1), rule(6))
+    A = assembly.assemble_biharmonic(assembly.ScatterPlan.build(mesh, enumerate_dofs(mesh, 1)),
+                                     rule(6))
     assert 0 < np.count_nonzero(A.data == 0) < 100  # slots that cancel, stored as zeros
     write_matrix_market(A, tmp_path / "a.mtx")
     export_sparsity(A, tmp_path / "a")
@@ -681,10 +683,10 @@ def test_chain_segments_matches_reference(segments):
 
 def test_contour_files_match_reference(tmp_path, mesh5, dofmap5, bases5, monkeypatch):
     coeffs = np.random.default_rng(0).standard_normal(dofmap5.total_dofs)
-    new = export_contours(mesh5, dofmap5, coeffs, tmp_path / "new", grid_size=40, bases=bases5)
+    new = export_contours(mesh5, dofmap5, coeffs, tmp_path / "new", bases5, grid_size=40)
     monkeypatch.setattr(analysis, "_marching_squares", ref_marching_squares)
     monkeypatch.setattr(analysis, "_chain_segments", ref_chain_segments)
-    export_contours(mesh5, dofmap5, coeffs, tmp_path / "ref", grid_size=40, bases=bases5)
+    export_contours(mesh5, dofmap5, coeffs, tmp_path / "ref", bases5, grid_size=40)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
     assert sum(len(lines) for lines in new["polylines"].values()) > 0
 

@@ -39,7 +39,7 @@ def structural_sum(A, B):
 
 def ref_B(mesh, dofmap, psi, tables, flip, reduced=True):
     """B(psi) from whole-mesh element matrices and the COO reference assembly."""
-    return _scatter(mesh, dofmap, ref_convection(mesh, dofmap, psi, tables, flip), False, reduced)
+    return _scatter(mesh, dofmap, ref_convection(mesh, dofmap, psi, tables, flip), reduced)
 
 
 def ref_operator(disc, psi):
@@ -113,13 +113,13 @@ def test_unreduced_operator_matches_two_matrix_sum():
     dm = enumerate_dofs(mesh, 3)
     q = rule(6)
     plan = ScatterPlan.build(mesh, dm, reduced=False)
-    A = assemble_biharmonic(mesh, dm, q, 2.0, reduced=False, plan=plan)
-    tables = assembly.ElementTables(mesh, q)
+    bases = build_all_bases(mesh)
+    A = assemble_biharmonic(plan, q, 2.0, bases=bases)
+    tables = assembly.ElementTables(mesh, q, bases)
     psi = np.random.default_rng(4).standard_normal(dm.total_dofs)
     for flip in (False, True):
         B = ref_B(mesh, dm, psi, tables, flip, reduced=False)
-        got = assemble_convection(mesh, dm, q, psi, tables=tables, flip_convention=flip,
-                                  reduced=False, plan=plan, plus=A)
+        got = assemble_convection(plan, tables, psi, flip_convention=flip, plus=A)
         assert_same_bytes(got, structural_sum(A, B))
 
 
@@ -136,13 +136,13 @@ def test_plan_sum_matches_the_structural_coo_sum(n, ordering, reduced, seed, chu
     shape = (mesh.num_triangles, 21, 21)
     # palette sums cancel to +-0.0 in A, in B and in A + B, and carry NaN
     a_local = rng.choice(PALETTE, size=shape)
-    A = plan.assemble(a_local.copy(), is_symmetric=True)
+    A = plan.assemble(a_local.copy())
     local = rng.choice(PALETTE, size=shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "CHUNK", chunk)
         got = plan.assemble(local.copy(), plus=A)
-    want = structural_sum(_scatter(mesh, dm, a_local, True, reduced),
-                          _scatter(mesh, dm, local, False, reduced))
+    want = structural_sum(_scatter(mesh, dm, a_local, reduced),
+                          _scatter(mesh, dm, local, reduced))
     assert_same_bytes(got, want)
     assert got.nnz == plan.nnz
 

@@ -5,10 +5,13 @@ its head. The lower layers never import the fixed-point driver or the CLI:
 ``analysis`` and below must work without them. No module imports another's
 ``_``-prefixed names. The package keeps only what is used: every public
 module-level function and class is referred to outside its own definition,
-by the package, the acceptance tests, the benchmark or the tools.
+by the package, the acceptance tests, the benchmark or the tools, and every
+defaulted parameter of a public function or method is passed by some call
+in the package, or named with its reason in ``UNPASSED_DEFAULTS``.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,15 @@ USERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rgl
          *sorted((ROOT / "tools").glob("*.py"))]
 LOWER_LAYERS = ("analysis", "assembly", "solvers", "argyris", "mesh", "quadrature")
 UPPER_LAYERS = ("streamfem.picard", "streamfem.cli")
+# defaulted parameters that no call in the package passes, each with its reason
+UNPASSED_DEFAULTS = {
+    "ScatterPlan.build(reduced)": "reduced=False keeps the constrained DOFs, for the energy "
+                                  "oracle of acceptance criterion 4h",
+    "build_element_basis(edge_normal_convention)": "the element tests pass degenerate midside "
+                                                   "normals to reach the construction errors",
+    "main(argv)": "the console script calls main() and argparse reads sys.argv; tests, the "
+                  "benchmark and the tools pass their argv",
+}
 
 
 def function_imports(tree) -> list[int]:
@@ -82,6 +94,65 @@ def referenced_names(tree) -> set[str]:
     return names
 
 
+def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
+    """(label, call name, parameter, position) of every defaulted parameter
+    of the public module-level functions and of the public methods and
+    ``__init__`` of public classes. The position counts the arguments a call
+    writes, so a method's ``self`` or ``cls`` is not counted; it is None for
+    a keyword-only parameter. ``__init__`` is called by its class's name."""
+    found = []
+
+    def add(fn, label, call, bound):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found.extend((f"{label}({arg.arg})", call, arg.arg, k - bound)
+                     for k, arg in enumerate(positional) if k >= first)
+        found.extend((f"{label}({arg.arg})", call, arg.arg, None)
+                     for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    call = node.name if fn.name == "__init__" else fn.name
+                    add(fn, f"{node.name}.{fn.name}", call, 0 if static else 1)
+    return found
+
+
+def call_arguments(tree) -> list[tuple[str, float, set]]:
+    """(called name, positional arguments, keywords) of every call in
+    ``tree``, the name being the last part of the called expression with
+    import aliases undone. A ``*args`` counts as every position, and a
+    ``**kwargs`` as the keyword None, which passes every parameter."""
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            calls.append((aliases.get(name, name), math.inf if starred else len(node.args),
+                          {keyword.arg for keyword in node.keywords}))
+    return calls
+
+
+def unpassed_defaults(definitions, calls) -> list[str]:
+    """Labels of the defaulted parameters that no call passes. Calls are
+    matched by name alone, so methods of one name share their calls."""
+    return [label for label, name, param, position in definitions
+            if not any(called == name and (param in keywords or None in keywords or (
+                position is not None and count > position))
+                       for called, count, keywords in calls)]
+
+
 def upper_layer_imports(tree) -> set[str]:
     return {name for name in imported_modules(tree)
             if any(name == up or name.startswith(f"{up}.") for up in UPPER_LAYERS)}
@@ -133,3 +204,37 @@ def test_every_public_function_and_class_is_used():
     unused = [f"{path.stem}.{name}" for path in SOURCES
               for name in public_definitions(ast.parse(path.read_text())) if name not in used]
     assert unused == []
+
+
+def test_the_default_check_sees_positions_keywords_and_aliases():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+        "    @classmethod\n    def build(cls, y, z=1):\n        pass\n\n"
+        "    @staticmethod\n    def make(w=1):\n        pass\n\n"
+        "    def _hidden(self, v=1):\n        pass\n")
+    definitions = defaulted_parameters(tree)
+    assert [(label, name, position) for label, name, _, position in definitions] == [
+        ("f(b)", "f", 1), ("f(c)", "f", 2), ("f(d)", "f", None), ("K.__init__(x)", "K", 0),
+        ("K.build(z)", "build", 1), ("K.make(w)", "make", 0)]
+    uses = {
+        "from .m import f as g\ng(0, 1)": ["f(c)", "f(d)", "K.__init__(x)", "K.build(z)",
+                                          "K.make(w)"],
+        "f(0, d=4)\nK(1)\nK.build(0)": ["f(b)", "f(c)", "K.build(z)", "K.make(w)"],
+        "f(*args)\nk.build(0, 1)\nK.make(**kw)": ["f(d)", "K.__init__(x)"],
+    }
+    for source, unpassed in uses.items():
+        assert unpassed_defaults(definitions, call_arguments(ast.parse(source))) == unpassed, \
+            source
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    """A default that no command overrides is a constant; one that only the
+    tests override is a build path the program never takes. The allowed
+    exceptions are in ``UNPASSED_DEFAULTS``, each with its reason."""
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    definitions = [d for tree in trees for d in defaulted_parameters(tree)]
+    calls = [call for tree in trees for call in call_arguments(tree)]
+    assert set(UNPASSED_DEFAULTS) <= {label for label, _, _, _ in definitions}
+    assert [label for label in unpassed_defaults(definitions, calls)
+            if label not in UNPASSED_DEFAULTS] == []

@@ -5,7 +5,14 @@ import pytest
 
 from streamfem import assembly
 from streamfem.analysis import evaluate_field
-from streamfem.assembly import assemble_biharmonic, assemble_convection, assemble_load, manufactured_rhs
+from streamfem.assembly import (
+    ElementTables,
+    ScatterPlan,
+    assemble_biharmonic,
+    assemble_convection,
+    assemble_load,
+    manufactured_rhs,
+)
 from streamfem.mesh import OrderingScheme, build_uniform_mesh, enumerate_dofs
 from streamfem.picard import (
     Discretization,
@@ -61,7 +68,7 @@ def test_discretize_tabulates_the_laplacians_once_for_an_exact_rule(n_points, ta
                         lambda q, coords: mapped.append(q.n_points) or original(q, coords))
     disc = discretize(mesh, PicardConfig(n_quad_points=n_points, reynolds=3.0))
     assert len(mapped) == 2 * tabulations
-    want = assemble_biharmonic(mesh, disc.dofmap, disc.q, 3.0, plan=disc.plan)
+    want = assemble_biharmonic(disc.plan, disc.q, 3.0)
     for name in ("indptr", "indices", "data"):
         assert getattr(disc.A, name).tobytes() == getattr(want, name).tobytes()
 
@@ -85,7 +92,7 @@ class _WithoutConvection(Discretization):
         return self.A
 
 
-def test_nse_without_convection_matches_biharmonic(mesh3, dofmap3):
+def test_nse_without_convection_matches_biharmonic(mesh3, dofmap3, bases3):
     """With the convection form disabled, the fixed-point result and the
     direct biharmonic solve agree to solver tolerance: both residuals meet
     the tolerance, so their difference does in the residual norm."""
@@ -97,8 +104,8 @@ def test_nse_without_convection_matches_biharmonic(mesh3, dofmap3):
     assert report.converged and trace.converged
     q = rule(6)
     ms = manufactured_rhs(1.0)
-    A = assemble_biharmonic(mesh3, dofmap3, q, 1.0)
-    ell = assemble_load(mesh3, dofmap3, q, ms.forcing)
+    A = assemble_biharmonic(ScatterPlan.build(mesh3, dofmap3), q, 1.0, bases=bases3)
+    ell = assemble_load(ElementTables(mesh3, q, bases3), dofmap3, ms.forcing)
     free = dofmap3.globals_of_free
     residual_gap = np.linalg.norm(A.matvec(via_picard[free] - direct[free]))
     assert residual_gap <= 2 * config.inner_tol * np.linalg.norm(ell)
@@ -132,23 +139,24 @@ def test_one_convection_assembly_per_outer_iteration(mesh3, monkeypatch):
     assert len(calls) == len(trace.iterations) + 1
 
 
-def test_converged_fixed_point_residual(mesh3, dofmap3):
+def test_converged_fixed_point_residual(mesh3, dofmap3, bases3):
     """The converged iterate satisfies the discrete equation to 10x tol."""
     config = PicardConfig(n_quad_points=6)
     coeffs, trace = solve_linearized_nse(discretize(mesh3, config))
     assert trace.converged
     q = rule(6)
     ms = manufactured_rhs(1.0)
-    A = assemble_biharmonic(mesh3, dofmap3, q, 1.0)
-    B = assemble_convection(mesh3, dofmap3, q, coeffs)
-    ell = assemble_load(mesh3, dofmap3, q, ms.forcing)
+    plan, tables = ScatterPlan.build(mesh3, dofmap3), ElementTables(mesh3, q, bases3)
+    A = assemble_biharmonic(plan, q, 1.0, bases=bases3)
+    B = assemble_convection(plan, tables, coeffs)
+    ell = assemble_load(tables, dofmap3, ms.forcing)
     x = coeffs[dofmap3.globals_of_free]
     res = (A + B).matvec(x) - ell
     assert np.linalg.norm(res) <= 10 * config.tol * np.linalg.norm(ell)
     assert trace.iterations[-1].residual <= config.tol
 
 
-def test_solution_invariant_across_orderings(mesh3, rng):
+def test_solution_invariant_across_orderings(mesh3, bases3, rng):
     fields = []
     pts = rng.random((25, 2))
     for scheme in (1, 2, 3):
@@ -156,7 +164,7 @@ def test_solution_invariant_across_orderings(mesh3, rng):
         coeffs, trace = solve_linearized_nse(discretize(mesh3, config))
         assert trace.converged
         dm = enumerate_dofs(mesh3, scheme)
-        fields.append(evaluate_field(mesh3, dm, coeffs, pts))
+        fields.append(evaluate_field(mesh3, dm, coeffs, pts, bases3))
     tol = PicardConfig(n_quad_points=6).inner_tol
     for other in fields[1:]:
         assert np.abs(fields[0] - other).max() <= 10 * tol
@@ -170,15 +178,15 @@ def test_nonconvergence_flagged():
     assert len(trace.iterations) == 2
 
 
-def test_flip_convention_leaves_field_unchanged(mesh3, dofmap3, rng):
+def test_flip_convention_leaves_field_unchanged(mesh3, dofmap3, bases3, rng):
     """Negating the convection form and the convective forcing together
     must reproduce the same stream function."""
     pts = rng.random((30, 2))
     c1, t1 = solve_linearized_nse(discretize(mesh3, PicardConfig(n_quad_points=6)))
     c2, t2 = solve_linearized_nse(discretize(mesh3, PicardConfig(n_quad_points=6, flip_convention=True)))
     assert t1.converged and t2.converged
-    v1 = evaluate_field(mesh3, dofmap3, c1, pts)
-    v2 = evaluate_field(mesh3, dofmap3, c2, pts)
+    v1 = evaluate_field(mesh3, dofmap3, c1, pts, bases3)
+    v2 = evaluate_field(mesh3, dofmap3, c2, pts, bases3)
     scale = max(np.abs(v1).max(), 1e-30)
     assert np.abs(v1 - v2).max() <= 1e-4 * scale
 
@@ -215,7 +223,7 @@ def test_early_stop_returns_the_initial_iterate_and_names_the_failure(mesh3, mon
     import streamfem.picard
 
     disc = discretize(mesh3, PicardConfig(n_quad_points=6))
-    ell = assemble_load(mesh3, disc.dofmap, disc.q, disc.ms.forcing, tables=disc.tables)
+    ell = assemble_load(disc.tables, disc.dofmap, disc.ms.forcing)
     x0, _ = streamfem.picard.pcg(disc.A, ell, tol=disc.config.inner_tol,
                                  max_iter=disc.config.linear_max_iter)
     target = "bicgstab" if breakdown else "pcg"

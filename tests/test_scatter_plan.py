@@ -7,10 +7,12 @@ the duplicates and keeps the exact zeros of slots that cancel.
 replaced. A :class:`ScatterPlan` and the streamed element matrices must give
 the same indptr, indices and data, dtype and bytes, because the solvers'
 iteration counts, and with them the criterion-3 ordering ranking, rest on
-the last bit. ``ref_errors`` reads the field per triangle, as its 21 shape
-tables times its local DOFs; the error pass reads it from monomial
-coefficients, which sums in another order, so the norms agree to 1e-12
-relative, not bitwise.
+the last bit. ``ref_conversion`` is the plan build as it was, with the
+entry numbers carried through scipy's conversion as float64 values; the
+plan's int32 build must record the same order. ``ref_errors`` reads the
+field per triangle, as its 21 shape tables times its local DOFs; the error
+pass reads it from monomial coefficients, which sums in another order, so
+the norms agree to 1e-12 relative, not bitwise.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sort_indices
 
 from streamfem.analysis import VERIFICATION_RULE_POINTS, compute_errors
 from streamfem.argyris import BLOCK, EVAL_ORDERS, build_all_bases, interpolate_field
@@ -41,7 +44,7 @@ RULES = (4, 6, 12, 25)
 
 # --- references: the whole-mesh computations ------------------------------------
 
-def _scatter(mesh, dofmap, local_blocks, is_symmetric, reduced):
+def _scatter(mesh, dofmap, local_blocks, reduced=True):
     """Accumulate (T, 21, 21) local matrices into the global CSR matrix."""
     tri_dofs = dof_arrays(mesh, dofmap)
     nt = mesh.num_triangles
@@ -52,8 +55,41 @@ def _scatter(mesh, dofmap, local_blocks, is_symmetric, reduced):
         r = dofmap.free_of_global[rows]
         c = dofmap.free_of_global[cols]
         keep = (r >= 0) & (c >= 0)
-        return from_coo(dofmap.num_free, r[keep], c[keep], vals[keep], is_symmetric=is_symmetric)
-    return from_coo(dofmap.total_dofs, rows, cols, vals, is_symmetric=is_symmetric)
+        return from_coo(dofmap.num_free, r[keep], c[keep], vals[keep])
+    return from_coo(dofmap.total_dofs, rows, cols, vals)
+
+
+def ref_conversion(mesh, dofmap, reduced):
+    """(indptr, indices, entry numbers) of scipy's COO -> CSR conversion of
+    the kept element-matrix entries, the numbers carried as float64."""
+    index_of = dofmap.free_of_global if reduced else np.arange(dofmap.total_dofs)
+    dofs = index_of[dof_arrays(mesh, dofmap)].astype(np.int32)
+    n = dofmap.num_free if reduced else dofmap.total_dofs
+    keep = ((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)).ravel()
+    rows = np.repeat(dofs, 21, axis=1).ravel()[keep]
+    cols = np.tile(dofs, (1, 21)).ravel()[keep]
+    numbers = np.flatnonzero(keep).astype(float)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(len(rows), dtype=np.int32)
+    entries = np.empty(len(rows))
+    coo_tocsr(n, n, len(rows), rows, cols, numbers, indptr, indices, entries)
+    if not csr_has_sorted_indices(n, indptr, indices):
+        csr_sort_indices(n, indptr, indices, entries)
+    return indptr, indices, entries.astype(np.int32)
+
+
+def plan_conversion(plan):
+    """The conversion a plan records: each slot's column once per entry it
+    sums, and its entries in the order they are summed."""
+    order = np.full((plan.nnz, len(plan.ranks) + 1), -1, dtype=np.int64)
+    order[:, 0] = plan.first
+    for r, (slots, entries) in enumerate(plan.ranks, 1):
+        order[slots, r] = entries
+    runs = (order >= 0).sum(axis=1)
+    slot_rows = np.repeat(np.arange(plan.dimension), np.diff(plan.indptr))
+    per_row = np.bincount(slot_rows, weights=runs, minlength=plan.dimension).astype(np.int64)
+    return (np.concatenate([[0], np.cumsum(per_row)]), np.repeat(plan.indices, runs),
+            order[order >= 0])
 
 
 def ref_viscous(mesh, q, reynolds, bases):
@@ -98,7 +134,7 @@ def ref_errors(mesh, dofmap, coefficients, exact):
 
 
 def assert_same_bytes(got, want):
-    assert (got.dimension, got.is_symmetric) == (want.dimension, want.is_symmetric)
+    assert got.dimension == want.dimension
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -127,9 +163,18 @@ def test_plan_matches_coo_reference_on_random_blocks(n, ordering, minimal_bc, re
     palette = PALETTE if with_nan else PALETTE[:-1]
     local = np.random.default_rng(seed).choice(palette, size=(mesh.num_triangles, 21, 21))
     plan = ScatterPlan.build(mesh, dm, reduced)
-    for is_symmetric in (False, True):
-        assert_same_bytes(plan.assemble(local, is_symmetric),
-                          _scatter(mesh, dm, local, is_symmetric, reduced))
+    assert_same_bytes(plan.assemble(local), _scatter(mesh, dm, local, reduced))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 16), ordering=st.sampled_from((1, 2, 3)), minimal_bc=st.booleans(),
+       reduced=st.booleans())
+def test_int32_build_records_the_float64_conversion_order(n, ordering, minimal_bc, reduced):
+    mesh = build_uniform_mesh(n)
+    dm = enumerate_dofs(mesh, ordering, minimal_bc=minimal_bc)
+    got = plan_conversion(ScatterPlan.build(mesh, dm, reduced))
+    for a, b in zip(got, ref_conversion(mesh, dm, reduced)):
+        assert np.array_equal(a, b)
 
 
 def test_plan_arrays_are_int32_read_only_and_shared():
@@ -143,17 +188,16 @@ def test_plan_arrays_are_int32_read_only_and_shared():
     assert A.nnz == plan.nnz and A._csr.has_canonical_format
 
 
-def test_plan_rejects_other_shapes_and_dof_maps():
+def test_plan_rejects_other_shapes_and_meshes():
     mesh = build_uniform_mesh(3)
-    dm1, dm2 = enumerate_dofs(mesh, 1), enumerate_dofs(mesh, 2)
-    plan = ScatterPlan.build(mesh, dm1)
+    dm = enumerate_dofs(mesh, 1)
+    plan = ScatterPlan.build(mesh, dm)
     with pytest.raises(ValueError, match="element matrices must have shape"):
         plan.assemble(np.ones((mesh.num_triangles, 21, 20)))
-    with pytest.raises(ValueError, match="scatter plan was built for another"):
-        assemble_biharmonic(mesh, dm2, rule(6), plan=plan)
-    with pytest.raises(ValueError, match="scatter plan was built for another"):
-        assemble_convection(mesh, dm1, rule(6), np.zeros(dm1.total_dofs), reduced=False,
-                            plan=plan)
+    other = build_uniform_mesh(3)  # equal, but another object than the plan's
+    tables = ElementTables(other, rule(6), build_all_bases(other))
+    with pytest.raises(ValueError, match="element tables and scatter plan"):
+        assemble_convection(plan, tables, np.zeros(dm.total_dofs))
 
 
 # --- the assembled operators -------------------------------------------------------
@@ -166,21 +210,20 @@ def test_operators_match_whole_mesh_reference(n):
     bases = build_all_bases(mesh)
     for n_points, ordering in product(RULES, (1, 2, 3)):
         q = rule(n_points)
-        tables = ElementTables(mesh, q, bases=bases)
+        tables = ElementTables(mesh, q, bases)
         dm = enumerate_dofs(mesh, ordering, minimal_bc=ordering == 2)
         plan = ScatterPlan.build(mesh, dm)
         reynolds = 300.0 if ordering == 3 else 1.0
-        A = assemble_biharmonic(mesh, dm, q, reynolds, bases=bases, plan=plan)
-        A_ref = _scatter(mesh, dm, ref_viscous(mesh, q, reynolds, bases), True, True)
+        A = assemble_biharmonic(plan, q, reynolds, bases=bases)
+        A_ref = _scatter(mesh, dm, ref_viscous(mesh, q, reynolds, bases))
         assert_same_bytes(A, A_ref)
         # the Laplacians of tables of an exact rule, of a weaker one re-tabulated
-        assert_same_bytes(assemble_biharmonic(mesh, dm, q, reynolds, tables=tables, plan=plan,
-                                              bases=bases), A_ref)
+        assert_same_bytes(assemble_biharmonic(plan, q, reynolds, bases=bases, tables=tables),
+                          A_ref)
         xi = random_xi(dm, n_points)
         for flip in (False, True):
-            B = assemble_convection(mesh, dm, q, xi, tables=tables, flip_convention=flip,
-                                    plan=plan)
-            B_ref = _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, flip), False, True)
+            B = assemble_convection(plan, tables, xi, flip_convention=flip)
+            B_ref = _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, flip))
             assert_same_bytes(B, B_ref)
             assert_same_bytes(A + B, A_ref + B_ref)
 
@@ -189,13 +232,15 @@ def test_unreduced_operators_and_new_bases_match_reference():
     mesh = build_uniform_mesh(5)
     dm = enumerate_dofs(mesh, 3)
     q = rule(6)
-    got = assemble_biharmonic(mesh, dm, q, 2.0, reduced=False)
-    want = _scatter(mesh, dm, ref_viscous(mesh, q, 2.0, build_all_bases(mesh)), True, False)
+    plan = ScatterPlan.build(mesh, dm, reduced=False)
+    got = assemble_biharmonic(plan, q, 2.0)
+    want = _scatter(mesh, dm, ref_viscous(mesh, q, 2.0, build_all_bases(mesh)), reduced=False)
     assert_same_bytes(got, want)
     xi = random_xi(dm, 5)
-    tables = ElementTables(mesh, q)
-    assert_same_bytes(assemble_convection(mesh, dm, q, xi, tables=tables, reduced=False),
-                      _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False), False, False))
+    tables = ElementTables(mesh, q, build_all_bases(mesh))
+    assert_same_bytes(assemble_convection(plan, tables, xi),
+                      _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False),
+                               reduced=False))
 
 
 def test_shared_viscous_matrices_give_each_ordering_its_own_matrix():
@@ -313,10 +358,10 @@ def test_plan_build_memory(memory_case):
     free = dm.free_of_global[dof_arrays(mesh, dm)] >= 0
     kept = int((free.sum(axis=1) ** 2).sum())  # entries with a free row and column
     peak, plan = traced_peak(lambda: ScatterPlan.build(mesh, dm))
-    # scipy's conversion holds rows, columns and output indices (4 B each)
-    # and the entry numbers in and out (8 B each) of every kept entry; the
-    # keep mask holds 1 B per entry
-    bound = 28 * kept + mesh.num_triangles * 441 + MARGIN
+    # scipy's conversion holds the rows, columns and output indices and the
+    # int32 entry numbers in and out (4 B each) of every kept entry; the keep
+    # mask holds 1 B per entry
+    bound = 20 * kept + mesh.num_triangles * 441 + MARGIN
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
     assert plan.nnz < kept
 
@@ -325,8 +370,8 @@ def test_assembly_memory(memory_case):
     mesh, dm, tables, plan, bases = memory_case
     xi = random_xi(dm, 1)
     peak, _ = traced_peak(lambda: (
-        assemble_biharmonic(mesh, dm, tables.rule, 1.0, bases=bases, plan=plan),
-        assemble_convection(mesh, dm, tables.rule, xi, tables=tables, plan=plan)))
+        assemble_biharmonic(plan, tables.rule, 1.0, bases=bases),
+        assemble_convection(plan, tables, xi)))
     entries, slots = mesh.num_triangles * 441, plan.nnz
     # the element matrices (8 B an entry) and one block's cross table; per
     # slot, A's data and indices (12 B), the summed data (8 B) and at most

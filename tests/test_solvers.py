@@ -12,6 +12,7 @@ from streamfem import solvers
 from streamfem.argyris import build_all_bases
 from streamfem.assembly import (
     ElementTables,
+    ScatterPlan,
     assemble_biharmonic,
     assemble_load,
     dof_arrays,
@@ -36,7 +37,7 @@ from streamfem.solvers import (
 
 
 def identity(n):
-    return finalize_csr(sp.eye(n, format="csr"), is_symmetric=True)
+    return finalize_csr(sp.eye(n, format="csr"))
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +45,9 @@ def biharmonic_system():
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
     bases = build_all_bases(mesh)
-    A = assemble_biharmonic(mesh, dm, rule(12), 1.0, bases=bases)
+    A = assemble_biharmonic(ScatterPlan.build(mesh, dm), rule(12), 1.0, bases=bases)
     ms = manufactured_rhs(1.0)
-    ell = assemble_load(mesh, dm, rule(4), ms.forcing,
-                        tables=ElementTables(mesh, rule(4), bases=bases))
+    ell = assemble_load(ElementTables(mesh, rule(4), bases), dm, ms.forcing)
     return A, ell
 
 
@@ -180,7 +180,7 @@ def test_bandwidth_ordering1_vs_ordering3():
     stats = {}
     for scheme in (1, 3):
         dm = enumerate_dofs(mesh, scheme)
-        A = assemble_biharmonic(mesh, dm, rule(6), 1.0)
+        A = assemble_biharmonic(ScatterPlan.build(mesh, dm), rule(6), 1.0)
         stats[scheme] = bandwidth_stats(A)["bandwidth"]
     assert stats[1] < stats[3]
 
@@ -193,7 +193,7 @@ def test_pcg_identity():
 
 
 def test_pcg_diagonal_system():
-    A = from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 4.0], is_symmetric=True)
+    A = from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 4.0])
     b = np.array([1.0, 2.0, 4.0])
     x, report = pcg(A, b, tol=1e-12)
     assert report.converged and report.iterations <= 3
@@ -213,6 +213,13 @@ def test_pcg_rejects_bad_input(biharmonic_system):
     indefinite = from_coo(2, [0, 1], [0, 1], [1.0, -1.0])
     with pytest.raises(ValueError):
         pcg(indefinite, np.ones(2))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solvers_reject_a_tolerance_not_positive_and_finite(tol):
+    for solver in (pcg, bicgstab):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            solver(identity(3), np.ones(3), tol=tol)
 
 
 def test_solvers_reject_mis_sized_rhs():
@@ -363,16 +370,14 @@ def test_matrix_market_roundtrip(tmp_path, biharmonic_system):
 
 def test_matrix_market_symmetric_encoding(tmp_path):
     A = from_coo(3, [0, 1, 1, 2, 0, 2], [0, 1, 0, 2, 1, 1],
-                 [4.0, 5.0, -1.5, 6.0, -1.5, 2.5], is_symmetric=False)
+                 [4.0, 5.0, -1.5, 6.0, -1.5, 2.5])
     dense = A.toarray()
-    sym = finalize_csr(0.5 * (dense + dense.T), is_symmetric=True)
+    sym = finalize_csr(0.5 * (dense + dense.T))
     path = tmp_path / "s.mtx"
     write_matrix_market(sym, path)
     header = open(path).readline()
     assert "symmetric" in header
-    back = read_matrix_market(path)
-    assert back.is_symmetric
-    assert np.array_equal(back.toarray(), sym.toarray())
+    assert np.array_equal(read_matrix_market(path).toarray(), sym.toarray())
 
 
 def test_matrix_market_general_roundtrip(tmp_path):
