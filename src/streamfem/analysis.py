@@ -51,12 +51,12 @@ def compute_errors(
     mesh: Mesh,
     dofmap: DofMap,
     coefficients: np.ndarray,
-    exact,
+    exact: dict,
 ) -> ErrorReport:
     """Integrate (psi_h - psi)^2 and derivative differences elementwise.
 
-    ``exact`` provides exact, exact_dx, ..., exact_dyy callables (the
-    manufactured-solution object or anything with the same attributes).
+    ``exact`` is the dict ``interpolate_field`` takes, e.g. ``assembly.EXACT``:
+    a callable f(x, y) of the field's derivative per name of ``EVAL_ORDERS``.
     The field is read from its per-triangle monomial coefficients
     (:meth:`ElementBases.derivatives`) at the verification rule's points,
     ``BLOCK`` triangles at a time, so only the six (T, nq) differences and
@@ -73,8 +73,6 @@ def compute_errors(
     shape = (mesh.num_triangles, q.n_points)
     w = np.empty(shape)
     err = {name: np.empty(shape) for name, _ in EVAL_ORDERS}
-    exact_of = {name: getattr(exact, "exact" if name == "value" else f"exact_{name}")
-                for name, _ in EVAL_ORDERS}
     bases = build_all_bases(mesh)
     poly = bases.polynomials(coefficients[dof_arrays(mesh, dofmap)])
     triangles = np.arange(len(bases))[:, None]  # each block's points lie in its own triangles
@@ -82,14 +80,14 @@ def compute_errors(
         w[blk] = weights
         x, y = points[:, :, 0], points[:, :, 1]
         for name, field in bases.derivatives(poly, points, triangles[blk], EVAL_ORDERS).items():
-            np.subtract(field, exact_of[name](x, y), out=err[name][blk])
+            np.subtract(field, exact[name](x, y), out=err[name][blk])
 
     l2 = float(np.sqrt(np.sum(w * err["value"] ** 2)))
     h1 = float(np.sqrt(np.sum(w * (err["dx"] ** 2 + err["dy"] ** 2))))
     h2 = float(np.sqrt(np.sum(w * (err["dxx"] ** 2 + err["dxy"] ** 2 + err["dyy"] ** 2))))
 
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    nodal = coefficients[dofmap.vertex_dofs[:, 0]] - exact.exact(vx, vy)
+    nodal = coefficients[dofmap.vertex_dofs[:, 0]] - exact["value"](vx, vy)
     nodal_max = float(np.abs(nodal).max())
 
     return ErrorReport(l2=l2, h1_semi=h1, h2_semi=h2, nodal_max=nodal_max,

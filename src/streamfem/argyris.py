@@ -224,7 +224,7 @@ class ElementBasis:
                   for m, n in zip(self.midpoints, self.edge_normals))
         return (*vertex, *normal)
 
-    def evaluate(self, points: np.ndarray, orders=(("value", (0, 0)),)) -> dict[str, np.ndarray]:
+    def evaluate(self, points: np.ndarray, orders) -> dict[str, np.ndarray]:
         """Evaluate derivative tables of all 21 shapes at the given points.
 
         Returns a dict name -> (npoints, 21) array for each requested
@@ -366,13 +366,13 @@ def build_all_bases(mesh: Mesh) -> ElementBases:
 def interpolate_field(mesh: Mesh, dofmap, derivatives: dict) -> np.ndarray:
     """Argyris interpolant coefficients of an analytically known field.
 
-    ``derivatives`` maps 'value', 'dx', 'dy', 'dxx', 'dxy', 'dyy' to
-    callables f(x, y) accepting arrays. The midside DOFs are the normal
-    derivatives under the global edge convention.
+    ``derivatives`` maps each name of ``EVAL_ORDERS`` to a callable f(x, y)
+    accepting arrays, as ``assembly.EXACT`` does. The midside DOFs are the
+    normal derivatives under the global edge convention.
     """
     coeffs = np.zeros(dofmap.total_dofs)
     vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    for k, name in enumerate(("value", "dx", "dy", "dxx", "dxy", "dyy")):
+    for k, (name, _) in enumerate(EVAL_ORDERS):
         coeffs[dofmap.vertex_dofs[:, k]] = derivatives[name](vx, vy)
     mx, my = mesh.edge_midpoints[:, 0], mesh.edge_midpoints[:, 1]
     gx = derivatives["dx"](mx, my)

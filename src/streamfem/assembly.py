@@ -57,7 +57,8 @@ psi = x^2 (x-1)^2 y^2 (y-1)^2 with velocity u = (psi_y, -psi_x) and pressure
 p = x^3 + y^3 - 1/2; f = -Re^-1 lap(u) + (u.grad)u + grad p. With the
 opposite velocity sign the same field solves the system with the convection
 form and the convective part of f both negated, which the ``flip_convention``
-switches expose for verification.
+switches expose for verification. Neither moves psi, so ``EXACT`` is one
+table: a callable f(x, y) of psi's derivative per name of ``EVAL_ORDERS``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sort_indices
 
-from .argyris import BLOCK, ElementBases, build_all_bases
+from .argyris import BLOCK, EVAL_ORDERS, ElementBases, build_all_bases
 from .mesh import DofMap, Mesh
 from .quadrature import QuadratureRule, map_to_triangle, rule as quad_rule
 from .solvers import SparseMatrix
@@ -384,30 +385,20 @@ def _d3g(t):
     return 24.0 * t - 12.0
 
 
+def _product(ax, ay):
+    gx, gy = (_g, _dg, _d2g)[ax], (_g, _dg, _d2g)[ay]
+    return lambda x, y: gx(x) * gy(y)
+
+
+EXACT = {name: _product(ax, ay) for name, (ax, ay) in EVAL_ORDERS}
+
+
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form forcing and exact field for the test problem."""
+    """Closed-form forcing of the test problem; :data:`EXACT` is its field."""
 
     reynolds: float
     flip_convention: bool
-
-    def exact(self, x, y):
-        return _g(x) * _g(y)
-
-    def exact_dx(self, x, y):
-        return _dg(x) * _g(y)
-
-    def exact_dy(self, x, y):
-        return _g(x) * _dg(y)
-
-    def exact_dxx(self, x, y):
-        return _d2g(x) * _g(y)
-
-    def exact_dxy(self, x, y):
-        return _dg(x) * _dg(y)
-
-    def exact_dyy(self, x, y):
-        return _g(x) * _d2g(y)
 
     def forcing(self, x, y):
         """f = -Re^-1 lap(u) + (u.grad)u + grad p, componentwise.
@@ -441,19 +432,8 @@ class ManufacturedSolution:
         f2 = -inv_re * lap_u2 + s * conv2 + 3.0 * y ** 2
         return f1, f2
 
-    def interpolation_data(self) -> dict:
-        """Derivative callables accepted by argyris.interpolate_field."""
-        return {
-            "value": self.exact,
-            "dx": self.exact_dx,
-            "dy": self.exact_dy,
-            "dxx": self.exact_dxx,
-            "dxy": self.exact_dxy,
-            "dyy": self.exact_dyy,
-        }
-
 
 def manufactured_rhs(reynolds: float = 1.0, flip_convention: bool = False) -> ManufacturedSolution:
-    """Forcing and exact-solution evaluators for the unit-square test case."""
+    """The forcing of the unit-square test case at Reynolds number ``reynolds``."""
     check_reynolds(reynolds)
     return ManufacturedSolution(reynolds=float(reynolds), flip_convention=flip_convention)

@@ -31,7 +31,7 @@ from .analysis import (
     write_csv,
 )
 from .argyris import build_all_bases
-from .assembly import ElementTables, ScatterPlan, assemble_biharmonic, viscous_element_matrices
+from .assembly import EXACT, ElementTables, ScatterPlan, assemble_biharmonic, viscous_element_matrices
 from .mesh import build_uniform_mesh, enumerate_dofs, export_mesh_csv
 from .picard import PicardConfig, discretize, solve_biharmonic_problem, solve_linearized_nse
 from .quadrature import SUPPORTED_POINT_COUNTS, rule as quad_rule
@@ -212,9 +212,9 @@ def cmd_solve(args) -> int:
     disc = discretize(mesh, config)
     coeffs, result, failure = _solve(disc, args.problem, args.load)
     elapsed = time.perf_counter() - t0
-    dofmap, ms = disc.dofmap, disc.ms
+    dofmap = disc.dofmap
     del disc  # free its tables and A before the error pass builds its own tables
-    errors = compute_errors(mesh, dofmap, coeffs, ms)
+    errors = compute_errors(mesh, dofmap, coeffs, EXACT)
     out = _ensure_out_dir(args)
     if args.problem == "nse":
         result.export_csv(out / "picard_trace.csv")
@@ -360,11 +360,13 @@ def run_tables(configs, problem: str = "biharmonic", load: str = "full"):
         disc = discretize(mesh, config)
         coeffs, result, failure = _solve(disc, problem, load)
         timings.append([f"n_{mesh.n}", time.perf_counter() - t0])
+        dofmap = disc.dofmap
+        del disc  # free its tables and A before the error pass and the next mesh
         if problem == "nse" and result.failure:  # stopped early: the row names why
             rows.append(base + [f"failed: {failure}"] + [""] * (len(headers) - 4))
             continue
         status = "ok" if failure is None else "not-converged"
-        errors = compute_errors(mesh, disc.dofmap, coeffs, disc.ms)
+        errors = compute_errors(mesh, dofmap, coeffs, EXACT)
         if problem == "biharmonic":
             rows.append(base + [status, result.flops, errors.nodal_max, errors.l2,
                                 result.iterations])

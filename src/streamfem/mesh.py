@@ -171,8 +171,8 @@ class DofMap:
     vertex_dofs: np.ndarray
     edge_dofs: np.ndarray
     constrained: np.ndarray
-    free_of_global: np.ndarray = field(repr=False, default=None)
-    globals_of_free: np.ndarray = field(repr=False, default=None)
+    free_of_global: np.ndarray = field(repr=False)
+    globals_of_free: np.ndarray = field(repr=False)
 
     @property
     def num_free(self) -> int:

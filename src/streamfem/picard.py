@@ -41,7 +41,7 @@ from .assembly import (
     manufactured_rhs,
 )
 from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
-from .quadrature import QuadratureRule, rule as quad_rule
+from .quadrature import rule as quad_rule
 from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
 
 
@@ -146,14 +146,6 @@ class Discretization:
     ms: ManufacturedSolution
     plan: ScatterPlan
     A: SparseMatrix
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.tables.mesh
-
-    @property
-    def q(self) -> QuadratureRule:
-        return self.tables.rule
 
     def operator(self, psi: np.ndarray) -> SparseMatrix:
         """A + B(psi), the linearized operator frozen at the full-DOF field psi,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from streamfem.argyris import build_all_bases
-from streamfem.assembly import manufactured_rhs
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 
 
@@ -34,11 +33,6 @@ def dofmap5(mesh5):
 @pytest.fixture(scope="session")
 def bases5(mesh5):
     return build_all_bases(mesh5)
-
-
-@pytest.fixture(scope="session")
-def exact_solution():
-    return manufactured_rhs(1.0)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spl
 from streamfem.analysis import compute_errors, evaluate_field
 from streamfem.argyris import build_all_bases, build_element_basis, edge_normal, interpolate_field
 from streamfem.assembly import (
+    EXACT,
     ElementTables,
     ScatterPlan,
     assemble_biharmonic,
@@ -46,17 +47,12 @@ def check(criterion, ok, detail):
     assert ok, detail
 
 
-@pytest.fixture(scope="module")
-def exact():
-    return manufactured_rhs(1.0)
-
-
 # --- criterion 1: biharmonic table, n.q.p. = 4 -------------------------------
 
 TABLE_61 = {3: (1.644e-4, 72), 5: (1.899e-4, 211), 9: (1.376e-4, 437)}
 
 
-def test_criterion_1_biharmonic_table(exact):
+def test_criterion_1_biharmonic_table():
     t0 = time.perf_counter()
     results = {}
     for n in (3, 5, 9):
@@ -64,7 +60,7 @@ def test_criterion_1_biharmonic_table(exact):
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=4, ordering=1)
         coeffs, report = solve_biharmonic_problem(discretize(mesh, config))
         dm = enumerate_dofs(mesh, 1)
-        errors = compute_errors(mesh, dm, coeffs, exact)
+        errors = compute_errors(mesh, dm, coeffs, EXACT)
         results[n] = (errors.nodal_max, report.iterations, report.converged)
     elapsed = time.perf_counter() - t0
 
@@ -91,14 +87,14 @@ TABLE_63 = {
 }
 
 
-def test_criterion_2_linearized_table(exact):
+def test_criterion_2_linearized_table():
     measured = {}
     for n in (3, 5, 9):
         mesh = build_uniform_mesh(n)
         config = PicardConfig(reynolds=1.0, tol=1e-5, n_quad_points=6, ordering=1)
         coeffs, trace = solve_linearized_nse(discretize(mesh, config))
         dm = enumerate_dofs(mesh, 1)
-        errors = compute_errors(mesh, dm, coeffs, exact)
+        errors = compute_errors(mesh, dm, coeffs, EXACT)
         measured[n] = (errors.l2, errors.h1_semi, errors.h2_semi, trace.converged)
 
     ok = True
@@ -151,11 +147,11 @@ def test_criterion_4a_duality():
     check("4a", worst < 1e-8, f"max duality residual {worst:.3e} on h=1/9")
 
 
-def test_criterion_4b_c1_conformity(exact):
+def test_criterion_4b_c1_conformity():
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
     bases = build_all_bases(mesh)
-    coeffs = interpolate_field(mesh, dm, exact.interpolation_data())
+    coeffs = interpolate_field(mesh, dm, EXACT)
     rng = np.random.default_rng(7)
     interior = np.flatnonzero(~mesh.edge_on_boundary)
     edge_tris = {e: [] for e in interior}
@@ -247,7 +243,7 @@ def test_criterion_4d_quadrature_exactness():
     check("4d", ok, "; ".join(details))
 
 
-def test_criterion_4e_form_structure(exact):
+def test_criterion_4e_form_structure():
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
     bases = build_all_bases(mesh)
@@ -267,17 +263,17 @@ def test_criterion_4e_form_structure(exact):
     check("4e", ok, f"symmetry {sym:.1e}, antisymmetry {anti:.1e}, psi'B psi {quad:.1e} (rel)")
 
 
-def test_criterion_4f_gradient_load(exact):
+def test_criterion_4f_gradient_load():
     mesh = build_uniform_mesh(3)
     dm = enumerate_dofs(mesh, 1)
     tab = ElementTables(mesh, rule(25), build_all_bases(mesh))
     grad_p = assemble_load(tab, dm, lambda x, y: (3 * x ** 2, 3 * y ** 2))
-    full = assemble_load(tab, dm, exact.forcing)
+    full = assemble_load(tab, dm, manufactured_rhs(1.0).forcing)
     ratio = np.abs(grad_p).max() / np.abs(full).max()
     check("4f", ratio <= 1e-8, f"gradient load / manufactured load = {ratio:.2e}")
 
 
-def test_criterion_4g_ordering_invariance(exact):
+def test_criterion_4g_ordering_invariance():
     mesh = build_uniform_mesh(3)
     dm1 = enumerate_dofs(mesh, 1)
     ok = True
@@ -313,10 +309,10 @@ def test_criterion_4g_ordering_invariance(exact):
     check("4g", ok, "; ".join(details))
 
 
-def test_criterion_4h_energy_oracle(exact):
+def test_criterion_4h_energy_oracle():
     mesh = build_uniform_mesh(5)
     dm = enumerate_dofs(mesh, 1)
-    coeffs = interpolate_field(mesh, dm, exact.interpolation_data())
+    coeffs = interpolate_field(mesh, dm, EXACT)
     A = assemble_biharmonic(ScatterPlan.build(mesh, dm, reduced=False), rule(25), 1.0)
     energy = float(coeffs @ A.matvec(coeffs))
     target = 4.0 / 1225.0
@@ -326,7 +322,7 @@ def test_criterion_4h_energy_oracle(exact):
 
 # --- criterion 5: refinement study with the verification rule -----------------
 
-def test_criterion_5_convergence(exact):
+def test_criterion_5_convergence():
     """Mesh convergence of the biharmonic discretization, isolated from
     every other error source: degree-10 assembly, the forcing whose exact
     solution is the manufactured field (no convective term), the minimal
@@ -338,11 +334,11 @@ def test_criterion_5_convergence(exact):
         bases = build_all_bases(mesh)
         tab = ElementTables(mesh, rule(25), bases)
         A = assemble_biharmonic(ScatterPlan.build(mesh, dm), rule(25), 1.0, bases=bases)
-        ell = assemble_load(tab, dm, exact.forcing_linear)
+        ell = assemble_load(tab, dm, manufactured_rhs(1.0).forcing_linear)
         x = spl.spsolve(A._csr.tocsc(), ell)
         full = np.zeros(dm.total_dofs)
         full[dm.globals_of_free] = x
-        errs[n] = compute_errors(mesh, dm, full, exact).l2
+        errs[n] = compute_errors(mesh, dm, full, EXACT).l2
     o1 = math.log(errs[3] / errs[5]) / math.log(5 / 3)
     o2 = math.log(errs[5] / errs[9]) / math.log(9 / 5)
     monotone = errs[3] > errs[5] > errs[9]

@@ -18,7 +18,7 @@ from streamfem.analysis import (
     write_csv,
 )
 from streamfem.argyris import EVAL_ORDERS, build_all_bases, interpolate_field
-from streamfem.assembly import ScatterPlan, assemble_biharmonic, dof_arrays
+from streamfem.assembly import EXACT, ScatterPlan, assemble_biharmonic, dof_arrays
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats, finalize_csr
@@ -26,24 +26,10 @@ from streamfem.solvers import bandwidth_stats, finalize_csr
 from test_argyris import sympy_derivatives
 
 
-class _SympyExact:
-    """Adapter mirroring the manufactured-solution attribute names."""
-
-    def __init__(self, expr):
-        table = sympy_derivatives(expr)
-        self.exact = table["value"]
-        self.exact_dx = table["dx"]
-        self.exact_dy = table["dy"]
-        self.exact_dxx = table["dxx"]
-        self.exact_dxy = table["dxy"]
-        self.exact_dyy = table["dyy"]
-
-
 def test_errors_vanish_for_quintic_interpolant(mesh3, dofmap3):
     x, y = sympy.symbols("x y")
-    expr = x ** 3 * y ** 2 - 2 * x * y + x ** 5 / 4
-    exact = _SympyExact(expr)
-    coeffs = interpolate_field(mesh3, dofmap3, sympy_derivatives(expr))
+    exact = sympy_derivatives(x ** 3 * y ** 2 - 2 * x * y + x ** 5 / 4)
+    coeffs = interpolate_field(mesh3, dofmap3, exact)
     report = compute_errors(mesh3, dofmap3, coeffs, exact)
     assert report.l2 <= 1e-9
     assert report.h1_semi <= 1e-9
@@ -51,12 +37,12 @@ def test_errors_vanish_for_quintic_interpolant(mesh3, dofmap3):
     assert report.nodal_max <= 1e-12
 
 
-def test_errors_reject_wrong_length(mesh3, dofmap3, exact_solution):
+def test_errors_reject_wrong_length(mesh3, dofmap3):
     with pytest.raises(ValueError):
-        compute_errors(mesh3, dofmap3, np.zeros(5), exact_solution)
+        compute_errors(mesh3, dofmap3, np.zeros(5), EXACT)
 
 
-def test_evaluate_field_clamped_corner(mesh3, dofmap3, bases3, exact_solution):
+def test_evaluate_field_clamped_corner(mesh3, dofmap3, bases3):
     from streamfem.picard import PicardConfig, discretize, solve_biharmonic_problem
 
     coeffs, _ = solve_biharmonic_problem(discretize(mesh3, PicardConfig(n_quad_points=6)))
@@ -65,29 +51,29 @@ def test_evaluate_field_clamped_corner(mesh3, dofmap3, bases3, exact_solution):
             0.0, abs=1e-12)
 
 
-def test_evaluate_field_center_value(mesh3, bases3, exact_solution):
+def test_evaluate_field_center_value(mesh3, bases3):
     # (0.5, 0.5) is a vertex of the n=4 mesh, so the interpolant is exact there
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
-    coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+    coeffs = interpolate_field(mesh, dm, EXACT)
     val = evaluate_field(mesh, dm, coeffs, [(0.5, 0.5)], build_all_bases(mesh))[0]
     assert val == pytest.approx(0.00390625, abs=1e-12)
     # off-vertex evaluation matches to interpolation accuracy
     dm3 = enumerate_dofs(mesh3, 1)
-    c3 = interpolate_field(mesh3, dm3, exact_solution.interpolation_data())
+    c3 = interpolate_field(mesh3, dm3, EXACT)
     val3 = evaluate_field(mesh3, dm3, c3, [(0.5, 0.5)], bases3)[0]
     assert val3 == pytest.approx(0.00390625, abs=1e-4)
 
 
-def test_evaluate_field_continuous_on_edges(mesh3, dofmap3, bases3, exact_solution, rng):
-    coeffs = interpolate_field(mesh3, dofmap3, exact_solution.interpolation_data())
+def test_evaluate_field_continuous_on_edges(mesh3, dofmap3, bases3, rng):
+    coeffs = interpolate_field(mesh3, dofmap3, EXACT)
     interior = np.flatnonzero(~mesh3.edge_on_boundary)
     for e in interior[:6]:
         a, b = mesh3.edges[e]
         s = rng.uniform(0.1, 0.9)
         p = mesh3.vertices[a] * (1 - s) + mesh3.vertices[b] * s
         got = evaluate_field(mesh3, dofmap3, coeffs, [p], bases3)[0]
-        want = exact_solution.exact(p[0], p[1])
+        want = EXACT["value"](p[0], p[1])
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -192,10 +178,10 @@ def _polyline_closed(line, tol=1e-9):
     return np.hypot(line[0][0] - line[-1][0], line[0][1] - line[-1][1]) < tol
 
 
-def test_contours_nested_closed_curves(tmp_path, exact_solution):
+def test_contours_nested_closed_curves(tmp_path):
     mesh = build_uniform_mesh(4)
     dm = enumerate_dofs(mesh, 1)
-    coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+    coeffs = interpolate_field(mesh, dm, EXACT)
     bases = build_all_bases(mesh)
     result = export_contours(mesh, dm, coeffs, tmp_path / "exact", bases, grid_size=64)
     assert len(result["levels"]) == 8 and result["levels"] == sorted(result["levels"])
@@ -225,8 +211,8 @@ def _assert_nested_closed_curves(polylines_by_level):
         assert inner[:, 1].min() > outer[:, 1].min() and inner[:, 1].max() < outer[:, 1].max()
 
 
-def test_contour_csv_matches_evaluate_field(tmp_path, mesh3, dofmap3, bases3, exact_solution):
-    coeffs = interpolate_field(mesh3, dofmap3, exact_solution.interpolation_data())
+def test_contour_csv_matches_evaluate_field(tmp_path, mesh3, dofmap3, bases3):
+    coeffs = interpolate_field(mesh3, dofmap3, EXACT)
     result = export_contours(mesh3, dofmap3, coeffs, tmp_path / "grid", bases3, grid_size=16)
     rows = open(result["csv"]).read().splitlines()[1:]
     xs = np.array([float(r.split(",")[0]) for r in rows])
@@ -253,7 +239,7 @@ def test_format_table_and_csv(tmp_path):
     assert repr(0.123456789) in content  # full precision in CSV
 
 
-def test_run_tables_biharmonic_rows(exact_solution):
+def test_run_tables_biharmonic_rows():
     from streamfem.cli import run_tables
     from streamfem.picard import PicardConfig
 
@@ -295,7 +281,7 @@ def test_run_tables_marks_failed_rows():
     assert result["rows"][1][3] == "ok"
 
 
-def test_error_norms_insensitive_to_evaluation_rule(exact_solution):
+def test_error_norms_insensitive_to_evaluation_rule():
     """Error norms move <= 0.1% when the degree-10 evaluation is replaced
     by the same rule composited over the 4-fold midpoint subdivision of
     every triangle (doubled integration precision)."""
@@ -306,12 +292,10 @@ def test_error_norms_insensitive_to_evaluation_rule(exact_solution):
     dm = enumerate_dofs(mesh, 1)
     coeffs, report = solve_biharmonic_problem(discretize(mesh, PicardConfig(n_quad_points=6)))
     assert report.converged
-    base = compute_errors(mesh, dm, coeffs, exact_solution)
+    base = compute_errors(mesh, dm, coeffs, EXACT)
 
     q = rule(25)
     bases = build_all_bases(mesh)
-    orders = (("value", (0, 0)), ("dx", (1, 0)), ("dy", (0, 1)),
-              ("dxx", (2, 0)), ("dxy", (1, 1)), ("dyy", (0, 2)))
     sums = {"l2": 0.0, "h1_semi": 0.0, "h2_semi": 0.0}
     for t in range(mesh.num_triangles):
         a, b, c = mesh.vertices[mesh.triangles[t]]
@@ -322,17 +306,12 @@ def test_error_norms_insensitive_to_evaluation_rule(exact_solution):
             pts = p0[None, :] + np.outer(q.points[:, 0], p1 - p0) + np.outer(q.points[:, 1], p2 - p0)
             u, v = p1 - p0, p2 - p0
             w = q.weights * 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-            tab = bases[t].evaluate(pts, orders)
+            tab = bases[t].evaluate(pts, EVAL_ORDERS)
             x, y = pts[:, 0], pts[:, 1]
-            e = tab["value"] @ local - exact_solution.exact(x, y)
-            ex = tab["dx"] @ local - exact_solution.exact_dx(x, y)
-            ey = tab["dy"] @ local - exact_solution.exact_dy(x, y)
-            exx = tab["dxx"] @ local - exact_solution.exact_dxx(x, y)
-            exy = tab["dxy"] @ local - exact_solution.exact_dxy(x, y)
-            eyy = tab["dyy"] @ local - exact_solution.exact_dyy(x, y)
-            sums["l2"] += float(w @ (e ** 2))
-            sums["h1_semi"] += float(w @ (ex ** 2 + ey ** 2))
-            sums["h2_semi"] += float(w @ (exx ** 2 + exy ** 2 + eyy ** 2))
+            e = {name: tab[name] @ local - EXACT[name](x, y) for name in tab}
+            sums["l2"] += float(w @ (e["value"] ** 2))
+            sums["h1_semi"] += float(w @ (e["dx"] ** 2 + e["dy"] ** 2))
+            sums["h2_semi"] += float(w @ (e["dxx"] ** 2 + e["dxy"] ** 2 + e["dyy"] ** 2))
     for field in ("l2", "h1_semi", "h2_semi"):
         refined = math.sqrt(sums[field])
         coarse = getattr(base, field)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import sympy
 
-from streamfem.argyris import interpolate_field
+from streamfem.argyris import EVAL_ORDERS, interpolate_field
 from streamfem.assembly import (
+    EXACT,
     ElementTables,
     ScatterPlan,
     assemble_biharmonic,
@@ -15,6 +17,7 @@ from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
 from streamfem.quadrature import rule
 from streamfem.solvers import pcg
 
+from test_argyris import sympy_derivatives
 from test_scatter_plan import _scatter, assert_same_bytes, ref_convection
 
 
@@ -69,7 +72,7 @@ def test_reynolds_must_be_finite(mesh3, plan3, reynolds):
         manufactured_rhs(reynolds)
 
 
-def test_energy_quadratic_form_matches_exact_integral(exact_solution):
+def test_energy_quadratic_form_matches_exact_integral():
     """The unreduced quadratic form of the interpolant approximates
     int (lap psi)^2 = 4/1225. The interpolation gap is 1.12e-5 on the
     h=1/3 mesh and falls below 1e-5 from h=1/5 on."""
@@ -77,7 +80,7 @@ def test_energy_quadratic_form_matches_exact_integral(exact_solution):
     for n, tol in ((3, 2e-5), (5, 1e-5)):
         mesh = build_uniform_mesh(n)
         dm = enumerate_dofs(mesh, 1)
-        coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+        coeffs = interpolate_field(mesh, dm, EXACT)
         A = assemble_biharmonic(ScatterPlan.build(mesh, dm, reduced=False), rule(25), 1.0)
         energy = float(coeffs @ A.matvec(coeffs))
         assert energy == pytest.approx(target, abs=tol)
@@ -122,23 +125,23 @@ def test_zero_load(dofmap3, tables6):
     assert np.all(ell == 0.0)
 
 
-def test_gradient_load_vanishes(mesh3, dofmap3, tables25, exact_solution):
+def test_gradient_load_vanishes(mesh3, dofmap3, tables25):
     """f = grad(x^3 + y^3) contributes nothing against curls of clamped
     fields; with the degree-10 rule the assembled entries are roundoff."""
     grad_p = assemble_load(tables25, dofmap3, lambda x, y: (3 * x ** 2, 3 * y ** 2))
-    full = assemble_load(tables25, dofmap3, exact_solution.forcing)
+    full = assemble_load(tables25, dofmap3, manufactured_rhs(1.0).forcing)
     scale = np.abs(full).max()
     assert np.abs(grad_p).max() <= 1e-8 * scale
 
 
-def test_manufactured_forcing_against_finite_differences(exact_solution):
+def test_manufactured_forcing_against_finite_differences():
     """Recompute f = -Re^-1 lap(u) + (u.grad)u + grad p from psi and p
     samples by central differences."""
     h = 1e-5
     x0, y0 = 0.5, 0.3  # generic interior point
 
     def u(px, py):
-        return np.array([exact_solution.exact_dy(px, py), -exact_solution.exact_dx(px, py)])
+        return np.array([EXACT["dy"](px, py), -EXACT["dx"](px, py)])
 
     def p(px, py):
         return px ** 3 + py ** 3 - 0.5
@@ -153,14 +156,26 @@ def test_manufactured_forcing_against_finite_differences(exact_solution):
         (p(x0, y0 + h) - p(x0, y0 - h)) / (2 * h),
     ])
     fd = -lap_u + conv + grad_p
-    f1, f2 = exact_solution.forcing(np.array(x0), np.array(y0))
+    f1, f2 = manufactured_rhs(1.0).forcing(np.array(x0), np.array(y0))
     got = np.array([float(f1), float(f2)])
     assert np.abs(got - fd).max() <= 1e-6 * max(1.0, np.abs(got).max())
 
 
-def test_exact_solution_values(exact_solution):
-    assert exact_solution.exact(0.5, 0.5) == pytest.approx((1 / 16) ** 2, abs=1e-15)
-    assert exact_solution.exact(0.5, 0.5) == pytest.approx(0.00390625)
+def test_exact_table_matches_sympy_derivatives(rng):
+    """Each entry of EXACT is the derivative of psi its (ax, ay) names, so a
+    swapped pair of orders shows."""
+    x, y = sympy.symbols("x y")
+    want = sympy_derivatives(x ** 2 * (1 - x) ** 2 * y ** 2 * (1 - y) ** 2)
+    px, py = rng.random(64), rng.random(64)
+    assert list(EXACT) == [name for name, _ in EVAL_ORDERS]
+    for name, _ in EVAL_ORDERS:
+        np.testing.assert_allclose(EXACT[name](px, py), want[name](px, py),
+                                   rtol=1e-12, atol=1e-16)
+
+
+def test_exact_solution_values():
+    assert EXACT["value"](0.5, 0.5) == pytest.approx((1 / 16) ** 2, abs=1e-15)
+    assert EXACT["value"](0.5, 0.5) == pytest.approx(0.00390625)
     # psi and its normal slope vanish on the boundary
     t = np.linspace(0.0, 1.0, 17)
     for xs, ys, normal in (
@@ -169,8 +184,8 @@ def test_exact_solution_values(exact_solution):
         (np.zeros_like(t), t, (-1, 0)),
         (np.ones_like(t), t, (1, 0)),
     ):
-        assert np.abs(exact_solution.exact(xs, ys)).max() == 0.0
-        gx, gy = exact_solution.exact_dx(xs, ys), exact_solution.exact_dy(xs, ys)
+        assert np.abs(EXACT["value"](xs, ys)).max() == 0.0
+        gx, gy = EXACT["dx"](xs, ys), EXACT["dy"](xs, ys)
         assert np.abs(gx * normal[0] + gy * normal[1]).max() == 0.0
 
 
@@ -189,9 +204,9 @@ def test_ordering_equivariance(mesh3, other_scheme):
     assert np.abs(permuted - d2).max() <= 1e-12 * np.abs(d1).max()
 
 
-def test_galerkin_orthogonality(dofmap3, plan3, bases3, tables25, exact_solution):
+def test_galerkin_orthogonality(dofmap3, plan3, bases3, tables25):
     A = assemble_biharmonic(plan3, rule(25), 1.0, bases=bases3)
-    ell = assemble_load(tables25, dofmap3, exact_solution.forcing)
+    ell = assemble_load(tables25, dofmap3, manufactured_rhs(1.0).forcing)
     tol = 1e-9
     x, report = pcg(A, ell, tol=tol)
     assert report.converged

@@ -1,5 +1,6 @@
 import csv
 import os
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -253,6 +254,31 @@ def test_convergence_table_bitwise_deterministic(tmp_path, problem):
     t1 = _tree_bytes(d1, skip={"timings.csv"})
     assert sorted(t1) == [f"table_{problem}_nqp6.{ext}" for ext in ("csv", "txt")]
     assert t1 == _tree_bytes(d2, skip={"timings.csv"})
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["convergence-table", "--mesh-sizes", "3,4"], [[False], [False, False]]),
+    (["solve-biharmonic", "--n", "3"], [[False]]),
+])
+def test_no_discretization_is_alive_at_an_error_pass(tmp_path, monkeypatch, argv, want):
+    """Each discretization is freed before its error pass builds its own
+    tables, and so before the next mesh size's is built."""
+    build, errors = cli.discretize, cli.compute_errors
+    refs, alive = [], []
+
+    def discretize(*args, **kwargs):
+        disc = build(*args, **kwargs)
+        refs.append(weakref.ref(disc))
+        return disc
+
+    def compute_errors(*args):
+        alive.append([ref() is not None for ref in refs])
+        return errors(*args)
+
+    monkeypatch.setattr(cli, "discretize", discretize)
+    monkeypatch.setattr(cli, "compute_errors", compute_errors)
+    assert run_cli([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert alive == want
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -44,7 +44,7 @@ def ref_B(mesh, dofmap, psi, tables, flip, reduced=True):
 
 def ref_operator(disc, psi):
     """A + B(psi) as two CSR matrices and their structural sum."""
-    B = ref_B(disc.mesh, disc.dofmap, psi, disc.tables, disc.config.flip_convention)
+    B = ref_B(disc.tables.mesh, disc.dofmap, psi, disc.tables, disc.config.flip_convention)
     return structural_sum(disc.A, B)
 
 
@@ -170,7 +170,7 @@ def test_zero_free_sum_shares_the_plan_pattern():
 def test_operator_holds_one_element_stack_and_no_second_csr():
     disc = disc_for(16)
     psi = field(disc.dofmap, np.random.default_rng(16).standard_normal(disc.dofmap.num_free))
-    entries, slots = disc.mesh.num_triangles * 441, disc.plan.nnz
+    entries, slots = disc.tables.mesh.num_triangles * 441, disc.plan.nnz
     assert (disc.A.data == 0).any()  # A's stored zeros are added like its other entries
     # the element stack (8 B an entry) and the one block's cross table it is
     # formed through; summing its slots adds only the data (8 B a slot) and

@@ -6,6 +6,7 @@ import pytest
 from streamfem import assembly
 from streamfem.analysis import evaluate_field
 from streamfem.assembly import (
+    EXACT,
     ElementTables,
     ScatterPlan,
     assemble_biharmonic,
@@ -43,7 +44,7 @@ def test_config_ordering_is_always_a_scheme():
 
 def test_discretize_shares_tables_across_orderings(mesh3):
     first = discretize(mesh3, PicardConfig(n_quad_points=6))
-    assert first.mesh is mesh3 and first.q is rule(6)
+    assert first.tables.mesh is mesh3 and first.tables.rule is rule(6)
     config = PicardConfig(n_quad_points=6, ordering=3)
     shared = discretize(mesh3, config, tables=first.tables)
     fresh = discretize(mesh3, config)
@@ -68,7 +69,7 @@ def test_discretize_tabulates_the_laplacians_once_for_an_exact_rule(n_points, ta
                         lambda q, coords: mapped.append(q.n_points) or original(q, coords))
     disc = discretize(mesh, PicardConfig(n_quad_points=n_points, reynolds=3.0))
     assert len(mapped) == 2 * tabulations
-    want = assemble_biharmonic(disc.plan, disc.q, 3.0)
+    want = assemble_biharmonic(disc.plan, disc.tables.rule, 3.0)
     for name in ("indptr", "indices", "data"):
         assert getattr(disc.A, name).tobytes() == getattr(want, name).tobytes()
 
@@ -201,7 +202,7 @@ def test_trace_export(tmp_path, mesh3):
     assert len(lines) == len(trace.iterations) + 1
 
 
-def test_minimal_bc_reduces_error(exact_solution):
+def test_minimal_bc_reduces_error():
     """Releasing the over-clamped boundary DOF shrinks the H2 error."""
     from streamfem.analysis import compute_errors
 
@@ -212,7 +213,7 @@ def test_minimal_bc_reduces_error(exact_solution):
         coeffs, report = solve_biharmonic_problem(discretize(mesh, config), load="stokes")
         assert report.converged
         dm = enumerate_dofs(mesh, 1, minimal_bc=minimal)
-        errs[minimal] = compute_errors(mesh, dm, coeffs, exact_solution).h2_semi
+        errs[minimal] = compute_errors(mesh, dm, coeffs, EXACT).h2_semi
     assert errs[True] < 0.2 * errs[False]
 
 

@@ -26,6 +26,7 @@ from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sor
 from streamfem.analysis import VERIFICATION_RULE_POINTS, compute_errors
 from streamfem.argyris import BLOCK, EVAL_ORDERS, build_all_bases, interpolate_field
 from streamfem.assembly import (
+    EXACT,
     ElementTables,
     ScatterPlan,
     assemble_biharmonic,
@@ -110,7 +111,7 @@ def ref_convection(mesh, dofmap, xi, tables, flip):
     return -local if flip else local
 
 
-def ref_errors(mesh, dofmap, coefficients, exact):
+def ref_errors(mesh, dofmap, coefficients):
     """(l2, h1, h2) from whole-mesh (T, 25) fields, each triangle's read from
     its own ElementBasis tables and local DOFs."""
     bases = build_all_bases(mesh)
@@ -122,15 +123,10 @@ def ref_errors(mesh, dofmap, coefficients, exact):
         for name, table in tables.items():
             fields[name][t] = table @ local
     x, y = points[:, :, 0], points[:, :, 1]
-    e_val = fields["value"] - exact.exact(x, y)
-    e_dx = fields["dx"] - exact.exact_dx(x, y)
-    e_dy = fields["dy"] - exact.exact_dy(x, y)
-    e_dxx = fields["dxx"] - exact.exact_dxx(x, y)
-    e_dxy = fields["dxy"] - exact.exact_dxy(x, y)
-    e_dyy = fields["dyy"] - exact.exact_dyy(x, y)
-    return (float(np.sqrt(np.sum(w * e_val ** 2))),
-            float(np.sqrt(np.sum(w * (e_dx ** 2 + e_dy ** 2)))),
-            float(np.sqrt(np.sum(w * (e_dxx ** 2 + e_dxy ** 2 + e_dyy ** 2)))))
+    e = {name: fields[name] - EXACT[name](x, y) for name in fields}
+    return (float(np.sqrt(np.sum(w * e["value"] ** 2))),
+            float(np.sqrt(np.sum(w * (e["dx"] ** 2 + e["dy"] ** 2)))),
+            float(np.sqrt(np.sum(w * (e["dxx"] ** 2 + e["dxy"] ** 2 + e["dyy"] ** 2)))))
 
 
 def assert_same_bytes(got, want):
@@ -256,15 +252,15 @@ def test_shared_viscous_matrices_give_each_ordering_its_own_matrix():
 
 
 @pytest.mark.parametrize("n", [3, 12])
-def test_streamed_errors_match_whole_mesh_reference(n, exact_solution):
+def test_streamed_errors_match_whole_mesh_reference(n):
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, 2)
-    coeffs = interpolate_field(mesh, dm, exact_solution.interpolation_data())
+    coeffs = interpolate_field(mesh, dm, EXACT)
     coeffs += 1e-4 * random_xi(dm, n)
-    report = compute_errors(mesh, dm, coeffs, exact_solution)
+    report = compute_errors(mesh, dm, coeffs, EXACT)
     # measured: at most 4e-15 relative
     np.testing.assert_allclose((report.l2, report.h1_semi, report.h2_semi),
-                               ref_errors(mesh, dm, coeffs, exact_solution), rtol=1e-12, atol=0)
+                               ref_errors(mesh, dm, coeffs), rtol=1e-12, atol=0)
 
 
 # --- the structural pattern ------------------------------------------------------
@@ -380,11 +376,10 @@ def test_assembly_memory(memory_case):
     assert peak < bound, f"tracemalloc peak {peak} B, bound {bound} B"
 
 
-def test_error_pass_memory(memory_case, exact_solution):
+def test_error_pass_memory(memory_case):
     mesh, dm, _, _, _ = memory_case
     nq = VERIFICATION_RULE_POINTS
-    peak, _ = traced_peak(lambda: compute_errors(mesh, dm, np.zeros(dm.total_dofs),
-                                                 exact_solution))
+    peak, _ = traced_peak(lambda: compute_errors(mesh, dm, np.zeros(dm.total_dofs), EXACT))
     # the bases' (T, 21, 21) coefficients; a block's derivative table, the
     # one before it and the monomial temporaries (five (BLOCK, nq, 21)
     # arrays); the weights and six differences, (T, nq) each

@@ -3,9 +3,9 @@
     python tools/snapshot_outputs.py OUT_DIR
 
 Runs every argv of ``perfbench.workloads.Workload(name, 1).base`` for the
-four workloads, plus the argvs of ``EXTRA`` (47 runs in all), through
+four workloads, plus the argvs of ``EXTRA`` (48 runs in all), through
 ``streamfem.cli.main`` of this checkout. ``EXTRA`` reaches what the
-workloads do not: ``mesh-info --csv``, ``convergence-table``,
+workloads do not: ``mesh-info --csv``, both ``convergence-table`` problems,
 ``solve-biharmonic --load zero`` and the symmetric MatrixMarket encoding
 (the empty matrix of ``export-sparsity --n 1``); new argvs go at its end, so
 earlier runs keep their directory names. Each run writes into its own
@@ -52,6 +52,7 @@ EXTRA = [
     ["convergence-table", "--problem", "nse", "--mesh-sizes", "3,4"],
     ["solve-biharmonic", "--n", "3", "--load", "zero"],
     ["export-sparsity", "--n", "1"],
+    ["convergence-table", "--mesh-sizes", "3,4"],
 ]
 
 
