@@ -57,8 +57,9 @@ def compute_errors(
 
     ``exact`` is the dict ``interpolate_field`` takes, e.g. ``assembly.EXACT``:
     a callable f(x, y) of the field's derivative per name of ``EVAL_ORDERS``.
-    The field is read from its per-triangle monomial coefficients
-    (:meth:`ElementBases.derivatives`) at the verification rule's points,
+    The field is read from the per-triangle monomial coefficients of its
+    derivatives (:meth:`ElementBases.polynomials`, formed once) at the
+    verification rule's points (:meth:`ElementBases.derivatives`),
     ``BLOCK`` triangles at a time, so only the six (T, nq) differences and
     the weights are held for the whole mesh; the norms then sum over those
     arrays.
@@ -74,12 +75,12 @@ def compute_errors(
     w = np.empty(shape)
     err = {name: np.empty(shape) for name, _ in EVAL_ORDERS}
     bases = build_all_bases(mesh)
-    poly = bases.polynomials(coefficients[dof_arrays(mesh, dofmap)])
+    polys = bases.polynomials(coefficients[dof_arrays(mesh, dofmap)], EVAL_ORDERS)
     triangles = np.arange(len(bases))[:, None]  # each block's points lie in its own triangles
     for blk, points, weights in element_blocks(q, bases):
         w[blk] = weights
         x, y = points[:, :, 0], points[:, :, 1]
-        for name, field in bases.derivatives(poly, points, triangles[blk], EVAL_ORDERS).items():
+        for name, field in bases.derivatives(polys, points, triangles[blk]).items():
             np.subtract(field, exact[name](x, y), out=err[name][blk])
 
     l2 = float(np.sqrt(np.sum(w * err["value"] ** 2)))
@@ -128,12 +129,12 @@ def evaluate_field(
     ``POINT_CHUNK`` points at a time.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = bases.polynomials(np.asarray(coefficients, dtype=float)[dof_arrays(mesh, dofmap)])
+    local = np.asarray(coefficients, dtype=float)[dof_arrays(mesh, dofmap)]
+    polys = bases.polynomials(local, EVAL_ORDERS[:1])
     values = np.empty(len(pts))
     for lo in range(0, len(pts), POINT_CHUNK):
         chunk = pts[lo:lo + POINT_CHUNK]
-        values[lo:lo + POINT_CHUNK] = bases.derivatives(
-            poly, chunk, _locate(mesh, chunk), EVAL_ORDERS[:1])["value"]
+        values[lo:lo + POINT_CHUNK] = bases.derivatives(polys, chunk, _locate(mesh, chunk))["value"]
     return values
 
 

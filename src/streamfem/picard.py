@@ -44,6 +44,9 @@ from .mesh import DofMap, Mesh, OrderingScheme, enumerate_dofs
 from .quadrature import rule as quad_rule
 from .solvers import SolveReport, SparseMatrix, bicgstab, pcg
 
+# iteration cap of every PCG and BiCGSTAB solve
+LINEAR_MAX_ITER = 20000
+
 
 @dataclass(frozen=True)
 class PicardConfig:
@@ -63,7 +66,6 @@ class PicardConfig:
     n_quad_points: int = 6
     ordering: OrderingScheme | int = OrderingScheme.VERTEX_BLOCK
     linear_tol: float | None = None
-    linear_max_iter: int = 20000
     minimal_bc: bool = False
     flip_convention: bool = False
 
@@ -227,8 +229,7 @@ def solve_biharmonic_problem(disc: Discretization, load: str = "full"):
     else:
         raise ValueError(f"unknown load '{load}'")
     ell, _ = _load(disc, f)
-    x, report = pcg(disc.A, ell, tol=disc.config.biharmonic_tol,
-                    max_iter=disc.config.linear_max_iter)
+    x, report = pcg(disc.A, ell, tol=disc.config.biharmonic_tol, max_iter=LINEAR_MAX_ITER)
     return _expand(disc.dofmap, x), report
 
 
@@ -244,7 +245,7 @@ def solve_linearized_nse(disc: Discretization):
     scale = norm_ell if norm_ell > 0 else 1.0
 
     trace = PicardTrace()
-    x0, trace.initial_report = pcg(A, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
+    x0, trace.initial_report = pcg(A, ell, tol=config.inner_tol, max_iter=LINEAR_MAX_ITER)
     psi_full = _expand(dofmap, x0)
     if not trace.initial_report.converged:
         trace.failure = "initial biharmonic PCG solve did not converge"
@@ -253,7 +254,7 @@ def solve_linearized_nse(disc: Discretization):
     free = dofmap.globals_of_free
     system = disc.operator(psi_full)
     for outer in range(1, config.max_outer + 1):
-        x, report = bicgstab(system, ell, tol=config.inner_tol, max_iter=config.linear_max_iter)
+        x, report = bicgstab(system, ell, tol=config.inner_tol, max_iter=LINEAR_MAX_ITER)
         del system  # released before the next operator is assembled
         if report.breakdown is not None:
             trace.iterations.append(

@@ -96,12 +96,12 @@ def _on_diagonal(n):
 @given(n=st.integers(1, 6), ordering=st.sampled_from((1, 2, 3)),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, data):
-    """Value and gradient against ``ElementBasis.evaluate(p) @ local`` in the
-    triangle the point is located in, to 1e-14 of that triangle's largest
-    monomial coefficient, over its diameter for the gradient (a first
-    derivative of the local coordinates). Points are drawn anywhere, on mesh
-    lines x or y = k / n (vertices and shared edges), on cell diagonals and on
-    the sides x or y = 1."""
+    """Value and all five derivatives against ``ElementBasis.evaluate(p) @
+    local`` in the triangle the point is located in, to 1e-14 of that
+    triangle's largest monomial coefficient, over diameter ** (ax + ay) for
+    the (ax, ay) derivative (a derivative of the local coordinates). Points
+    are drawn anywhere, on mesh lines x or y = k / n (vertices and shared
+    edges), on cell diagonals and on the sides x or y = 1."""
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, ordering)
     coeffs = np.random.default_rng(seed).standard_normal(dm.total_dofs)
@@ -112,19 +112,20 @@ def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, d
     bases = build_all_bases(mesh)
     values = evaluate_field(mesh, dm, coeffs, pts, bases)
     located = _locate(mesh, pts)
-    grads = bases.derivatives(bases.polynomials(coeffs[dof_arrays(mesh, dm)]), pts, located,
-                              EVAL_ORDERS[1:3])
-    for p, t, value, gx, gy in zip(pts, located, values, grads["dx"], grads["dy"]):
+    fields = bases.derivatives(bases.polynomials(coeffs[dof_arrays(mesh, dm)], EVAL_ORDERS), pts,
+                               located)
+    assert (fields["value"] == values).all()
+    for k, (p, t) in enumerate(zip(pts, located)):
         basis = bases[t]
         # barycentric coordinates of p in its triangle: none below -1e-12
         bary = np.linalg.solve(np.vstack([basis.coords.T, np.ones(3)]), [*p, 1.0])
         assert bary.min() >= -1e-12
         local = coeffs[dm.triangle_dofs(mesh, t)]
-        tables = basis.evaluate(p, EVAL_ORDERS[:3])
+        tables = basis.evaluate(p, EVAL_ORDERS)
         tol = 1e-14 * np.abs(basis.coeffs.T @ local).max()
-        assert abs(value - tables["value"][0] @ local) <= tol
-        want = np.array([tables["dx"][0] @ local, tables["dy"][0] @ local])
-        assert np.abs(np.array([gx, gy]) - want).max() <= tol / basis.diameter
+        for name, (ax, ay) in EVAL_ORDERS:
+            want = tables[name][0] @ local
+            assert abs(fields[name][k] - want) <= tol / basis.diameter ** (ax + ay), name
 
 
 def test_export_sparsity_identity(tmp_path):
@@ -268,14 +269,25 @@ def test_run_tables_six_point_coarse_row():
     assert 0.5 * 454 <= iters <= 1.5 * 454
 
 
-def test_run_tables_marks_failed_rows():
+def test_run_tables_marks_failed_rows(monkeypatch):
+    import streamfem.cli
+    import streamfem.picard
     from streamfem.cli import run_tables
     from streamfem.picard import PicardConfig
 
     configs = [
-        (build_uniform_mesh(3), PicardConfig(n_quad_points=4, linear_max_iter=1)),
+        (build_uniform_mesh(3), PicardConfig(n_quad_points=4)),
         (build_uniform_mesh(2), PicardConfig(n_quad_points=4)),
     ]
+    # one PCG iteration for the first row, the usual cap for the second
+    caps = iter([1, streamfem.picard.LINEAR_MAX_ITER])
+    solve = streamfem.picard.solve_biharmonic_problem
+
+    def capped(*args, **kwargs):
+        monkeypatch.setattr(streamfem.picard, "LINEAR_MAX_ITER", next(caps))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(streamfem.cli, "solve_biharmonic_problem", capped)
     result = run_tables(configs, problem="biharmonic")
     assert result["rows"][0][3] == "not-converged"
     assert result["rows"][1][3] == "ok"

@@ -54,8 +54,8 @@ def test_quintic_reproduction_symbolic(mesh3, dofmap3, bases3, rng):
     from streamfem.analysis import _locate, evaluate_field
 
     vals = evaluate_field(mesh3, dofmap3, coeffs, pts, bases=bases3)
-    poly = bases3.polynomials(coeffs[dof_arrays(mesh3, dofmap3)])
-    grads = bases3.derivatives(poly, pts, _locate(mesh3, pts), (("dx", (1, 0)), ("dy", (0, 1))))
+    polys = bases3.polynomials(coeffs[dof_arrays(mesh3, dofmap3)], (("dx", (1, 0)), ("dy", (0, 1))))
+    grads = bases3.derivatives(polys, pts, _locate(mesh3, pts))
     assert np.abs(vals - table["value"](pts[:, 0], pts[:, 1])).max() < 1e-8
     assert np.abs(grads["dx"] - table["dx"](pts[:, 0], pts[:, 1])).max() < 1e-8
     assert np.abs(grads["dy"] - table["dy"](pts[:, 0], pts[:, 1])).max() < 1e-8

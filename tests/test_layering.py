@@ -6,8 +6,9 @@ its head. The lower layers never import the fixed-point driver or the CLI:
 ``_``-prefixed names. The package keeps only what is used: every public
 module-level function and class is referred to outside its own definition,
 by the package, the acceptance tests, the benchmark or the tools, and every
-defaulted parameter of a public function or method is passed by some call
-in the package, or named with its reason in ``UNPASSED_DEFAULTS``.
+defaulted parameter of a public function or method, or defaulted field of a
+frozen dataclass, is passed by some call in the package, or named with its
+reason in ``UNPASSED_DEFAULTS``.
 """
 
 import ast
@@ -94,12 +95,28 @@ def referenced_names(tree) -> set[str]:
     return names
 
 
+def frozen_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", False) for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def has_default(value) -> bool:
+    """Whether a dataclass field's value gives it a default: any value but a
+    ``field(...)`` call without ``default`` or ``default_factory``."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
 def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
     """(label, call name, parameter, position) of every defaulted parameter
     of the public module-level functions and of the public methods and
     ``__init__`` of public classes. The position counts the arguments a call
     writes, so a method's ``self`` or ``cls`` is not counted; it is None for
-    a keyword-only parameter. ``__init__`` is called by its class's name."""
+    a keyword-only parameter. ``__init__`` is called by its class's name, and
+    so is a frozen dataclass, whose fields are its parameters: they are set
+    only there, where a mutable dataclass's defaults are a start state."""
     found = []
 
     def add(fn, label, call, bound):
@@ -116,6 +133,11 @@ def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             add(node, node.name, node.name, 0)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if frozen_dataclass(node):
+                fields = [f for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                found.extend((f"{node.name}({f.target.id})", node.name, f.target.id, k)
+                             for k, f in enumerate(fields) if has_default(f.value))
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef) and (
                         fn.name == "__init__" or not fn.name.startswith("_")):
@@ -212,16 +234,20 @@ def test_the_default_check_sees_positions_keywords_and_aliases():
         "class K:\n    def __init__(self, x=0):\n        pass\n\n"
         "    @classmethod\n    def build(cls, y, z=1):\n        pass\n\n"
         "    @staticmethod\n    def make(w=1):\n        pass\n\n"
-        "    def _hidden(self, v=1):\n        pass\n")
+        "    def _hidden(self, v=1):\n        pass\n\n"
+        "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = field(repr=False)\n"
+        "    c: int = 1\n    d: list = field(default_factory=list)\n\n"
+        "@dataclass\nclass S:\n    n: int = 0\n")
     definitions = defaulted_parameters(tree)
     assert [(label, name, position) for label, name, _, position in definitions] == [
         ("f(b)", "f", 1), ("f(c)", "f", 2), ("f(d)", "f", None), ("K.__init__(x)", "K", 0),
-        ("K.build(z)", "build", 1), ("K.make(w)", "make", 0)]
+        ("K.build(z)", "build", 1), ("K.make(w)", "make", 0), ("C(c)", "C", 2), ("C(d)", "C", 3)]
     uses = {
         "from .m import f as g\ng(0, 1)": ["f(c)", "f(d)", "K.__init__(x)", "K.build(z)",
-                                          "K.make(w)"],
-        "f(0, d=4)\nK(1)\nK.build(0)": ["f(b)", "f(c)", "K.build(z)", "K.make(w)"],
-        "f(*args)\nk.build(0, 1)\nK.make(**kw)": ["f(d)", "K.__init__(x)"],
+                                          "K.make(w)", "C(c)", "C(d)"],
+        "f(0, d=4)\nK(1)\nK.build(0)\nC(0, 1, d=[])": ["f(b)", "f(c)", "K.build(z)",
+                                                       "K.make(w)", "C(c)"],
+        "f(*args)\nk.build(0, 1)\nK.make(**kw)\nC(0, 1, 2)": ["f(d)", "K.__init__(x)", "C(d)"],
     }
     for source, unpassed in uses.items():
         assert unpassed_defaults(definitions, call_arguments(ast.parse(source))) == unpassed, \

@@ -226,7 +226,7 @@ def test_early_stop_returns_the_initial_iterate_and_names_the_failure(mesh3, mon
     disc = discretize(mesh3, PicardConfig(n_quad_points=6))
     ell = assemble_load(disc.tables, disc.dofmap, disc.ms.forcing)
     x0, _ = streamfem.picard.pcg(disc.A, ell, tol=disc.config.inner_tol,
-                                 max_iter=disc.config.linear_max_iter)
+                                 max_iter=streamfem.picard.LINEAR_MAX_ITER)
     target = "bicgstab" if breakdown else "pcg"
     solver = getattr(streamfem.picard, target)
 

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,41 @@ def test_digests_cover_every_output_but_timings_in_sorted_order(tmp_path, snapsh
     )
     if shutil.which("sha256sum"):
         subprocess.run(["sha256sum", "--quiet", "-c", "SHA256SUMS"], cwd=tmp_path, check=True)
+
+
+def test_compare_lists_added_removed_and_changed_outputs_and_csv_column_changes(tmp_path,
+                                                                                snapshot_tool):
+    before = {"a/t.csv": "h,n,psi\n1/3,4,2.0\n1/4,5,-4.0\n", "a/same.txt": "x\n",
+              "a/gone.npy": "\0", "a/timings.csv": "step,seconds\nn_3,0.1\n",
+              "b/text.csv": "h,status\n1/3,ok\n", "b/p.svg": "<svg/>"}
+    after = {"a/t.csv": "h,n,psi\n1/3,4,2.0000000001\n1/4,5,-4.0\n", "a/same.txt": "x\n",
+             "a/new.mtx": "%\n", "a/timings.csv": "step,seconds\nn_3,0.2\n",
+             "b/text.csv": "h,status\n1/3,not-converged\n", "b/p.svg": "<svg />"}
+    for root, files in (("before", before), ("after", after)):
+        for name, text in files.items():
+            (tmp_path / root / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / root / name).write_text(text)
+
+    report = snapshot_tool.compare(tmp_path / "before", tmp_path / "after")
+
+    assert report == [
+        "removed: a/gone.npy",
+        "added: a/new.mtx",
+        "changed: a/t.csv",
+        "  n: 0 (max |delta| 0, max |value| 5)",
+        "  psi: 2.5e-11 (max |delta| 1e-10, max |value| 4)",
+        "changed: b/p.svg",
+        "changed: b/text.csv",
+        "  status: text differs",
+    ]
+    assert snapshot_tool.compare(tmp_path / "before", tmp_path / "before") == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-o"], ["--compare", "x"], ["a", "b"],
+                                  ["--compare", ".", "missing"]])
+def test_bad_arguments_print_the_usage_and_run_nothing(tmp_path, argv):
+    done = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert done.returncode == 2
+    assert "--compare BEFORE AFTER" in done.stderr and done.stdout == ""
+    assert list(tmp_path.iterdir()) == []

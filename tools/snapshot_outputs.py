@@ -1,6 +1,7 @@
 """Run the benchmark's CLI argvs and keep every output, for a bitwise diff.
 
     python tools/snapshot_outputs.py OUT_DIR
+    python tools/snapshot_outputs.py --compare BEFORE AFTER
 
 Runs every argv of ``perfbench.workloads.Workload(name, 1).base`` for the
 four workloads, plus the argvs of ``EXTRA`` (48 runs in all), through
@@ -29,11 +30,21 @@ equal digests, and
     cd OUT_DIR && sha256sum -c SHA256SUMS
 
 re-checks a snapshot against its list.
+
+``--compare BEFORE AFTER`` lists the outputs (all but ``timings.csv``) whose
+SHA-256 differs between two snapshot directories: those only AFTER has
+(``added``), those only BEFORE has (``removed``) and those in both that
+differ (``changed``). Under each changed ``.csv`` it prints, per numeric
+column, the largest |after - before| over the column's largest |value| in
+either file. It exits 0 when no output differs and 1 otherwise, as ``diff``
+does. Any other arguments, or a BEFORE or AFTER that is not a directory,
+print this text and exit 2.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -77,20 +88,25 @@ def snapshot(out_dir: Path) -> int:
     return failed
 
 
-def write_digests(out_dir: Path) -> tuple[str, dict[str, int]]:
-    """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file and the
-    bytes of the files it lists per suffix (``""`` for none), in suffix
-    order."""
+def outputs(out_dir: Path) -> dict[str, str]:
+    """Relative path -> SHA-256 of every output in ``out_dir`` but
+    ``timings.csv`` and ``SHA256SUMS``, in sorted path order."""
     paths = sorted(
         path.relative_to(out_dir).as_posix() for path in out_dir.rglob("*")
         if path.is_file() and path.name != "timings.csv" and path != out_dir / "SHA256SUMS"
     )
-    sums = "".join(
-        f"{hashlib.sha256((out_dir / path).read_bytes()).hexdigest()}  {path}\n" for path in paths
-    )
+    return {path: hashlib.sha256((out_dir / path).read_bytes()).hexdigest() for path in paths}
+
+
+def write_digests(out_dir: Path) -> tuple[str, dict[str, int]]:
+    """Write ``out_dir/SHA256SUMS``; return the SHA-256 of that file and the
+    bytes of the files it lists per suffix (``""`` for none), in suffix
+    order."""
+    digests = outputs(out_dir)
+    sums = "".join(f"{digest}  {path}\n" for path, digest in digests.items())
     (out_dir / "SHA256SUMS").write_text(sums)
     sizes = {}
-    for path in paths:
+    for path in digests:
         suffix = Path(path).suffix
         sizes[suffix] = sizes.get(suffix, 0) + (out_dir / path).stat().st_size
     return hashlib.sha256(sums.encode()).hexdigest(), dict(sorted(sizes.items()))
@@ -103,10 +119,57 @@ def summary(digest: str, sizes: dict[str, int]) -> str:
     return "\n".join(lines)
 
 
+def column_changes(before: Path, after: Path) -> list[str]:
+    """``name: ratio`` per numeric column of two CSVs of one header and
+    length, the ratio being the largest |after - before| over the largest
+    |value| of the column in either file (0 for a column of zeros)."""
+    with open(before, newline="") as b, open(after, newline="") as a:
+        old, new = list(csv.reader(b)), list(csv.reader(a))
+    if len(old) != len(new) or not old or old[0] != new[0]:
+        return ["header or row count differs"]
+    lines = []
+    for k, name in enumerate(old[0]):
+        try:
+            pairs = [(float(o[k]), float(n[k])) for o, n in zip(old[1:], new[1:])]
+        except ValueError:
+            if any(o[k] != n[k] for o, n in zip(old[1:], new[1:])):
+                lines.append(f"{name}: text differs")
+            continue
+        delta = max((abs(n - o) for o, n in pairs), default=0.0)
+        scale = max((max(abs(o), abs(n)) for o, n in pairs), default=0.0)
+        lines.append(f"{name}: {delta / scale if scale else 0.0:.3g} "
+                     f"(max |delta| {delta:.3g}, max |value| {scale:.3g})")
+    return lines
+
+
+def compare(before: Path, after: Path) -> list[str]:
+    """The report of ``--compare``: one ``added``, ``removed`` or ``changed``
+    line per differing output, in path order, each changed CSV followed by
+    its :func:`column_changes`, indented; empty when no output differs."""
+    old, new = outputs(before), outputs(after)
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in old:
+            lines.append(f"added: {path}")
+        elif path not in new:
+            lines.append(f"removed: {path}")
+        elif old[path] != new[path]:
+            lines.append(f"changed: {path}")
+            if path.endswith(".csv"):
+                lines += [f"  {line}" for line in column_changes(before / path, after / path)]
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    out_dir = Path(sys.argv[1]).resolve()
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare" and all(map(os.path.isdir, args[1:])):
+        report = compare(Path(args[1]), Path(args[2]))
+        print("\n".join(report) or "no output differs")
+        sys.exit(1 if report else 0)
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    out_dir = Path(args[0]).resolve()
     failed = snapshot(out_dir)
     print(summary(*write_digests(out_dir)))
     sys.exit(1 if failed else 0)
