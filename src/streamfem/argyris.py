@@ -161,17 +161,17 @@ EVAL_ORDERS = (
 )
 
 
-def _dual_matrices(coords, centroid, diameter, midpoints, normals) -> np.ndarray:
+def _dual_matrices(coords, centroid, midpoints, normals, scale) -> np.ndarray:
     """(B, 21, 21) dual matrices: F[t, j, k] is functional j of triangle t
     applied to monomial k.
 
-    coords (B, 3, 2) are the vertices, centroid (B, 2), diameter (B,), and
-    midpoints and normals (B, 3, 2) the anchors and unit normals of the
-    midside functionals.
+    coords (B, 3, 2) are the vertices, centroid (B, 2), midpoints and
+    normals (B, 3, 2) the anchors and unit normals of the midside
+    functionals, and scale (B, 3) is :func:`_inverse_powers` of the
+    diameters; its first power is 1 / diameter itself.
     """
     F = np.empty((len(coords), 21, 21))
-    inv_d = (1.0 / diameter)[:, None, None]
-    scale = _inverse_powers(diameter)
+    inv_d = scale[:, 1, None, None]
     powers = _powers((coords - centroid[:, None, :]) * inv_d)
     for k, (_, (ax, ay)) in enumerate(EVAL_ORDERS):
         F[:, k:18:6] = _monomials(powers, ax, ay, scale)
@@ -356,12 +356,13 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
     centroid = coords.mean(axis=1)
     chords = coords[:, (0, 0, 1)] - coords[:, (1, 2, 2)]
     diameter = np.sqrt(np.vecdot(chords, chords)).max(axis=1)
+    scale = _inverse_powers(diameter)
 
     X = np.empty((len(triangles), 21, 21))
     residual = np.empty(len(triangles))
     for lo in range(0, len(triangles), BLOCK):
         blk = slice(lo, lo + BLOCK)
-        F = _dual_matrices(coords[blk], centroid[blk], diameter[blk], midpoints[blk], normals[blk])
+        F = _dual_matrices(coords[blk], centroid[blk], midpoints[blk], normals[blk], scale[blk])
         X[blk], residual[blk] = _solve_duals(F, triangles[blk])
 
     return ElementBases(
@@ -373,7 +374,7 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
         midpoints=midpoints,
         edge_normals=normals,
         duality_residual=residual,
-        inverse_powers=_inverse_powers(diameter),
+        inverse_powers=scale,
     )
 
 

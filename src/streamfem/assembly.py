@@ -247,8 +247,9 @@ def viscous_element_matrices(
     ``tables`` of ``rule`` over ``mesh`` lend their Laplacians and weights
     when that rule is exact already; otherwise the Laplacians are
     tabulated ``BLOCK`` triangles at a time from ``bases``, or from new
-    bases. Both give the same matrices bit for bit. They depend on the
-    mesh and the Reynolds number only, not on the DOF numbering.
+    bases. Both give the same matrices bit for bit. They do not depend
+    on the DOF numbering, yet each assembly forms its own stack, which
+    the plan frees once summed.
     """
     check_reynolds(reynolds)
     blocks = _laplacian_blocks(mesh, rule, bases, tables)
@@ -284,21 +285,12 @@ def assemble_biharmonic(
     rule: QuadratureRule,
     reynolds: float = 1.0,
     bases: ElementBases | None = None,
-    element_matrices: np.ndarray | None = None,
     tables: ElementTables | None = None,
 ) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi) on ``plan``'s
-    mesh, DOF map and reduction.
-
-    ``element_matrices`` are :func:`viscous_element_matrices` of the same
-    mesh, rule and Reynolds number, formed here from ``tables`` or
-    ``bases`` when not given; a caller that assembles under several
-    orderings forms them once.
-    """
-    check_reynolds(reynolds)
-    if element_matrices is None:
-        element_matrices = viscous_element_matrices(plan.mesh, rule, reynolds, bases, tables)
-    return plan.assemble(element_matrices)
+    mesh, DOF map and reduction, from the :func:`viscous_element_matrices`
+    of ``tables`` or ``bases``."""
+    return plan.assemble(viscous_element_matrices(plan.mesh, rule, reynolds, bases, tables))
 
 
 def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> np.ndarray:

@@ -17,9 +17,9 @@ leaves ``converged`` false.
 
 Both solves take a :class:`Discretization`: the DOF map, element tables,
 manufactured solution, scatter plan and viscous matrix of one config, built
-once by :func:`discretize` and shared with whatever else the run does with
-them. Every operator A + B(psi) is summed in one pass of the scatter plan
-that assembled A.
+once by :func:`discretize` from the mesh and its element bases, the one
+input a run may share across orderings. Every operator A + B(psi) is summed
+in one pass of the scatter plan that assembled A.
 """
 
 from __future__ import annotations
@@ -157,8 +157,6 @@ class Discretization:
 
 
 def discretize(mesh: Mesh, config: PicardConfig,
-               tables: ElementTables | None = None,
-               viscous: np.ndarray | None = None,
                bases: ElementBases | None = None) -> Discretization:
     """Number the DOFs, build the scatter plan, assemble A and tabulate the
     elements for ``config``, in that order, so the plan's build peak is the
@@ -166,26 +164,23 @@ def discretize(mesh: Mesh, config: PicardConfig,
     integrand the tables come before A, which reads its Laplacians from
     them, so they are tabulated once.
 
-    ``tables`` reuses the element tables of another discretization of the
-    same mesh and rule, e.g. under a different ordering: the tables do not
-    depend on the DOF numbering. ``viscous`` likewise reuses the
-    :func:`~streamfem.assembly.viscous_element_matrices` of the same mesh,
-    rule and Reynolds number. What is not given is formed from ``bases``,
-    built here when not given; the result keeps no reference to them.
+    ``bases`` are the element bases of ``mesh``, built here when not given.
+    They do not depend on the DOF numbering, so a caller that discretizes
+    one mesh under several orderings, or evaluates the field after the
+    solve, builds them once and passes them in; the result keeps no
+    reference to them.
     """
     q = quad_rule(config.n_quad_points)
-    if tables is not None and (tables.mesh is not mesh or tables.rule is not q):
-        raise ValueError("shared element tables must be over the same mesh and rule")
     dofmap = enumerate_dofs(mesh, config.ordering, minimal_bc=config.minimal_bc)
     ms = manufactured_rhs(config.reynolds, flip_convention=config.flip_convention)
     plan = ScatterPlan.build(mesh, dofmap)
-    if bases is None and tables is None:
+    if bases is None:
         bases = build_all_bases(mesh)  # shared by A and the tables
-    if tables is None and viscous is None and q.exact_degree >= VISCOUS_EXACT_DEGREE:
+    tables = None
+    if q.exact_degree >= VISCOUS_EXACT_DEGREE:
         tables = ElementTables(mesh, q, bases)
         bases = None  # A reads the tables' Laplacians: bases built here are freed
-    A = assemble_biharmonic(plan, q, config.reynolds, bases=bases, element_matrices=viscous,
-                            tables=tables)
+    A = assemble_biharmonic(plan, q, config.reynolds, bases=bases, tables=tables)
     if tables is None:
         tables = ElementTables(mesh, q, bases)
     return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)

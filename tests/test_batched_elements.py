@@ -126,8 +126,8 @@ def assert_bitwise_equal_to_reference(mesh, rules=RULES):
     for name in ("coords", "centroid", "diameter", "coeffs", "midpoints", "edge_normals",
                  "duality_residual"):
         assert np.array_equal(getattr(bases, name), np.array([r[name] for r in refs])), name
-    F = _dual_matrices(bases.coords, bases.centroid, bases.diameter, bases.midpoints,
-                       bases.edge_normals)
+    F = _dual_matrices(bases.coords, bases.centroid, bases.midpoints, bases.edge_normals,
+                       bases.inverse_powers)
     assert np.array_equal(F, np.array([r["F"] for r in refs]))
     for t in (0, mesh.num_triangles - 1):
         basis, ref = bases[t], refs[t]

@@ -74,10 +74,15 @@ def test_compare_orderings_structure(tmp_path, capsys):
     assert [r.split(",")[-1] for r in rows[1:]] == ["converged"] * 3
 
 
-def test_compare_orderings_builds_bases_once(tmp_path, bases_builds):
+def test_compare_orderings_builds_bases_once(tmp_path, bases_builds, monkeypatch):
+    given = []
+    discretize = cli.discretize
+    monkeypatch.setattr(cli, "discretize", lambda mesh, config, bases:
+                        given.append(bases) or discretize(mesh, config, bases))
     assert run_cli(["compare-orderings", "--n", "3", "--out-dir", str(tmp_path)]) == 0
-    # orderings 2 and 3 reuse the element tables of ordering 1
+    # one build, whose bases every ordering's discretization is given
     assert bases_builds == [3]
+    assert len(given) == 3 and all(bases is given[0] for bases in given)
 
 
 def test_ordering_study_matches_separate_assemblies(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from streamfem import assembly
 from streamfem.analysis import evaluate_field
+from streamfem.argyris import build_all_bases
 from streamfem.assembly import (
     EXACT,
     ElementTables,
@@ -42,19 +43,23 @@ def test_config_ordering_is_always_a_scheme():
         PicardConfig(ordering=4)
 
 
-def test_discretize_shares_tables_across_orderings(mesh3):
-    first = discretize(mesh3, PicardConfig(n_quad_points=6))
-    assert first.tables.mesh is mesh3 and first.tables.rule is rule(6)
-    config = PicardConfig(n_quad_points=6, ordering=3)
-    shared = discretize(mesh3, config, tables=first.tables)
-    fresh = discretize(mesh3, config)
-    assert shared.tables is first.tables and shared.dofmap.scheme.value == 3
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(shared.A, name), getattr(fresh.A, name))
-    with pytest.raises(ValueError, match="same mesh and rule"):
-        discretize(mesh3, PicardConfig(n_quad_points=12), tables=first.tables)
-    with pytest.raises(ValueError, match="same mesh and rule"):
-        discretize(build_uniform_mesh(3), PicardConfig(n_quad_points=6), tables=first.tables)
+@pytest.mark.parametrize("minimal_bc", [False, True])
+@pytest.mark.parametrize("n_points", [4, 6, 12])
+def test_shared_bases_give_each_ordering_its_own_discretization(n_points, minimal_bc):
+    # the one input compare-orderings shares: given bases leave A and the
+    # tables bit for bit those of bases built inside discretize
+    mesh = build_uniform_mesh(4)
+    bases = build_all_bases(mesh)
+    for ordering in (1, 2, 3):
+        config = PicardConfig(reynolds=7.0, n_quad_points=n_points, ordering=ordering,
+                              minimal_bc=minimal_bc)
+        shared, own = discretize(mesh, config, bases), discretize(mesh, config)
+        assert shared.dofmap.scheme.value == ordering and shared.tables.rule is rule(n_points)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(shared.A, name), getattr(own.A, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name in ("points", "weights", "dx", "dy", "lap"):
+            assert getattr(shared.tables, name).tobytes() == getattr(own.tables, name).tobytes()
 
 
 @pytest.mark.parametrize("n_points, tabulations", [(4, 2), (6, 2), (12, 1), (25, 1)])

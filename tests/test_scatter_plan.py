@@ -33,7 +33,6 @@ from streamfem.assembly import (
     assemble_convection,
     dof_arrays,
     manufactured_rhs,
-    viscous_element_matrices,
 )
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
 from streamfem.picard import PicardConfig, discretize
@@ -237,18 +236,6 @@ def test_unreduced_operators_and_new_bases_match_reference():
     assert_same_bytes(assemble_convection(plan, tables, xi),
                       _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False),
                                reduced=False))
-
-
-def test_shared_viscous_matrices_give_each_ordering_its_own_matrix():
-    mesh = build_uniform_mesh(4)
-    config = PicardConfig(reynolds=7.0)
-    bases = build_all_bases(mesh)
-    tables = ElementTables(mesh, rule(config.n_quad_points), bases)
-    viscous = viscous_element_matrices(mesh, tables.rule, config.reynolds, bases)
-    for ordering in (1, 2, 3):
-        own = discretize(mesh, PicardConfig(reynolds=7.0, ordering=ordering))
-        shared = discretize(mesh, own.config, tables=tables, viscous=viscous)
-        assert_same_bytes(shared.A, own.A)
 
 
 @pytest.mark.parametrize("n", [3, 12])
