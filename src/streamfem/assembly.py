@@ -41,7 +41,7 @@ the ordering, never of roundoff.
 A caller builds the plan and the tables once and hands them to every
 assembly, which reads what it covers off them: the mesh, the DOF map and
 the reduction (the free DOFs, or all of them under ``reduced=False``) off
-the plan, and the mesh and n.q.p. rule off the :class:`ElementTables`,
+the plan, and the mesh and n.q.p. tables off the :class:`ElementTables`,
 which are evaluated from the element bases the caller passes in. The
 convection form checks that its tables and plan share one mesh. The load
 vector, which needs no plan, takes the tables and the DOF map.
@@ -107,7 +107,6 @@ class ElementTables:
 
     def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases):
         self.mesh = mesh
-        self.rule = rule
         nt, nq = mesh.num_triangles, rule.n_points
         self.points = np.empty((nt, nq, 2))
         self.weights = np.empty((nt, nq))
@@ -236,61 +235,41 @@ def check_reynolds(reynolds) -> None:
 def viscous_element_matrices(
     mesh: Mesh,
     rule: QuadratureRule,
-    reynolds: float = 1.0,
+    reynolds: float,
     bases: ElementBases | None = None,
-    tables: ElementTables | None = None,
 ) -> np.ndarray:
     """(T, 21, 21) element matrices of Re^-1 (lap psi, lap phi).
 
-    The integration rule is promoted to one exact for the degree-6
-    integrand when the requested rule is weaker (see module docstring).
-    ``tables`` of ``rule`` over ``mesh`` lend their Laplacians and weights
-    when that rule is exact already; otherwise the Laplacians are
-    tabulated ``BLOCK`` triangles at a time from ``bases``, or from new
-    bases. Both give the same matrices bit for bit. They do not depend
-    on the DOF numbering, yet each assembly forms its own stack, which
-    the plan frees once summed.
+    The Laplacians are tabulated ``BLOCK`` triangles at a time from
+    ``bases``, or from new bases, at ``rule`` promoted to one exact for the
+    degree-6 integrand when weaker (see module docstring). Each assembly
+    forms its own stack, which the plan frees once summed.
     """
     check_reynolds(reynolds)
-    blocks = _laplacian_blocks(mesh, rule, bases, tables)
+    if rule.exact_degree < VISCOUS_EXACT_DEGREE:
+        rule = quad_rule(12)
+    if bases is None:
+        bases = build_all_bases(mesh)
     local = np.empty((mesh.num_triangles, 21, 21))
-    for blk, weights, lap in blocks:
+    for blk, points, weights in element_blocks(rule, bases):
+        dxx, dyy = bases.evaluate(points, LAPLACIAN_ORDERS, blk).values()
+        lap = np.add(dxx, dyy, out=dxx)
+        del dxx, dyy  # only lap is held through the einsum
         np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
     local /= reynolds
     return local
 
 
-def _laplacian_blocks(mesh, rule, bases, tables):
-    """(slice, weights, lap) of ``BLOCK`` triangles at a time, at a rule
-    exact for the viscous integrand, from ``tables`` when theirs is."""
-    if rule.exact_degree >= VISCOUS_EXACT_DEGREE and tables is not None:
-        if tables.mesh is not mesh or tables.rule is not rule:
-            raise ValueError("element tables must be over the same mesh and rule")
-        return ((slice(lo, lo + BLOCK), tables.weights[lo:lo + BLOCK], tables.lap[lo:lo + BLOCK])
-                for lo in range(0, mesh.num_triangles, BLOCK))
-    if rule.exact_degree < VISCOUS_EXACT_DEGREE:
-        rule = quad_rule(12)
-    if bases is None:
-        bases = build_all_bases(mesh)
-    return ((blk, weights, _laplacian(bases.evaluate(points, LAPLACIAN_ORDERS, blk)))
-            for blk, points, weights in element_blocks(rule, bases))
-
-
-def _laplacian(tab):
-    return np.add(tab["dxx"], tab["dyy"], out=tab["dxx"])
-
-
 def assemble_biharmonic(
     plan: ScatterPlan,
     rule: QuadratureRule,
-    reynolds: float = 1.0,
+    reynolds: float,
     bases: ElementBases | None = None,
-    tables: ElementTables | None = None,
 ) -> SparseMatrix:
     """Assemble the viscous form Re^-1 (lap psi, lap phi) on ``plan``'s
     mesh, DOF map and reduction, from the :func:`viscous_element_matrices`
-    of ``tables`` or ``bases``."""
-    return plan.assemble(viscous_element_matrices(plan.mesh, rule, reynolds, bases, tables))
+    of ``bases``."""
+    return plan.assemble(viscous_element_matrices(plan.mesh, rule, reynolds, bases))
 
 
 def _convection_element_matrices(mesh, dofmap, xi, tables, flip_convention) -> np.ndarray:

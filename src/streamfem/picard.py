@@ -32,7 +32,6 @@ from .argyris import ElementBases, build_all_bases
 from .assembly import (
     ElementTables,
     ManufacturedSolution,
-    VISCOUS_EXACT_DEGREE,
     ScatterPlan,
     assemble_biharmonic,
     assemble_convection,
@@ -160,9 +159,7 @@ def discretize(mesh: Mesh, config: PicardConfig,
                bases: ElementBases | None = None) -> Discretization:
     """Number the DOFs, build the scatter plan, assemble A and tabulate the
     elements for ``config``, in that order, so the plan's build peak is the
-    only large allocation alive. For an n.q.p. rule exact for the viscous
-    integrand the tables come before A, which reads its Laplacians from
-    them, so they are tabulated once.
+    only large allocation alive.
 
     ``bases`` are the element bases of ``mesh``, built here when not given.
     They do not depend on the DOF numbering, so a caller that discretizes
@@ -176,13 +173,8 @@ def discretize(mesh: Mesh, config: PicardConfig,
     plan = ScatterPlan.build(mesh, dofmap)
     if bases is None:
         bases = build_all_bases(mesh)  # shared by A and the tables
-    tables = None
-    if q.exact_degree >= VISCOUS_EXACT_DEGREE:
-        tables = ElementTables(mesh, q, bases)
-        bases = None  # A reads the tables' Laplacians: bases built here are freed
-    A = assemble_biharmonic(plan, q, config.reynolds, bases=bases, tables=tables)
-    if tables is None:
-        tables = ElementTables(mesh, q, bases)
+    A = assemble_biharmonic(plan, q, config.reynolds, bases)
+    tables = ElementTables(mesh, q, bases)
     return Discretization(config=config, dofmap=dofmap, tables=tables, ms=ms, plan=plan, A=A)
 
 

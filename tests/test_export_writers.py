@@ -381,7 +381,7 @@ def test_sparsity_empty_matrix(tmp_path):
 def test_sparsity_assembled_matrix(tmp_path, mesh5):
     for ordering in (1, 2, 3):
         A = assembly.assemble_biharmonic(
-            assembly.ScatterPlan.build(mesh5, enumerate_dofs(mesh5, ordering)), rule(6))
+            assembly.ScatterPlan.build(mesh5, enumerate_dofs(mesh5, ordering)), rule(6), 1.0)
         sparsity_files_equal(tmp_path, A)
         assert_svg_within_byte_bound(tmp_path / "new.svg", A)
         _, runs = decode_svg(tmp_path / "new.svg")
@@ -437,7 +437,7 @@ def test_sparsity_memory_has_no_dense_grid(tmp_path):
 def assembled(request):
     mesh = build_uniform_mesh(request.param)
     return assembly.assemble_biharmonic(assembly.ScatterPlan.build(mesh, enumerate_dofs(mesh, 1)),
-                                        rule(6))
+                                        rule(6), 1.0)
 
 
 def traced_peak(write) -> int:
@@ -559,7 +559,7 @@ def test_matrix_market_general_round_trip_is_bitwise(tmp_path_factory, case):
 def test_assembled_matrix_round_trips_with_its_structural_zeros(tmp_path):
     mesh = build_uniform_mesh(16)
     A = assembly.assemble_biharmonic(assembly.ScatterPlan.build(mesh, enumerate_dofs(mesh, 1)),
-                                     rule(6))
+                                     rule(6), 1.0)
     assert 0 < np.count_nonzero(A.data == 0) < 100  # slots that cancel, stored as zeros
     write_matrix_market(A, tmp_path / "a.mtx")
     export_sparsity(A, tmp_path / "a")

@@ -54,7 +54,8 @@ def test_shared_bases_give_each_ordering_its_own_discretization(n_points, minima
         config = PicardConfig(reynolds=7.0, n_quad_points=n_points, ordering=ordering,
                               minimal_bc=minimal_bc)
         shared, own = discretize(mesh, config, bases), discretize(mesh, config)
-        assert shared.dofmap.scheme.value == ordering and shared.tables.rule is rule(n_points)
+        assert shared.dofmap.scheme.value == ordering
+        assert shared.tables.weights.shape[1] == rule(n_points).n_points
         for name in ("indptr", "indices", "data"):
             a, b = getattr(shared.A, name), getattr(own.A, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -62,19 +63,20 @@ def test_shared_bases_give_each_ordering_its_own_discretization(n_points, minima
             assert getattr(shared.tables, name).tobytes() == getattr(own.tables, name).tobytes()
 
 
-@pytest.mark.parametrize("n_points, tabulations", [(4, 2), (6, 2), (12, 1), (25, 1)])
-def test_discretize_tabulates_the_laplacians_once_for_an_exact_rule(n_points, tabulations,
-                                                                     monkeypatch):
-    # A weaker rule's A is tabulated at the 12-point rule, then its own tables;
-    # an exact rule's A reads the tables' Laplacians, bit for bit the same
+@pytest.mark.parametrize("n_points, viscous_points", [(4, 12), (6, 12), (12, 12), (25, 25)])
+def test_discretize_tabulates_the_laplacians_from_the_bases_for_every_rule(n_points,
+                                                                          viscous_points,
+                                                                          monkeypatch):
+    # A is tabulated at its rule (a weaker one promoted to 12 points), then
+    # the tables at the n.q.p. rule, each from the bases, block by block
     mesh = build_uniform_mesh(12)  # 288 triangles: two blocks
     mapped = []
     original = assembly.map_to_triangle
     monkeypatch.setattr(assembly, "map_to_triangle",
                         lambda q, coords: mapped.append(q.n_points) or original(q, coords))
     disc = discretize(mesh, PicardConfig(n_quad_points=n_points, reynolds=3.0))
-    assert len(mapped) == 2 * tabulations
-    want = assemble_biharmonic(disc.plan, disc.tables.rule, 3.0)
+    assert mapped == [viscous_points] * 2 + [n_points] * 2
+    want = assemble_biharmonic(disc.plan, rule(n_points), 3.0)
     for name in ("indptr", "indices", "data"):
         assert getattr(disc.A, name).tobytes() == getattr(want, name).tobytes()
 
