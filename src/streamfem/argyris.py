@@ -8,11 +8,14 @@ used because the element is not affine-equivalent. Monomials are centered
 at the centroid and scaled by the triangle diameter to keep the system well
 conditioned.
 
-The dual systems are built and solved in blocks of ``BLOCK`` triangles: one
-(B, 21, 21) array and one batched ``np.linalg.solve`` per block. Each batched
-step applies, per triangle, the floating-point operations of a one-triangle
-build in the same order, so a basis does not depend on the block it was
-built in; blocks only bound the size of the temporaries.
+Element work is done once per *kind* (:func:`distinct`): triangles whose
+inputs to a step are byte-for-byte equal share its result, computed on the
+kind's first triangle and gathered, so every array stays (T, ...) and equal
+to a per-triangle computation bit for bit. The dual systems of the kinds
+(50 of 512 triangles at n = 16) are solved ``BLOCK`` at a time: one (B, 21,
+21) array and one batched ``np.linalg.solve`` per block. Each batched step
+applies, per triangle, the floating-point operations of a one-triangle
+build in the same order, so a basis does not depend on its block.
 
 The midside normal is global: the edge runs from the lower to the higher
 global vertex index and the normal is that direction rotated by +90 degrees.
@@ -96,27 +99,45 @@ def edge_normal(mesh: Mesh, e: int) -> np.ndarray:
     return _unit_normals(mesh.vertices[a], mesh.vertices[b])
 
 
+def distinct(*arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of (T, ...) arrays into kinds: rows k and l are of one
+    kind when each array's row k equals its row l byte for byte, so 0.0 and
+    -0.0, or two NaN payloads, stay apart.
+
+    Returns ``first``, the ascending index of each kind's first row, and
+    ``kind`` (T,), the kinds numbered in that order.
+    """
+    rows = np.hstack([np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8) for a in arrays])
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()  # bytes
+    number = {}  # numbers the keys in order of first occurrence, without a sort
+    kind = np.array([number.setdefault(key, len(number)) for key in keys])
+    return np.flatnonzero(np.diff(np.maximum.accumulate(kind), prepend=-1)), kind
+
+
 def _inverse_powers(diameter) -> np.ndarray:
     """(..., 3) array of (1 / diameter) ** k for k = 0, 1, 2.
 
-    The powers are Python float powers (C ``pow``); numpy's vectorized
-    power rounds differently in the last bit for some arguments.
+    The powers are Python float powers (C ``pow``), taken once per distinct
+    diameter; numpy's vectorized power rounds differently in the last bit
+    for some arguments.
     """
     inv_d = 1.0 / np.asarray(diameter, dtype=float)
-    powers = [[v ** k for k in range(3)] for v in inv_d.ravel().tolist()]
-    return np.array(powers).reshape(*inv_d.shape, 3)
+    first, kind = distinct(inv_d.ravel())
+    powers = [[v ** k for k in range(3)] for v in inv_d.ravel()[first].tolist()]
+    return np.array(powers)[kind].reshape(*inv_d.shape, 3)
 
 
 def _powers(local_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x ** p and y ** p for p = 0..5 at local points (..., P, 2), each (..., P, 6).
 
-    Each power is one ``np.power``, as a direct evaluation of the monomials
-    takes it; building powers by repeated multiplication changes the last
-    bits. The dual matrices and the element tables take their powers from
-    here only: A, every Krylov iterate and the ordering study's operation
-    counts (acceptance criterion 3) depend on those last bits. The field
-    evaluator, :meth:`ElementBases.derivatives`, feeds none of them and
-    uses running products instead, which are cheaper.
+    Each power is one ``np.power`` of a broadcast operand, as a direct
+    evaluation of the monomials takes it; repeated multiplication, or
+    numpy's contiguous power loop, changes the last bits. The dual matrices
+    and tables of each kind take their powers from here only: A, every
+    Krylov iterate and the ordering study's operation counts (acceptance
+    criterion 3) depend on those last bits. The field evaluator,
+    :meth:`ElementBases.derivatives`, feeds none of them and uses running
+    products instead, which are cheaper.
     0 ** 0 is 1; the terms it enters in a derivative have zero coefficient.
     """
     with np.errstate(invalid="ignore"):
@@ -136,18 +157,15 @@ def _monomials(powers, ax: int, ay: int, scale: np.ndarray) -> np.ndarray:
     return m * scale[..., ax + ay, None, None]
 
 
-def _tables(local_pts, scale, coeffs, orders, out=None) -> dict[str, np.ndarray]:
+def _tables(local_pts, scale, coeffs, orders) -> dict[str, np.ndarray]:
     """name -> table for each (name, (ax, ay)) of ``orders``: the derivative
     tables (..., P, 21) of shapes with coefficients (..., 21, 21).
 
-    The powers of the points are formed once. ``out`` may map a name to the
-    array its table is written into.
+    The powers of the points are formed once.
     """
     powers = _powers(local_pts)
     coeffs_t = np.swapaxes(coeffs, -1, -2)
-    out = out or {}
-    return {name: np.matmul(_monomials(powers, ax, ay, scale), coeffs_t, out=out.get(name))
-            for name, (ax, ay) in orders}
+    return {name: _monomials(powers, ax, ay, scale) @ coeffs_t for name, (ax, ay) in orders}
 
 
 # derivative orders, also the order of the six DOFs at each vertex
@@ -161,21 +179,19 @@ EVAL_ORDERS = (
 )
 
 
-def _dual_matrices(coords, centroid, midpoints, normals, scale) -> np.ndarray:
+def _dual_matrices(vertices, midpoints, normals, scale) -> np.ndarray:
     """(B, 21, 21) dual matrices: F[t, j, k] is functional j of triangle t
     applied to monomial k.
 
-    coords (B, 3, 2) are the vertices, centroid (B, 2), midpoints and
-    normals (B, 3, 2) the anchors and unit normals of the midside
-    functionals, and scale (B, 3) is :func:`_inverse_powers` of the
-    diameters; its first power is 1 / diameter itself.
+    vertices and midpoints (B, 3, 2) are the vertices and the midside
+    anchors in local coordinates, normals (B, 3, 2) the midside unit
+    normals, and scale (B, 3) is :func:`_inverse_powers` of the diameters.
     """
-    F = np.empty((len(coords), 21, 21))
-    inv_d = scale[:, 1, None, None]
-    powers = _powers((coords - centroid[:, None, :]) * inv_d)
+    F = np.empty((len(vertices), 21, 21))
+    powers = _powers(vertices)
     for k, (_, (ax, ay)) in enumerate(EVAL_ORDERS):
         F[:, k:18:6] = _monomials(powers, ax, ay, scale)
-    powers = _powers((midpoints - centroid[:, None, :]) * inv_d)
+    powers = _powers(midpoints)
     F[:, 18:] = (normals[..., 0, None] * _monomials(powers, 1, 0, scale)
                  + normals[..., 1, None] * _monomials(powers, 0, 1, scale))
     return F
@@ -251,7 +267,8 @@ class ElementBases(Sequence):
     Item k is the :class:`ElementBasis` of triangle ``triangles[k]``, a view
     into the arrays: coords, midpoints and edge_normals (T, 3, 2), centroid
     (T, 2), diameter and duality_residual (T,), coeffs (T, 21, 21).
-    inverse_powers (T, 3) is :func:`_inverse_powers` of the diameters.
+    inverse_powers (T, 3) is :func:`_inverse_powers` of the diameters, and
+    kind (T,) the :func:`distinct` kind of each triangle's dual system.
     """
 
     triangles: np.ndarray
@@ -263,6 +280,7 @@ class ElementBases(Sequence):
     edge_normals: np.ndarray
     duality_residual: np.ndarray
     inverse_powers: np.ndarray
+    kind: np.ndarray
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -280,15 +298,26 @@ class ElementBases(Sequence):
             duality_residual=float(self.duality_residual[k]),
         )
 
+    def local(self, points, block=slice(None)) -> np.ndarray:
+        """``points`` (B, P, 2) of the triangles in ``block`` in local coordinates."""
+        return (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
+
     def evaluate(self, points, orders, block=slice(None), out=None) -> dict[str, np.ndarray]:
-        """Derivative tables of the triangles in ``block`` at their own points.
+        """Derivative tables of the triangles in ``block`` (a slice or
+        indices) at their own points.
 
         ``points`` is (B, P, 2) for the B triangles of the block; returns
         name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``, written
-        into ``out[name]`` where ``out`` names an array.
+        into ``out[name]`` where ``out`` names an array; evaluated once
+        per distinct (kind, local points) and gathered.
         """
-        local = (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
-        return _tables(local, self.inverse_powers[block], self.coeffs[block], orders, out)
+        local = self.local(points, block)
+        first, kind = distinct(self.kind[block], local)
+        tables = _tables(local[first], self.inverse_powers[block][first],
+                         self.coeffs[block][first], orders)
+        out = out or {}
+        return {name: np.take(table, kind, axis=0, out=out.get(name), mode="clip")
+                for name, table in tables.items()}
 
     def polynomials(self, local: np.ndarray, orders) -> dict[str, np.ndarray]:
         """name -> (T, m) monomial coefficients of the (ax, ay) derivative, for
@@ -332,11 +361,13 @@ class ElementBases(Sequence):
 
 
 def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None = None) -> ElementBases:
-    """Bases of the given triangles, ``BLOCK`` dual systems per solve.
+    """Bases of the given triangles: one dual system per kind of the inputs
+    of :func:`_dual_matrices`, ``BLOCK`` kinds per solve, gathered.
 
     The triangles are checked in this order: any degenerate or misoriented
     one, then per block any singular dual system, then any duality residual
-    above ``DUALITY_TOL``; the first triangle failing a check is named.
+    above ``DUALITY_TOL``; the first triangle failing a check is named, a
+    kind's first triangle standing for the kind.
     """
     coords = mesh.vertices[mesh.triangles[triangles]]
     u, v = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
@@ -357,24 +388,29 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
     chords = coords[:, (0, 0, 1)] - coords[:, (1, 2, 2)]
     diameter = np.sqrt(np.vecdot(chords, chords)).max(axis=1)
     scale = _inverse_powers(diameter)
+    inv_d = scale[:, 1, None, None]
+    vertices = (coords - centroid[:, None, :]) * inv_d  # local coordinates
+    anchors = (midpoints - centroid[:, None, :]) * inv_d
+    first, kind = distinct(vertices, anchors, normals, scale)
 
-    X = np.empty((len(triangles), 21, 21))
-    residual = np.empty(len(triangles))
-    for lo in range(0, len(triangles), BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        F = _dual_matrices(coords[blk], centroid[blk], midpoints[blk], normals[blk], scale[blk])
-        X[blk], residual[blk] = _solve_duals(F, triangles[blk])
+    X = np.empty((len(first), 21, 21))
+    residual = np.empty(len(first))
+    for lo in range(0, len(first), BLOCK):
+        blk, rep = slice(lo, lo + BLOCK), first[lo:lo + BLOCK]
+        F = _dual_matrices(vertices[rep], anchors[rep], normals[rep], scale[rep])
+        X[blk], residual[blk] = _solve_duals(F, triangles[rep])
 
     return ElementBases(
         triangles=triangles,
         coords=coords,
         centroid=centroid,
         diameter=diameter,
-        coeffs=X.transpose(0, 2, 1),
+        coeffs=X[kind].transpose(0, 2, 1),
         midpoints=midpoints,
         edge_normals=normals,
-        duality_residual=residual,
+        duality_residual=residual[kind],
         inverse_powers=scale,
+        kind=kind,
     )
 
 

@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sort_indices
 
-from .argyris import BLOCK, EVAL_ORDERS, ElementBases, build_all_bases
+from .argyris import BLOCK, EVAL_ORDERS, ElementBases, build_all_bases, distinct
 from .mesh import DofMap, Mesh
 from .quadrature import QuadratureRule, map_to_triangle, rule as quad_rule
 from .solvers import SparseMatrix
@@ -87,8 +87,8 @@ def element_blocks(rule: QuadratureRule, bases: ElementBases):
     ``points`` (B, nq, 2) and ``weights`` (B, nq) are the rule mapped to the
     block's triangles by one batched ``map_to_triangle``; the block's
     derivative tables are ``bases.evaluate(points, orders, slice)``, one
-    batched matmul per table with the same per-triangle arithmetic as
-    ``ElementBasis.evaluate``.
+    batched matmul per table over the block's distinct kinds, with the same
+    per-triangle arithmetic as ``ElementBasis.evaluate``.
     """
     for lo in range(0, len(bases), BLOCK):
         blk = slice(lo, lo + BLOCK)
@@ -99,10 +99,12 @@ class ElementTables:
     """Shape derivative tables of every triangle at the rule's points.
 
     Arrays are (T, nq, 21) for dx, dy and lap, (T, nq, 2) physical points and
-    (T, nq) area-scaled weights, filled by :func:`element_blocks` and written
-    straight into the arrays. Building this once and reusing it across
-    assemblies is what makes the fixed-point iteration cheap. The tables
-    keep no reference to the element bases they were evaluated from.
+    (T, nq) area-scaled weights, filled block by block from
+    :func:`element_blocks`: each block's tables are evaluated once per
+    distinct (basis kind, local points) and gathered into the arrays, so
+    every triangle holds its own rows. Building this once and reusing it
+    across assemblies is what makes the fixed-point iteration cheap. The
+    tables keep no reference to the element bases they were evaluated from.
     """
 
     def __init__(self, mesh: Mesh, rule: QuadratureRule, bases: ElementBases):
@@ -242,8 +244,10 @@ def viscous_element_matrices(
 
     The Laplacians are tabulated ``BLOCK`` triangles at a time from
     ``bases``, or from new bases, at ``rule`` promoted to one exact for the
-    degree-6 integrand when weaker (see module docstring). Each assembly
-    forms its own stack, which the plan frees once summed.
+    degree-6 integrand when weaker (see module docstring). Each block's
+    matrices are formed once per distinct (basis kind, local points,
+    weights) and gathered. Each assembly forms its own stack, which the
+    plan frees once summed.
     """
     check_reynolds(reynolds)
     if rule.exact_degree < VISCOUS_EXACT_DEGREE:
@@ -251,11 +255,14 @@ def viscous_element_matrices(
     if bases is None:
         bases = build_all_bases(mesh)
     local = np.empty((mesh.num_triangles, 21, 21))
+    triangles = np.arange(mesh.num_triangles)
     for blk, points, weights in element_blocks(rule, bases):
-        dxx, dyy = bases.evaluate(points, LAPLACIAN_ORDERS, blk).values()
+        first, kind = distinct(bases.kind[blk], bases.local(points, blk), weights)
+        dxx, dyy = bases.evaluate(points[first], LAPLACIAN_ORDERS, triangles[blk][first]).values()
         lap = np.add(dxx, dyy, out=dxx)
         del dxx, dyy  # only lap is held through the einsum
-        np.einsum("tq,tqi,tqj->tij", weights, lap, lap, out=local[blk])
+        np.take(np.einsum("tq,tqi,tqj->tij", weights[first], lap, lap), kind, axis=0,
+                out=local[blk], mode="clip")
     local /= reynolds
     return local
 

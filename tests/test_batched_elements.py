@@ -1,10 +1,12 @@
 """Batched element construction against the one-triangle formulas.
 
 The reference below is the per-triangle construction: one monomial design
-matrix row at a time, one 21 x 21 solve per triangle, and tables filled by
-evaluating each basis at its own mapped quadrature points. The batched
-build must reproduce it bit for bit (``np.array_equal``), because reported
-quantities such as the criterion-3 ordering ranking rest on roundoff.
+matrix row at a time, one 21 x 21 solve per triangle, tables filled by
+evaluating each basis at its own mapped quadrature points, and one viscous
+element matrix per triangle. The batched build, which computes each
+element once per kind of byte-equal inputs and gathers, must reproduce it
+bit for bit (``np.array_equal``), because reported quantities such as the
+criterion-3 ordering ranking rest on roundoff.
 """
 
 from dataclasses import replace
@@ -22,9 +24,15 @@ from streamfem.argyris import (
     _solve_duals,
     build_all_bases,
     build_element_basis,
+    distinct,
     edge_normal,
 )
-from streamfem.assembly import ElementTables, element_blocks
+from streamfem.assembly import (
+    VISCOUS_EXACT_DEGREE,
+    ElementTables,
+    element_blocks,
+    viscous_element_matrices,
+)
 from streamfem.mesh import build_uniform_mesh
 from streamfem.quadrature import rule
 
@@ -126,8 +134,10 @@ def assert_bitwise_equal_to_reference(mesh, rules=RULES):
     for name in ("coords", "centroid", "diameter", "coeffs", "midpoints", "edge_normals",
                  "duality_residual"):
         assert np.array_equal(getattr(bases, name), np.array([r[name] for r in refs])), name
-    F = _dual_matrices(bases.coords, bases.centroid, bases.midpoints, bases.edge_normals,
-                       bases.inverse_powers)
+    inv_d = bases.inverse_powers[:, 1, None, None]
+    F = _dual_matrices((bases.coords - bases.centroid[:, None]) * inv_d,
+                       (bases.midpoints - bases.centroid[:, None]) * inv_d,
+                       bases.edge_normals, bases.inverse_powers)
     assert np.array_equal(F, np.array([r["F"] for r in refs]))
     for t in (0, mesh.num_triangles - 1):
         basis, ref = bases[t], refs[t]
@@ -154,13 +164,83 @@ def assert_bitwise_equal_to_reference(mesh, rules=RULES):
         tables = ElementTables(mesh, q, bases=bases)
         for name in ("points", "weights", "dx", "dy", "lap"):
             assert np.array_equal(getattr(tables, name), want[name]), (n_points, name)
+        if q.exact_degree >= VISCOUS_EXACT_DEGREE:
+            # one einsum per triangle, as a one-triangle assembly forms it
+            ref = np.concatenate([np.einsum("tq,tqi,tqj->tij", want["weights"][t:t + 1],
+                                            want["lap"][t:t + 1], want["lap"][t:t + 1])
+                                  for t in range(mesh.num_triangles)])
+            assert np.array_equal(viscous_element_matrices(mesh, q, 3.0, bases), ref / 3.0), \
+                n_points
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 12])
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 9, 12, 16])
 def test_uniform_mesh_matches_per_triangle_reference(n):
-    if n == 12:
+    if n >= 12:
         assert 2 * n * n > BLOCK  # the mesh crosses a block seam
+    # n = 8 and 16 share basis kinds widely; at n = 9 some triangles of one
+    # basis kind differ in their local quadrature points
     assert_bitwise_equal_to_reference(build_uniform_mesh(n))
+
+
+def dual_inputs(bases):
+    """(T,) bytes of each triangle's inputs to its dual system."""
+    inv_d = bases.inverse_powers[:, 1, None, None]
+    arrays = ((bases.coords - bases.centroid[:, None]) * inv_d,
+              (bases.midpoints - bases.centroid[:, None]) * inv_d,
+              bases.edge_normals, bases.inverse_powers)
+    return [b"".join(a[t].tobytes() for a in arrays) for t in range(len(bases))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 24))
+def test_kinds_group_byte_equal_dual_inputs_in_order_of_first_occurrence(n):
+    bases = build_all_bases(build_uniform_mesh(n))
+    kind = bases.kind
+    values, first = np.unique(kind, return_index=True)
+    assert np.array_equal(values, np.arange(len(values)))
+    assert np.all(np.diff(first) > 0)  # kind k first occurs before kind k + 1
+    inputs = dual_inputs(bases)
+    assert all(inputs[t] == inputs[first[k]] for t, k in enumerate(kind))
+    assert len({inputs[t] for t in first}) == len(first)
+
+
+def test_distinct_compares_bytes():
+    payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    a = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 2.0], [payload, 2.0]])
+    first, kind = distinct(a, np.array([5, 5, 5, 7, 7]))
+    assert first.tolist() == [0, 1, 3, 4] and kind.tolist() == [0, 1, 0, 2, 3]
+    first, kind = distinct(np.array([3.0, 1.0, 3.0, 1.0, 2.0]))
+    assert first.tolist() == [0, 1, 4] and kind.tolist() == [0, 1, 0, 1, 2]
+
+
+def assert_changed_triangles_leave_their_kinds(mesh, changed):
+    kind = build_all_bases(mesh).kind
+    assert len(set(kind[changed])) == changed.sum()
+    assert not set(kind[changed]) & set(kind[~changed])
+    assert_bitwise_equal_to_reference(mesh)
+
+
+def test_vertex_moved_by_one_ulp_leaves_its_kinds():
+    mesh = build_uniform_mesh(8)
+    v = np.flatnonzero(~mesh.vertex_on_boundary)[10]
+    vertices = mesh.vertices.copy()
+    vertices[v, 0] = np.nextafter(vertices[v, 0], 1.0)
+    midpoints = 0.5 * (vertices[mesh.edges[:, 0]] + vertices[mesh.edges[:, 1]])
+    around = (mesh.triangles == v).any(axis=1)
+    assert around.sum() == 6
+    assert_changed_triangles_leave_their_kinds(
+        replace(mesh, vertices=vertices, edge_midpoints=midpoints), around)
+
+
+def test_reversed_edge_leaves_its_kinds():
+    """Only the midside normal of the reversed edge changes: the key holds
+    the normals beside the local coordinates."""
+    mesh = build_uniform_mesh(8)
+    edges = mesh.edges.copy()
+    edges[100] = edges[100, ::-1]
+    sharing = (mesh.triangle_edges == 100).any(axis=1)
+    assert sharing.sum() == 2
+    assert_changed_triangles_leave_their_kinds(replace(mesh, edges=edges), sharing)
 
 
 def jittered_mesh(n, seed, amplitude):

@@ -4,14 +4,15 @@
     python tools/snapshot_outputs.py --compare BEFORE AFTER
 
 Runs every argv of ``perfbench.workloads.Workload(name, 1).base`` for the
-four workloads, plus the argvs of ``EXTRA`` (51 runs in all), through
+four workloads, plus the argvs of ``EXTRA`` (52 runs in all), through
 ``streamfem.cli.main`` of this checkout. ``EXTRA`` reaches what the
 workloads do not: ``mesh-info --csv``, both ``convergence-table`` problems,
 ``solve-biharmonic --load zero``, the symmetric MatrixMarket encoding
 (the empty matrix of ``export-sparsity --n 1``), ``compare-orderings``
-under rules below and above the viscous form's degree, and the 25-point
-rule; new argvs go at its end, so earlier runs keep their directory
-names. Each run writes into its own directory ``OUT_DIR/NN-<command>``,
+under rules below and above the viscous form's degree, the 25-point
+rule, and a mesh (n = 24) that is not dyadic, whose triangles share only
+some element kinds; new argvs go at its end, so earlier runs keep their
+directory names. Each run writes into its own directory ``OUT_DIR/NN-<command>``,
 named by a relative path so the printed paths do not depend on where
 OUT_DIR lives; its stdout goes to ``stdout.txt`` and its exit code to
 ``exit_code.txt`` in that directory.
@@ -69,6 +70,7 @@ EXTRA = [
     ["compare-orderings", "--n", "5", "--nqp", "4"],
     ["compare-orderings", "--n", "5", "--nqp", "12"],
     ["solve-nse", "--n", "4", "--nqp", "25"],
+    ["solve-biharmonic", "--n", "24", "--load", "stokes", "--minimal-bc", "--nqp", "12"],
 ]
 
 
