@@ -54,8 +54,8 @@ def compute_errors(
 ) -> ErrorReport:
     """Integrate (psi_h - psi)^2 and derivative differences elementwise.
 
-    ``exact`` is the dict ``interpolate_field`` takes, e.g. ``assembly.EXACT``:
-    a callable f(x, y) of the field's derivative per name of ``EVAL_ORDERS``.
+    ``exact`` is a dict such as ``assembly.EXACT``: a callable f(x, y) of
+    the field's derivative per name of ``EVAL_ORDERS``.
     The field is read from the per-triangle monomial coefficients of its
     derivatives (:meth:`ElementBases.polynomials`, formed once) at the
     verification rule's points (:meth:`ElementBases.derivatives`),

@@ -25,8 +25,6 @@ the midside DOF single-valued and the global field C1.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +68,6 @@ class ElementConstructionError(RuntimeError):
     """Raised when the dual system of a triangle cannot be solved reliably."""
 
 
-@dataclass(frozen=True)
-class DofFunctional:
-    """One of the 21 nodal functionals of a triangle.
-
-    kind is 'value', 'dx', 'dy', 'dxx', 'dxy', 'dyy' or 'normal'; anchor is
-    the vertex or edge midpoint; normal is set only for kind='normal'.
-    """
-
-    kind: str
-    anchor: np.ndarray
-    normal: np.ndarray | None = None
-
-
 def _unit_normals(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
     """(..., 2) unit vectors from tail to head, rotated by +90 degrees.
 
@@ -91,12 +76,6 @@ def _unit_normals(tail: np.ndarray, head: np.ndarray) -> np.ndarray:
     d = head - tail
     d = d / np.sqrt(np.vecdot(d, d))[..., None]
     return np.stack([-d[..., 1], d[..., 0]], axis=-1)
-
-
-def edge_normal(mesh: Mesh, e: int) -> np.ndarray:
-    """Unit normal of edge e under the global lower-to-higher +90 convention."""
-    a, b = mesh.edges[e]
-    return _unit_normals(mesh.vertices[a], mesh.vertices[b])
 
 
 def distinct(*arrays) -> tuple[np.ndarray, np.ndarray]:
@@ -223,55 +202,20 @@ def _solve_duals(F: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @dataclass(frozen=True)
-class ElementBasis:
-    """The 21 dual shape functions of one physical triangle.
+class ElementBases:
+    """The 21 dual shape functions of every triangle, as stacked arrays.
 
-    coeffs[i, k] is the coefficient of monomial k (in centered/scaled local
-    coordinates) of shape function i. Local DOF order: six slots per vertex
-    (value, dx, dy, dxx, dxy, dyy) for vertices 0, 1, 2, then the midside
-    normal DOFs of edges (v0,v1), (v1,v2), (v2,v0), anchored at ``midpoints``
-    with normals ``edge_normals``.
+    coeffs[t, i, k] (T, 21, 21) is the coefficient of monomial k (in
+    centered/scaled local coordinates) of shape function i of triangle t.
+    Local DOF order: six slots per vertex (value, dx, dy, dxx, dxy, dyy) for
+    vertices 0, 1, 2, then the midside normal DOFs of edges (v0,v1), (v1,v2),
+    (v2,v0), anchored at ``midpoints`` with normals ``edge_normals``.
+    coords, midpoints and edge_normals are (T, 3, 2), centroid (T, 2),
+    diameter and duality_residual (T,); inverse_powers (T, 3) is
+    :func:`_inverse_powers` of the diameters, and kind (T,) the
+    :func:`distinct` kind of each triangle's dual system.
     """
 
-    triangle: int
-    coords: np.ndarray
-    centroid: np.ndarray
-    diameter: float
-    coeffs: np.ndarray
-    midpoints: np.ndarray
-    edge_normals: np.ndarray
-    duality_residual: float
-
-    @property
-    def functionals(self) -> tuple[DofFunctional, ...]:
-        """The 21 nodal functionals in local DOF order."""
-        vertex = (DofFunctional(kind=kind, anchor=a) for a in self.coords for kind, _ in EVAL_ORDERS)
-        normal = (DofFunctional(kind="normal", anchor=m, normal=n)
-                  for m, n in zip(self.midpoints, self.edge_normals))
-        return (*vertex, *normal)
-
-    def evaluate(self, points: np.ndarray, orders) -> dict[str, np.ndarray]:
-        """Evaluate derivative tables of all 21 shapes at the given points.
-
-        Returns a dict name -> (npoints, 21) array for each requested
-        (name, (ax, ay)) pair.
-        """
-        local = (np.atleast_2d(np.asarray(points, dtype=float)) - self.centroid) / self.diameter
-        return _tables(local, _inverse_powers(self.diameter), self.coeffs, orders)
-
-
-@dataclass(frozen=True)
-class ElementBases(Sequence):
-    """Element bases of a set of triangles, stored as stacked arrays.
-
-    Item k is the :class:`ElementBasis` of triangle ``triangles[k]``, a view
-    into the arrays: coords, midpoints and edge_normals (T, 3, 2), centroid
-    (T, 2), diameter and duality_residual (T,), coeffs (T, 21, 21).
-    inverse_powers (T, 3) is :func:`_inverse_powers` of the diameters, and
-    kind (T,) the :func:`distinct` kind of each triangle's dual system.
-    """
-
-    triangles: np.ndarray
     coords: np.ndarray
     centroid: np.ndarray
     diameter: np.ndarray
@@ -283,41 +227,23 @@ class ElementBases(Sequence):
     kind: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.triangles)
+        return len(self.kind)
 
-    def __getitem__(self, k) -> ElementBasis:
-        k = range(len(self))[operator.index(k)]
-        return ElementBasis(
-            triangle=int(self.triangles[k]),
-            coords=self.coords[k],
-            centroid=self.centroid[k],
-            diameter=float(self.diameter[k]),
-            coeffs=self.coeffs[k],
-            midpoints=self.midpoints[k],
-            edge_normals=self.edge_normals[k],
-            duality_residual=float(self.duality_residual[k]),
-        )
-
-    def local(self, points, block=slice(None)) -> np.ndarray:
+    def local(self, points, block) -> np.ndarray:
         """``points`` (B, P, 2) of the triangles in ``block`` in local coordinates."""
         return (points - self.centroid[block, None, :]) / self.diameter[block, None, None]
 
-    def evaluate(self, points, orders, block=slice(None), out=None) -> dict[str, np.ndarray]:
+    def evaluate(self, points, orders, block) -> dict[str, np.ndarray]:
         """Derivative tables of the triangles in ``block`` (a slice or
         indices) at their own points.
 
         ``points`` is (B, P, 2) for the B triangles of the block; returns
-        name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``, written
-        into ``out[name]`` where ``out`` names an array; evaluated once
-        per distinct (kind, local points) and gathered.
+        name -> (B, P, 21) for each (name, (ax, ay)) in ``orders``. Each
+        triangle is evaluated on its own: a caller that groups triangles
+        into kinds passes one per kind and gathers.
         """
-        local = self.local(points, block)
-        first, kind = distinct(self.kind[block], local)
-        tables = _tables(local[first], self.inverse_powers[block][first],
-                         self.coeffs[block][first], orders)
-        out = out or {}
-        return {name: np.take(table, kind, axis=0, out=out.get(name), mode="clip")
-                for name, table in tables.items()}
+        return _tables(self.local(points, block), self.inverse_powers[block],
+                       self.coeffs[block], orders)
 
     def polynomials(self, local: np.ndarray, orders) -> dict[str, np.ndarray]:
         """name -> (T, m) monomial coefficients of the (ax, ay) derivative, for
@@ -346,10 +272,9 @@ class ElementBases(Sequence):
         Precision: x ** p and y ** p are running products (a column of
         ones, then one cumulative product per coordinate), so each carries
         at most p - 1 roundings, and each monomial x ** i * y ** j one more.
-        The result agrees with the per-triangle reference
-        ``ElementBasis.evaluate(p) @ local``, whose powers are
-        :func:`_powers`, to 1e-14 of the field's largest monomial
-        coefficient over ``diameter ** (ax + ay)``.
+        The result agrees with the tables of :meth:`evaluate` times the
+        local DOFs, whose powers are :func:`_powers`, to 1e-14 of the
+        field's largest monomial coefficient over ``diameter ** (ax + ay)``.
         """
         local = (points - self.centroid[tri]) / self.diameter[tri][..., None]
         powers = np.empty((*local.shape, 6))  # [..., 0 or 1, p]: x ** p or y ** p
@@ -360,30 +285,29 @@ class ElementBases(Sequence):
         return {name: np.vecdot(monomials[..., :q.shape[1]], q[tri]) for name, q in polys.items()}
 
 
-def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None = None) -> ElementBases:
-    """Bases of the given triangles: one dual system per kind of the inputs
-    of :func:`_dual_matrices`, ``BLOCK`` kinds per solve, gathered.
+def build_all_bases(mesh: Mesh) -> ElementBases:
+    """Element bases of every triangle of the mesh: one dual system per kind
+    of the inputs of :func:`_dual_matrices`, ``BLOCK`` kinds per solve,
+    gathered.
 
     The triangles are checked in this order: any degenerate or misoriented
     one, then per block any singular dual system, then any duality residual
     above ``DUALITY_TOL``; the first triangle failing a check is named, a
     kind's first triangle standing for the kind.
     """
-    coords = mesh.vertices[mesh.triangles[triangles]]
+    coords = mesh.vertices[mesh.triangles]
     u, v = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
     area2 = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
     bad = np.flatnonzero(area2 <= 0.0)
     if bad.size:
         k = bad[0]
         raise ElementConstructionError(
-            f"triangle {triangles[k]} is degenerate or misoriented (2*area = {area2[k]:g})"
+            f"triangle {k} is degenerate or misoriented (2*area = {area2[k]:g})"
         )
 
-    edges = mesh.triangle_edges[triangles]
-    if normals is None:
-        ends = mesh.vertices[mesh.edges[edges]]
-        normals = _unit_normals(ends[..., 0, :], ends[..., 1, :])
-    midpoints = mesh.edge_midpoints[edges]
+    ends = mesh.vertices[mesh.edges[mesh.triangle_edges]]
+    normals = _unit_normals(ends[..., 0, :], ends[..., 1, :])
+    midpoints = mesh.edge_midpoints[mesh.triangle_edges]
     centroid = coords.mean(axis=1)
     chords = coords[:, (0, 0, 1)] - coords[:, (1, 2, 2)]
     diameter = np.sqrt(np.vecdot(chords, chords)).max(axis=1)
@@ -398,10 +322,9 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
     for lo in range(0, len(first), BLOCK):
         blk, rep = slice(lo, lo + BLOCK), first[lo:lo + BLOCK]
         F = _dual_matrices(vertices[rep], anchors[rep], normals[rep], scale[rep])
-        X[blk], residual[blk] = _solve_duals(F, triangles[rep])
+        X[blk], residual[blk] = _solve_duals(F, rep)
 
     return ElementBases(
-        triangles=triangles,
         coords=coords,
         centroid=centroid,
         diameter=diameter,
@@ -412,43 +335,3 @@ def _build_bases(mesh: Mesh, triangles: np.ndarray, normals: np.ndarray | None =
         inverse_powers=scale,
         kind=kind,
     )
-
-
-def build_element_basis(mesh: Mesh, triangle_index: int, edge_normal_convention=None) -> ElementBasis:
-    """Solve the dual system of one triangle and verify nodal duality.
-
-    ``edge_normal_convention`` may be a callable (mesh, edge) -> unit normal
-    to override the global convention (used in tests); the default is the
-    shared lower-to-higher +90 convention required for C1 assembly.
-    """
-    normals = None
-    if edge_normal_convention is not None:
-        normals = np.array(
-            [[edge_normal_convention(mesh, e) for e in mesh.triangle_edges[triangle_index]]],
-            dtype=float,
-        )
-    return _build_bases(mesh, np.array([triangle_index]), normals)[0]
-
-
-def build_all_bases(mesh: Mesh) -> ElementBases:
-    """Element bases for every triangle of the mesh."""
-    return _build_bases(mesh, np.arange(mesh.num_triangles))
-
-
-def interpolate_field(mesh: Mesh, dofmap, derivatives: dict) -> np.ndarray:
-    """Argyris interpolant coefficients of an analytically known field.
-
-    ``derivatives`` maps each name of ``EVAL_ORDERS`` to a callable f(x, y)
-    accepting arrays, as ``assembly.EXACT`` does. The midside DOFs are the
-    normal derivatives under the global edge convention.
-    """
-    coeffs = np.zeros(dofmap.total_dofs)
-    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    for k, (name, _) in enumerate(EVAL_ORDERS):
-        coeffs[dofmap.vertex_dofs[:, k]] = derivatives[name](vx, vy)
-    mx, my = mesh.edge_midpoints[:, 0], mesh.edge_midpoints[:, 1]
-    gx = derivatives["dx"](mx, my)
-    gy = derivatives["dy"](mx, my)
-    n = _unit_normals(mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]])
-    coeffs[dofmap.edge_dofs] = n[:, 0] * gx + n[:, 1] * gy
-    return coeffs

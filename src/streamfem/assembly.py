@@ -39,12 +39,12 @@ the plan's structural pattern and shares its read-only ``indptr`` and
 the ordering, never of roundoff.
 
 A caller builds the plan and the tables once and hands them to every
-assembly, which reads what it covers off them: the mesh, the DOF map and
-the reduction (the free DOFs, or all of them under ``reduced=False``) off
-the plan, and the mesh and n.q.p. tables off the :class:`ElementTables`,
-which are evaluated from the element bases the caller passes in. The
-convection form checks that its tables and plan share one mesh. The load
-vector, which needs no plan, takes the tables and the DOF map.
+assembly, which reads what it covers off them: the mesh and the DOF map,
+whose free DOFs it covers, off the plan, and the mesh and n.q.p. tables off
+the :class:`ElementTables`, which are evaluated from the element bases the
+caller passes in. The convection form checks that its tables and plan share
+one mesh. The load vector, which needs no plan, takes the tables and the
+DOF map.
 
 The linearized operator A + B(xi) of a fixed-point step is one such pass:
 B's slots are summed and A's data is added slot by slot, A's entry first.
@@ -85,10 +85,10 @@ def element_blocks(rule: QuadratureRule, bases: ElementBases):
     """Yield (slice, points, weights) for ``BLOCK`` triangles at a time.
 
     ``points`` (B, nq, 2) and ``weights`` (B, nq) are the rule mapped to the
-    block's triangles by one batched ``map_to_triangle``; the block's
-    derivative tables are ``bases.evaluate(points, orders, slice)``, one
-    batched matmul per table over the block's distinct kinds, with the same
-    per-triangle arithmetic as ``ElementBasis.evaluate``.
+    block's triangles by one batched ``map_to_triangle``. Callers group
+    the block's triangles into kinds (:func:`distinct`), evaluate one
+    triangle per kind (``bases.evaluate``, one batched matmul per table)
+    and gather.
     """
     for lo in range(0, len(bases), BLOCK):
         blk = slice(lo, lo + BLOCK)
@@ -115,15 +115,20 @@ class ElementTables:
         self.dx = np.empty((nt, nq, 21))
         self.dy = np.empty((nt, nq, 21))
         self.lap = np.empty((nt, nq, 21))
+        triangles = np.arange(nt)
         for blk, points, weights in element_blocks(rule, bases):
             self.points[blk], self.weights[blk] = points, weights
-            tab = bases.evaluate(points, TABLE_ORDERS, blk,
-                                 out={"dx": self.dx[blk], "dy": self.dy[blk]})
-            np.add(tab["dxx"], tab["dyy"], out=self.lap[blk])
+            first, kind = distinct(bases.kind[blk], bases.local(points, blk))
+            dx, dy, dxx, dyy = bases.evaluate(points[first], TABLE_ORDERS,
+                                              triangles[blk][first]).values()
+            lap = np.add(dxx, dyy, out=dxx)
+            for table, out in ((dx, self.dx), (dy, self.dy), (lap, self.lap)):
+                np.take(table, kind, axis=0, out=out[blk], mode="clip")
 
 
 def dof_arrays(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
-    """(T, 21) global DOFs of every triangle, rows as DofMap.triangle_dofs."""
+    """(T, 21) global DOFs of every triangle in local order: the six slots of
+    each vertex, then the midside DOFs of edges (v0,v1), (v1,v2), (v2,v0)."""
     return np.hstack([dofmap.vertex_dofs[mesh.triangles].reshape(-1, 18),
                       dofmap.edge_dofs[mesh.triangle_edges]])
 
@@ -138,12 +143,12 @@ class ScatterPlan:
     """Where and in which order element matrix entries sum into the global
     CSR matrix of one DOF map (see the module docstring).
 
-    ``indptr`` and ``indices`` are the structural pattern over the free DOFs
-    (all DOFs when ``reduced`` is false). Slot s starts from entry
-    ``first[s]`` of the flattened (T, 21, 21) element matrices, and
-    ``ranks[r]`` is a (slots, entries) pair: entry ``entries[k]`` is added
-    to slot ``slots[k]`` in pass r. All arrays are int32 and read-only,
-    because assembled matrices share ``indptr`` and ``indices`` with the plan.
+    ``indptr`` and ``indices`` are the structural pattern over the free
+    DOFs. Slot s starts from entry ``first[s]`` of the flattened (T, 21, 21)
+    element matrices, and ``ranks[r]`` is a (slots, entries) pair: entry
+    ``entries[k]`` is added to slot ``slots[k]`` in pass r. All arrays are
+    int32 and read-only, because assembled matrices share ``indptr`` and
+    ``indices`` with the plan.
     """
 
     mesh: Mesh
@@ -163,10 +168,9 @@ class ScatterPlan:
         return len(self.indices)
 
     @classmethod
-    def build(cls, mesh: Mesh, dofmap: DofMap, reduced: bool = True) -> "ScatterPlan":
-        index_of = dofmap.free_of_global if reduced else np.arange(dofmap.total_dofs)
-        dofs = index_of[dof_arrays(mesh, dofmap)].astype(np.int32)  # -1: eliminated
-        n = dofmap.num_free if reduced else dofmap.total_dofs
+    def build(cls, mesh: Mesh, dofmap: DofMap) -> "ScatterPlan":
+        dofs = dofmap.free_of_global[dof_arrays(mesh, dofmap)].astype(np.int32)  # -1: eliminated
+        n = dofmap.num_free
         keep = ((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)).ravel()
         rows = np.repeat(dofs, 21, axis=1).ravel()[keep]
         cols = np.tile(dofs, (1, 21)).ravel()[keep]

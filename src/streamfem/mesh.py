@@ -178,16 +178,6 @@ class DofMap:
     def num_free(self) -> int:
         return len(self.globals_of_free)
 
-    def triangle_dofs(self, mesh: Mesh, t: int) -> np.ndarray:
-        """The 21 global DOFs of triangle t in local order: the six slots of
-        each vertex, then the three midside DOFs of edges (v0,v1), (v1,v2),
-        (v2,v0)."""
-        verts = mesh.triangles[t]
-        out = np.empty(21, dtype=np.int64)
-        out[:18] = self.vertex_dofs[verts].ravel()
-        out[18:] = self.edge_dofs[mesh.triangle_edges[t]]
-        return out
-
 
 def _vertex_visit_order(mesh: Mesh, scheme: OrderingScheme) -> np.ndarray:
     v = np.arange(mesh.num_vertices)
@@ -246,25 +236,6 @@ def enumerate_dofs(
         free_of_global=free_of_global,
         globals_of_free=globals_of_free,
     )
-
-
-def ordering_permutation(dm_from: DofMap, dm_to: DofMap) -> np.ndarray:
-    """Permutation p with p[i_from] = i_to for the same (entity, slot).
-
-    Both maps must come from the same mesh and boundary-condition choice.
-    """
-    if dm_from.total_dofs != dm_to.total_dofs:
-        raise ValueError("DOF maps are not over the same mesh")
-    p = np.empty(dm_from.total_dofs, dtype=np.int64)
-    p[dm_from.vertex_dofs.ravel()] = dm_to.vertex_dofs.ravel()
-    p[dm_from.edge_dofs] = dm_to.edge_dofs
-    return p
-
-
-def free_permutation(dm_from: DofMap, dm_to: DofMap) -> np.ndarray:
-    """Same as :func:`ordering_permutation` but between reduced indices."""
-    p = ordering_permutation(dm_from, dm_to)
-    return dm_to.free_of_global[p[dm_from.globals_of_free]]
 
 
 def export_mesh_csv(mesh: Mesh, dofmap: DofMap, directory) -> list[str]:

@@ -17,12 +17,13 @@ from streamfem.analysis import (
     format_table,
     write_csv,
 )
-from streamfem.argyris import EVAL_ORDERS, build_all_bases, interpolate_field
+from streamfem.argyris import EVAL_ORDERS, build_all_bases
 from streamfem.assembly import EXACT, ScatterPlan, assemble_biharmonic, dof_arrays
 from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import bandwidth_stats, finalize_csr
 
+from fields import interpolate_field
 from test_argyris import sympy_derivatives
 
 
@@ -96,8 +97,8 @@ def _on_diagonal(n):
 @given(n=st.integers(1, 6), ordering=st.sampled_from((1, 2, 3)),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, data):
-    """Value and all five derivatives against ``ElementBasis.evaluate(p) @
-    local`` in the triangle the point is located in, to 1e-14 of that
+    """Value and all five derivatives against ``ElementBases.evaluate``'s
+    tables times the local DOFs in the triangle the point is located in, to 1e-14 of that
     triangle's largest monomial coefficient, over diameter ** (ax + ay) for
     the (ax, ay) derivative (a derivative of the local coordinates). Points
     are drawn anywhere, on mesh lines x or y = k / n (vertices and shared
@@ -116,16 +117,15 @@ def test_field_evaluator_matches_the_per_triangle_reference(n, ordering, seed, d
                                located)
     assert (fields["value"] == values).all()
     for k, (p, t) in enumerate(zip(pts, located)):
-        basis = bases[t]
         # barycentric coordinates of p in its triangle: none below -1e-12
-        bary = np.linalg.solve(np.vstack([basis.coords.T, np.ones(3)]), [*p, 1.0])
+        bary = np.linalg.solve(np.vstack([bases.coords[t].T, np.ones(3)]), [*p, 1.0])
         assert bary.min() >= -1e-12
-        local = coeffs[dm.triangle_dofs(mesh, t)]
-        tables = basis.evaluate(p, EVAL_ORDERS)
-        tol = 1e-14 * np.abs(basis.coeffs.T @ local).max()
+        local = coeffs[dof_arrays(mesh, dm)[t]]
+        tables = bases.evaluate(p[None, None], EVAL_ORDERS, [t])
+        tol = 1e-14 * np.abs(bases.coeffs[t].T @ local).max()
         for name, (ax, ay) in EVAL_ORDERS:
-            want = tables[name][0] @ local
-            assert abs(fields[name][k] - want) <= tol / basis.diameter ** (ax + ay), name
+            want = tables[name][0, 0] @ local
+            assert abs(fields[name][k] - want) <= tol / bases.diameter[t] ** (ax + ay), name
 
 
 def test_export_sparsity_identity(tmp_path):
@@ -312,15 +312,15 @@ def test_error_norms_insensitive_to_evaluation_rule():
     for t in range(mesh.num_triangles):
         a, b, c = mesh.vertices[mesh.triangles[t]]
         ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-        local = coeffs[dm.triangle_dofs(mesh, t)]
+        local = coeffs[dof_arrays(mesh, dm)[t]]
         for child in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)):
             p0, p1, p2 = child
             pts = p0[None, :] + np.outer(q.points[:, 0], p1 - p0) + np.outer(q.points[:, 1], p2 - p0)
             u, v = p1 - p0, p2 - p0
             w = q.weights * 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-            tab = bases[t].evaluate(pts, EVAL_ORDERS)
+            tab = bases.evaluate(pts[None], EVAL_ORDERS, [t])
             x, y = pts[:, 0], pts[:, 1]
-            e = {name: tab[name] @ local - EXACT[name](x, y) for name in tab}
+            e = {name: tab[name][0] @ local - EXACT[name](x, y) for name in tab}
             sums["l2"] += float(w @ (e["value"] ** 2))
             sums["h1_semi"] += float(w @ (e["dx"] ** 2 + e["dy"] ** 2))
             sums["h2_semi"] += float(w @ (e["dxx"] ** 2 + e["dxy"] ** 2 + e["dyy"] ** 2))

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 import sympy
 
-from streamfem.argyris import (
-    ElementConstructionError,
-    build_all_bases,
-    build_element_basis,
-    edge_normal,
-    interpolate_field,
-)
+from streamfem.argyris import ElementConstructionError, build_all_bases
 from streamfem.assembly import EXACT, dof_arrays
 from streamfem.mesh import Mesh, build_uniform_mesh, enumerate_dofs
+
+from fields import interpolate_field
 
 DERIV_NAMES = ("value", "dx", "dy", "dxx", "dxy", "dyy")
 
@@ -32,7 +28,7 @@ def sympy_derivatives(expr):
 
 
 def test_duality_all_triangles(bases3):
-    assert max(b.duality_residual for b in bases3) < 1e-8
+    assert bases3.duality_residual.max() < 1e-8
 
 
 def test_constant_reproduction(mesh3, dofmap3, bases3, rng):
@@ -61,14 +57,13 @@ def test_quintic_reproduction_symbolic(mesh3, dofmap3, bases3, rng):
     assert np.abs(grads["dy"] - table["dy"](pts[:, 0], pts[:, 1])).max() < 1e-8
 
 
-def test_p5_exactness_random_quintics(mesh3, dofmap3, rng):
+def test_p5_exactness_random_quintics(bases3, rng):
     """Interpolating random quintics on one element reproduces them to 1e-9."""
-    basis = build_element_basis(mesh3, 4)
+    coords, t = bases3.coords[4], [4]
     x, y = sympy.symbols("x y")
     monos = [x ** i * y ** j for i in range(6) for j in range(6 - i)]
-    pts = basis.coords[0][None, :] * 0.25 + basis.coords[1][None, :] * 0.35 \
-        + basis.coords[2][None, :] * 0.40
-    sample = np.vstack([pts, basis.centroid[None, :], basis.coords])
+    pts = coords[0][None, :] * 0.25 + coords[1][None, :] * 0.35 + coords[2][None, :] * 0.40
+    sample = np.vstack([pts, bases3.centroid[t], coords])
     for _ in range(10):
         c = rng.standard_normal(len(monos))
         expr = sum(ci * m for ci, m in zip(c, monos))
@@ -76,31 +71,29 @@ def test_p5_exactness_random_quintics(mesh3, dofmap3, rng):
         # element-local interpolation: apply the 21 functionals analytically
         dof_vals = np.empty(21)
         for v in range(3):
-            px, py = basis.coords[v]
+            px, py = coords[v]
             for k, name in enumerate(DERIV_NAMES):
                 dof_vals[6 * v + k] = table[name](px, py)
         for m in range(3):
-            f = basis.functionals[18 + m]
-            px, py = f.anchor
-            dof_vals[18 + m] = f.normal[0] * table["dx"](px, py) + f.normal[1] * table["dy"](px, py)
-        tab = basis.evaluate(sample, (("value", (0, 0)),))
-        interp = tab["value"] @ dof_vals
+            (px, py), normal = bases3.midpoints[4, m], bases3.edge_normals[4, m]
+            dof_vals[18 + m] = normal[0] * table["dx"](px, py) + normal[1] * table["dy"](px, py)
+        tab = bases3.evaluate(sample[None], (("value", (0, 0)),), t)
+        interp = tab["value"][0] @ dof_vals
         exact = table["value"](sample[:, 0], sample[:, 1])
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(interp - exact).max() / scale < 1e-9
 
 
-def test_laplacian_matches_finite_differences(mesh3):
-    basis = build_element_basis(mesh3, 2)
-    c = basis.centroid
+def test_laplacian_matches_finite_differences(bases3):
+    c = bases3.centroid[2]
     h = 1e-5
-    tab = basis.evaluate(
-        np.array([c, c + [h, 0], c - [h, 0], c + [0, h], c - [0, h]]),
-        (("value", (0, 0)), ("dxx", (2, 0)), ("dyy", (0, 2))),
+    tab = bases3.evaluate(
+        np.array([[c, c + [h, 0], c - [h, 0], c + [0, h], c - [0, h]]]),
+        (("value", (0, 0)), ("dxx", (2, 0)), ("dyy", (0, 2))), [2],
     )
-    vals = tab["value"]
+    vals = tab["value"][0]
     fd_lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h ** 2
-    lap = tab["dxx"][0] + tab["dyy"][0]
+    lap = tab["dxx"][0, 0] + tab["dyy"][0, 0]
     scale = np.maximum(np.abs(lap), 1.0)
     assert np.abs(fd_lap - lap).max() / scale.max() < 1e-5
 
@@ -126,19 +119,18 @@ def test_c1_conformity_interior_edges(rng):
                 edge_to_tris[e].append(t)
     scale = abs(coeffs[dm.vertex_dofs[:, 0]]).max()
     orders = (("value", (0, 0)), ("dx", (1, 0)), ("dy", (0, 1)))
+    local = coeffs[dof_arrays(mesh, dm)]
     for e in interior:
         t1, t2 = edge_to_tris[e]
         pts = _edge_samples(mesh, e, 5, rng)
-        n = edge_normal(mesh, e)
-        va = bases[t1].evaluate(pts, orders)
-        vb = bases[t2].evaluate(pts, orders)
-        la = coeffs[dm.triangle_dofs(mesh, t1)]
-        lb = coeffs[dm.triangle_dofs(mesh, t2)]
-        value_jump = np.abs(va["value"] @ la - vb["value"] @ lb).max()
-        slope_a = (va["dx"] @ la) * n[0] + (va["dy"] @ la) * n[1]
-        slope_b = (vb["dx"] @ lb) * n[0] + (vb["dy"] @ lb) * n[1]
+        n = bases.edge_normals[mesh.triangle_edges == e][0]
+        tab = bases.evaluate(np.stack([pts, pts]), orders, [t1, t2])
+        field = {name: np.einsum("tpi,ti->tp", table, local[[t1, t2]])
+                 for name, table in tab.items()}
+        value_jump = np.abs(field["value"][0] - field["value"][1]).max()
+        slope = field["dx"] * n[0] + field["dy"] * n[1]
         assert value_jump <= 1e-9 * max(scale, 1e-30)
-        assert np.abs(slope_a - slope_b).max() <= 1e-8 * max(scale, 1e-30)
+        assert np.abs(slope[0] - slope[1]).max() <= 1e-8 * max(scale, 1e-30)
 
 
 def _scaled_copy(mesh: Mesh, s: float) -> Mesh:
@@ -157,11 +149,9 @@ def _scaled_copy(mesh: Mesh, s: float) -> Mesh:
 def test_scaling_leaves_value_shapes_invariant():
     mesh = build_uniform_mesh(1)
     scaled = _scaled_copy(mesh, 3.7)
-    b1 = build_element_basis(mesh, 0)
-    b2 = build_element_basis(scaled, 0)
-    pts = np.array([[0.3, 0.2], [0.6, 0.25], [0.5, 0.4]])
-    v1 = b1.evaluate(pts, (("value", (0, 0)),))["value"]
-    v2 = b2.evaluate(pts * 3.7, (("value", (0, 0)),))["value"]
+    pts = np.array([[[0.3, 0.2], [0.6, 0.25], [0.5, 0.4]]])
+    v1 = build_all_bases(mesh).evaluate(pts, (("value", (0, 0)),), [0])["value"][0]
+    v2 = build_all_bases(scaled).evaluate(pts * 3.7, (("value", (0, 0)),), [0])["value"][0]
     for local_value_dof in (0, 6, 12):
         assert np.abs(v1[:, local_value_dof] - v2[:, local_value_dof]).max() < 1e-9
 
@@ -177,16 +167,16 @@ def test_degenerate_triangle_rejected():
         vertex_on_boundary=bad.vertex_on_boundary, edge_on_boundary=bad.edge_on_boundary,
     )
     with pytest.raises(ElementConstructionError):
-        build_element_basis(bad, 0)
+        build_all_bases(bad)
 
 
-def test_edge_normal_convention(mesh3):
-    for e in range(mesh3.num_edges):
-        a, b = mesh3.edges[e]
+def test_edge_normal_convention(mesh3, bases3):
+    for t, m in np.ndindex(mesh3.triangle_edges.shape):
+        a, b = mesh3.edges[mesh3.triangle_edges[t, m]]
         assert a < b
         d = mesh3.vertices[b] - mesh3.vertices[a]
         d = d / np.linalg.norm(d)
-        n = edge_normal(mesh3, e)
+        n = bases3.edge_normals[t, m]
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-14)
         assert float(d[0] * n[1] - d[1] * n[0]) == pytest.approx(1.0, abs=1e-12)
 

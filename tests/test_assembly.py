@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from streamfem.argyris import EVAL_ORDERS, interpolate_field
+from streamfem.argyris import EVAL_ORDERS
 from streamfem.assembly import (
     EXACT,
     ElementTables,
@@ -10,13 +10,15 @@ from streamfem.assembly import (
     assemble_biharmonic,
     assemble_convection,
     assemble_load,
+    dof_arrays,
     manufactured_rhs,
     viscous_element_matrices,
 )
-from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
+from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.quadrature import rule
 from streamfem.solvers import pcg
 
+from fields import free_permutation, interpolate_field, unconstrained
 from test_argyris import sympy_derivatives
 from test_scatter_plan import _scatter, assert_same_bytes, ref_convection
 
@@ -81,7 +83,7 @@ def test_energy_quadratic_form_matches_exact_integral():
         mesh = build_uniform_mesh(n)
         dm = enumerate_dofs(mesh, 1)
         coeffs = interpolate_field(mesh, dm, EXACT)
-        A = assemble_biharmonic(ScatterPlan.build(mesh, dm, reduced=False), rule(25), 1.0)
+        A = assemble_biharmonic(ScatterPlan.build(mesh, unconstrained(dm)), rule(25), 1.0)
         energy = float(coeffs @ A.matvec(coeffs))
         assert energy == pytest.approx(target, abs=tol)
 
@@ -217,8 +219,8 @@ def test_galerkin_orthogonality(dofmap3, plan3, bases3, tables25):
 def test_sparsity_respects_interaction_stencil(mesh3, dofmap3, plan3):
     A = assemble_biharmonic(plan3, rule(6), 1.0)
     allowed = np.zeros((dofmap3.num_free, dofmap3.num_free), dtype=bool)
-    for t in range(mesh3.num_triangles):
-        reduced = dofmap3.free_of_global[dofmap3.triangle_dofs(mesh3, t)]
+    for dofs in dof_arrays(mesh3, dofmap3):
+        reduced = dofmap3.free_of_global[dofs]
         reduced = reduced[reduced >= 0]
         allowed[np.ix_(reduced, reduced)] = True
     rows = np.repeat(np.arange(A.dimension), np.diff(A.indptr))

@@ -26,6 +26,7 @@ from streamfem.picard import PicardConfig, discretize
 from streamfem.quadrature import rule
 from streamfem.solvers import SparseMatrix, from_coo
 
+from fields import unconstrained
 from test_scatter_plan import PALETTE, _scatter, assert_same_bytes, ref_convection, traced_peak
 
 
@@ -37,9 +38,9 @@ def structural_sum(A, B):
                     np.concatenate([a.col, b.col]), np.concatenate([a.data, b.data]))
 
 
-def ref_B(mesh, dofmap, psi, tables, flip, reduced=True):
+def ref_B(mesh, dofmap, psi, tables, flip):
     """B(psi) from whole-mesh element matrices and the COO reference assembly."""
-    return _scatter(mesh, dofmap, ref_convection(mesh, dofmap, psi, tables, flip), reduced)
+    return _scatter(mesh, dofmap, ref_convection(mesh, dofmap, psi, tables, flip))
 
 
 def ref_operator(disc, psi):
@@ -110,15 +111,15 @@ def test_chunk_seams_leave_the_operator_unchanged(monkeypatch, chunk):
 
 def test_unreduced_operator_matches_two_matrix_sum():
     mesh = build_uniform_mesh(4)
-    dm = enumerate_dofs(mesh, 3)
+    dm = unconstrained(enumerate_dofs(mesh, 3))
     q = rule(6)
-    plan = ScatterPlan.build(mesh, dm, reduced=False)
+    plan = ScatterPlan.build(mesh, dm)
     bases = build_all_bases(mesh)
     A = assemble_biharmonic(plan, q, 2.0, bases=bases)
     tables = assembly.ElementTables(mesh, q, bases)
     psi = np.random.default_rng(4).standard_normal(dm.total_dofs)
     for flip in (False, True):
-        B = ref_B(mesh, dm, psi, tables, flip, reduced=False)
+        B = ref_B(mesh, dm, psi, tables, flip)
         got = assemble_convection(plan, tables, psi, flip_convention=flip, plus=A)
         assert_same_bytes(got, structural_sum(A, B))
 
@@ -131,7 +132,8 @@ def test_unreduced_operator_matches_two_matrix_sum():
 def test_plan_sum_matches_the_structural_coo_sum(n, ordering, reduced, seed, chunk):
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, ordering)
-    plan = ScatterPlan.build(mesh, dm, reduced)
+    dm = dm if reduced else unconstrained(dm)
+    plan = ScatterPlan.build(mesh, dm)
     rng = np.random.default_rng(seed)
     shape = (mesh.num_triangles, 21, 21)
     # palette sums cancel to +-0.0 in A, in B and in A + B, and carry NaN
@@ -141,8 +143,7 @@ def test_plan_sum_matches_the_structural_coo_sum(n, ordering, reduced, seed, chu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "CHUNK", chunk)
         got = plan.assemble(local.copy(), plus=A)
-    want = structural_sum(_scatter(mesh, dm, a_local, reduced),
-                          _scatter(mesh, dm, local, reduced))
+    want = structural_sum(_scatter(mesh, dm, a_local), _scatter(mesh, dm, local))
     assert_same_bytes(got, want)
     assert got.nnz == plan.nnz
 
@@ -150,7 +151,7 @@ def test_plan_sum_matches_the_structural_coo_sum(n, ordering, reduced, seed, chu
 def test_plan_sum_rejects_a_matrix_of_another_pattern():
     mesh = build_uniform_mesh(2)
     dm = enumerate_dofs(mesh, 1)
-    small, full = ScatterPlan.build(mesh, dm), ScatterPlan.build(mesh, dm, reduced=False)
+    small, full = ScatterPlan.build(mesh, dm), ScatterPlan.build(mesh, unconstrained(dm))
     A = small.assemble(np.ones((mesh.num_triangles, 21, 21)))
     with pytest.raises(ValueError, match="not assembled on this scatter plan"):
         full.assemble(np.ones((mesh.num_triangles, 21, 21)), plus=A)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from streamfem.assembly import dof_arrays
 from streamfem.mesh import (
     SLOT_INDEX,
     VERTEX_SLOTS,
@@ -14,9 +15,9 @@ from streamfem.mesh import (
     build_uniform_mesh,
     enumerate_dofs,
     export_mesh_csv,
-    free_permutation,
-    ordering_permutation,
 )
+
+from fields import free_permutation, ordering_permutation
 
 
 @pytest.mark.parametrize(
@@ -148,7 +149,7 @@ def test_ordering_permutation_bijection(mesh3):
 
 
 def test_triangle_dofs_layout(mesh3, dofmap3):
-    dofs = dofmap3.triangle_dofs(mesh3, 0)
+    dofs = dof_arrays(mesh3, dofmap3)[0]
     v0, v1, v2 = mesh3.triangles[0]
     assert list(dofs[:6]) == list(dofmap3.vertex_dofs[v0])
     assert list(dofs[6:12]) == list(dofmap3.vertex_dofs[v1])

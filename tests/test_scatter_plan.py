@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse._sparsetools import coo_tocsr, csr_has_sorted_indices, csr_sort_indices
 
 from streamfem.analysis import VERIFICATION_RULE_POINTS, compute_errors
-from streamfem.argyris import BLOCK, EVAL_ORDERS, build_all_bases, interpolate_field
+from streamfem.argyris import BLOCK, EVAL_ORDERS, build_all_bases
 from streamfem.assembly import (
     EXACT,
     ElementTables,
@@ -34,37 +34,34 @@ from streamfem.assembly import (
     dof_arrays,
     manufactured_rhs,
 )
-from streamfem.mesh import build_uniform_mesh, enumerate_dofs, free_permutation
+from streamfem.mesh import build_uniform_mesh, enumerate_dofs
 from streamfem.picard import PicardConfig, discretize
 from streamfem.quadrature import map_to_triangle, rule
 from streamfem.solvers import from_coo
+
+from fields import free_permutation, interpolate_field, unconstrained
 
 RULES = (4, 6, 12, 25)
 
 
 # --- references: the whole-mesh computations ------------------------------------
 
-def _scatter(mesh, dofmap, local_blocks, reduced=True):
-    """Accumulate (T, 21, 21) local matrices into the global CSR matrix."""
+def _scatter(mesh, dofmap, local_blocks):
+    """Accumulate (T, 21, 21) local matrices into the global CSR matrix over
+    the free DOFs."""
     tri_dofs = dof_arrays(mesh, dofmap)
     nt = mesh.num_triangles
-    rows = np.repeat(tri_dofs, 21, axis=1).ravel()
-    cols = np.tile(tri_dofs, (1, 21)).ravel()
-    vals = local_blocks.reshape(nt * 441)
-    if reduced:
-        r = dofmap.free_of_global[rows]
-        c = dofmap.free_of_global[cols]
-        keep = (r >= 0) & (c >= 0)
-        return from_coo(dofmap.num_free, r[keep], c[keep], vals[keep])
-    return from_coo(dofmap.total_dofs, rows, cols, vals)
+    r = dofmap.free_of_global[np.repeat(tri_dofs, 21, axis=1).ravel()]
+    c = dofmap.free_of_global[np.tile(tri_dofs, (1, 21)).ravel()]
+    keep = (r >= 0) & (c >= 0)
+    return from_coo(dofmap.num_free, r[keep], c[keep], local_blocks.reshape(nt * 441)[keep])
 
 
-def ref_conversion(mesh, dofmap, reduced):
+def ref_conversion(mesh, dofmap):
     """(indptr, indices, entry numbers) of scipy's COO -> CSR conversion of
     the kept element-matrix entries, the numbers carried as float64."""
-    index_of = dofmap.free_of_global if reduced else np.arange(dofmap.total_dofs)
-    dofs = index_of[dof_arrays(mesh, dofmap)].astype(np.int32)
-    n = dofmap.num_free if reduced else dofmap.total_dofs
+    dofs = dofmap.free_of_global[dof_arrays(mesh, dofmap)].astype(np.int32)
+    n = dofmap.num_free
     keep = ((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)).ravel()
     rows = np.repeat(dofs, 21, axis=1).ravel()[keep]
     cols = np.tile(dofs, (1, 21)).ravel()[keep]
@@ -112,15 +109,14 @@ def ref_convection(mesh, dofmap, xi, tables, flip):
 
 def ref_errors(mesh, dofmap, coefficients):
     """(l2, h1, h2) from whole-mesh (T, 25) fields, each triangle's read from
-    its own ElementBasis tables and local DOFs."""
+    its own tables and local DOFs."""
     bases = build_all_bases(mesh)
     points, w = map_to_triangle(rule(VERIFICATION_RULE_POINTS), bases.coords)
     fields = {name: np.empty(w.shape) for name, _ in EVAL_ORDERS}
+    local = coefficients[dof_arrays(mesh, dofmap)]
     for t in range(mesh.num_triangles):
-        tables = bases[t].evaluate(points[t], EVAL_ORDERS)
-        local = coefficients[dofmap.triangle_dofs(mesh, t)]
-        for name, table in tables.items():
-            fields[name][t] = table @ local
+        for name, table in bases.evaluate(points[t:t + 1], EVAL_ORDERS, [t]).items():
+            fields[name][t] = table[0] @ local[t]
     x, y = points[:, :, 0], points[:, :, 1]
     e = {name: fields[name] - EXACT[name](x, y) for name in fields}
     return (float(np.sqrt(np.sum(w * e["value"] ** 2))),
@@ -155,10 +151,11 @@ def test_plan_matches_coo_reference_on_random_blocks(n, ordering, minimal_bc, re
                                                      seed, with_nan):
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, ordering, minimal_bc=minimal_bc)
+    dm = dm if reduced else unconstrained(dm)
     palette = PALETTE if with_nan else PALETTE[:-1]
     local = np.random.default_rng(seed).choice(palette, size=(mesh.num_triangles, 21, 21))
-    plan = ScatterPlan.build(mesh, dm, reduced)
-    assert_same_bytes(plan.assemble(local), _scatter(mesh, dm, local, reduced))
+    plan = ScatterPlan.build(mesh, dm)
+    assert_same_bytes(plan.assemble(local), _scatter(mesh, dm, local))
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,8 +164,9 @@ def test_plan_matches_coo_reference_on_random_blocks(n, ordering, minimal_bc, re
 def test_int32_build_records_the_float64_conversion_order(n, ordering, minimal_bc, reduced):
     mesh = build_uniform_mesh(n)
     dm = enumerate_dofs(mesh, ordering, minimal_bc=minimal_bc)
-    got = plan_conversion(ScatterPlan.build(mesh, dm, reduced))
-    for a, b in zip(got, ref_conversion(mesh, dm, reduced)):
+    dm = dm if reduced else unconstrained(dm)
+    got = plan_conversion(ScatterPlan.build(mesh, dm))
+    for a, b in zip(got, ref_conversion(mesh, dm)):
         assert np.array_equal(a, b)
 
 
@@ -222,17 +220,16 @@ def test_operators_match_whole_mesh_reference(n):
 
 def test_unreduced_operators_and_new_bases_match_reference():
     mesh = build_uniform_mesh(5)
-    dm = enumerate_dofs(mesh, 3)
+    dm = unconstrained(enumerate_dofs(mesh, 3))
     q = rule(6)
-    plan = ScatterPlan.build(mesh, dm, reduced=False)
+    plan = ScatterPlan.build(mesh, dm)
     got = assemble_biharmonic(plan, q, 2.0)
-    want = _scatter(mesh, dm, ref_viscous(mesh, q, 2.0, build_all_bases(mesh)), reduced=False)
+    want = _scatter(mesh, dm, ref_viscous(mesh, q, 2.0, build_all_bases(mesh)))
     assert_same_bytes(got, want)
     xi = random_xi(dm, 5)
     tables = ElementTables(mesh, q, build_all_bases(mesh))
     assert_same_bytes(assemble_convection(plan, tables, xi),
-                      _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False),
-                               reduced=False))
+                      _scatter(mesh, dm, ref_convection(mesh, dm, xi, tables, False)))
 
 
 @pytest.mark.parametrize("n", [3, 12])
